@@ -10,8 +10,9 @@ evidence grows without bound:
        approximation        exceeds any 1 - delta from some stage on.
 
 Verdicts are horizon-stamped: a finite run supports or refutes a mode AT
-ITS HORIZON; analytic bounds, where available, turn support into a
-certificate for all larger sample sizes.
+ITS HORIZON.  Analytic bounds, where available, are reported next to each
+curve row; they are not yet read by any verdict, so no support is
+certified beyond the horizon.
 
 Run:  python demos/03_convergence_mode_checks.py
 """

@@ -32,7 +32,6 @@ from .core import (
     ValidationReport,
     World,
     alternating_branch,
-    apply_method,
     as_fraction,
     binary_sequence,
     constant_branch,

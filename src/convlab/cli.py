@@ -196,10 +196,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except (InputDomainError, ValueError) as e:
         raise ConfigurationError(f"budget: {e}") from None
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigurationError("seed: expected an integer")
     workers = doc.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigurationError("workers: expected a positive integer")
     return ExperimentConfig(
         name=str(doc.get("name", "experiment")),

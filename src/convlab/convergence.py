@@ -5,9 +5,11 @@ method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
 full enumeration of the evidence tree level, or an O(n) binomial sum for
 count-symmetric methods under IID-Bernoulli data -- and by seeded Monte
-Carlo otherwise.  Mode checks aggregate these into finite-horizon verdicts:
-a horizon-stamped verdict is evidence about the limit behaviour, not a
-proof, except where an analytic bound certifies all larger sample sizes.
+Carlo otherwise; one planner (``_plan``) picks that path per (world, n).
+Mode checks aggregate these into finite-horizon verdicts: a
+horizon-stamped verdict is evidence about the limit behaviour, not a
+proof.  Analytic lower bounds are reported per curve row; no verdict
+reads them yet, so none is certified beyond its horizon.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .core import (
     World,
     as_fraction,
     loss_of,
-    output_at,
 )
 
 MODE_IDENTIFICATION = "I"
@@ -50,8 +51,6 @@ MODES = (MODE_IDENTIFICATION, MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_AP
 SUPPORTED_AT_HORIZON = "SUPPORTED_AT_HORIZON"
 REFUTED_AT_HORIZON = "REFUTED_AT_HORIZON"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-_SYMMETRIC_HARD_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,8 @@ class Budget:
             raise InputDomainError("trials must be >= 1")
         if self.exact_enum_cap < 1 or self.symmetric_exact_cap < 0:
             raise InputDomainError("budget caps must be positive")
+        if not (math.isfinite(self.mc_margin) and self.mc_margin >= 0):
+            raise InputDomainError(f"mc_margin must be finite and >= 0, got {self.mc_margin!r}")
 
 
 @dataclass(frozen=True)
@@ -246,83 +247,124 @@ def analytic_bound(problem, method, world, n, crit):
 
 
 # ---------------------------------------------------------------------------
-# Exact success probabilities
+# Evaluation paths
+
+POINT_MASS = "point-mass"
+BINOMIAL_EXACT = "binomial-exact"
+ENUM_EXACT = "enum-exact"
+MC_BLOCK = "mc-block"
+MC_COUNTS = "mc-counts"
+MC_GENERIC = "mc-generic"
+GEOMETRIC_EXACT = "geometric-exact"
+MC = "mc"
 
 
-def _success_at_counts(problem, method, world, n, k, crit) -> bool:
-    out = method.decide_counts(n, k)
-    return crit.met(loss_of(problem, out, world))
+def _plan(method, world, n, budget: Budget) -> str:
+    """The evaluation path of the success probability at (world, n) under the budget.
 
-
-def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None) -> Fraction:
-    """Exact probability mass of length-n sequences whose output meets the criterion.
-
-    Requires the sequences of length n to be enumerable within the budget,
-    or a count-symmetric method under an IID-Bernoulli measure, in which
-    case the binomial sum over success counts is used (exact rationals).
+    Unless the strategy is "mc", an exact path wins where it fits its cap
+    (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves);
+    past the caps "auto" samples and "exact" raises.
     """
-    budget = budget or Budget()
     m = world.measure
     if m is None:
         raise PreconditionError(f"world {world.id!r} carries no measure")
     if n < 0:
         raise InputDomainError("sample size must be >= 0")
-
     if m.kind == KIND_POINT_MASS:
-        out = method.decide(m.point.prefix(n))
-        return Fraction(1) if crit.met(loss_of(problem, out, world)) else Fraction(0)
-
-    if method.count_symmetric and method.decide_counts and m.kind == KIND_IID_BERNOULLI:
-        if n > _SYMMETRIC_HARD_CAP:
+        return POINT_MASS
+    counts = bool(method.count_symmetric and method.decide_counts) and m.kind == KIND_IID_BERNOULLI
+    if budget.strategy != "mc":
+        if counts and n <= budget.symmetric_exact_cap:
+            return BINOMIAL_EXACT
+        if sum(pr > 0 for _, pr in m.token_probs) ** n <= budget.exact_enum_cap:
+            return ENUM_EXACT
+        if budget.strategy == "exact":
             raise ResourceBudgetError(
-                f"binomial sum capped at n = {_SYMMETRIC_HARD_CAP}; use mc_success_prob"
+                f"exact strategy: no exact path for world {world.id!r} at n={n}"
             )
-        th = m.theta
-        p, q = th.numerator, th.denominator
-        num = 0
-        for k in range(n + 1):
-            if _success_at_counts(problem, method, world, n, k, crit):
-                num += math.comb(n, k) * p**k * (q - p) ** (n - k)
-        return Fraction(num, q**n)
+    if method.success_block is not None and m.kind == KIND_IID_EXAMPLES:
+        return MC_BLOCK
+    return MC_COUNTS if counts else MC_GENERIC
 
-    if m.kind in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-        support = [(tok, pr) for tok, pr in m.token_probs if pr > 0]
-        if len(support) ** n > budget.exact_enum_cap:
-            raise ResourceBudgetError(
-                f"enumerating {len(support)}**{n} sequences exceeds the budget; "
-                "use mc_success_prob"
-            )
-        total = Fraction(0)
 
-        def walk(prefix, weight):
-            nonlocal total
-            if len(prefix) == n:
-                if crit.met(loss_of(problem, method.decide(prefix), world)):
-                    total += weight
-                return
-            for tok, pr in support:
-                walk(prefix + (tok,), weight * pr)
+def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
+    out = method.decide(world.measure.point.prefix(n))
+    return Fraction(1) if crit.met(loss_of(problem, out, world)) else Fraction(0)
 
-        walk((), Fraction(1))
-        return total
 
-    # Custom measures only expose node probabilities, so enumerate leaves.
-    if len(problem.alphabet) ** n > budget.exact_enum_cap:
-        raise ResourceBudgetError("enumeration exceeds the budget; use mc_success_prob")
+def _binomial_exact(problem, method, world, n, crit) -> Fraction:
+    th = world.measure.theta
+    p, q = th.numerator, th.denominator
+    num = 0
+    for k in range(n + 1):
+        if crit.met(loss_of(problem, method.decide_counts(n, k), world)):
+            num += math.comb(n, k) * p**k * (q - p) ** (n - k)
+    return Fraction(num, q**n)
+
+
+def _enum_exact(problem, method, world, n, crit) -> Fraction:
+    support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
     total = Fraction(0)
-    for seq in itertools.product(problem.alphabet, repeat=n):
-        w = m.prefix_prob(seq)
-        if w > 0 and crit.met(loss_of(problem, method.decide(seq), world)):
-            total += w
+
+    def walk(prefix, weight):
+        nonlocal total
+        if len(prefix) == n:
+            if crit.met(loss_of(problem, method.decide(prefix), world)):
+                total += weight
+            return
+        for tok, pr in support:
+            walk(prefix + (tok,), weight * pr)
+
+    walk((), Fraction(1))
     return total
+
+
+_EXACT_PATHS = {POINT_MASS: _point_mass_exact, BINOMIAL_EXACT: _binomial_exact, ENUM_EXACT: _enum_exact}
+
+
+def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None) -> Fraction:
+    """Exact probability mass of length-n sequences whose output meets the criterion.
+
+    Takes the exact path the budget plans: the point-mass indicator, the
+    binomial sum over success counts, or enumeration of the tree level.
+    """
+    path = _plan(method, world, n, budget or Budget())
+    if path not in _EXACT_PATHS:
+        raise ResourceBudgetError(
+            f"no exact path for world {world.id!r} at n={n} within the budget; use mc_success_prob"
+        )
+    return _EXACT_PATHS[path](problem, method, world, n, crit)
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo success probabilities
 
 
-def _binomial_stderr(p_hat: float, trials: int) -> float:
-    return math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials)
+def _mc_estimate(flags: np.ndarray) -> Estimate:
+    p_hat = float(flags.mean())
+    return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / flags.size), False)
+
+
+def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
+    return np.asarray(method.success_block(problem, world, n, crit, trials, rng), dtype=bool)
+
+
+def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
+    # Each distinct success count is decided once.
+    ks = rng.binomial(n, float(world.measure.theta), size=trials)
+    distinct, inverse = np.unique(ks, return_inverse=True)
+    hits = [crit.met(loss_of(problem, method.decide_counts(n, int(k)), world)) for k in distinct]
+    return np.array(hits, dtype=bool)[inverse]
+
+
+def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
+    sample = world.measure.sample_prefix
+    hits = [crit.met(loss_of(problem, method.decide(sample(rng, n)), world)) for _ in range(trials)]
+    return np.array(hits, dtype=bool)
+
+
+_MC_PATHS = {MC_BLOCK: _mc_block, MC_COUNTS: _mc_counts, MC_GENERIC: _mc_generic}
 
 
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> Estimate:
@@ -330,61 +372,18 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> 
 
     The generator is derived from (seed, world id, n), so the estimate is
     reproducible for fixed arguments no matter which worker evaluates it or
-    in which order the (world, n) work items run.
+    in which order the (world, n) work items run.  Point-mass worlds report
+    their deterministic indicator.
     """
-    m = world.measure
-    if m is None:
-        raise PreconditionError(f"world {world.id!r} carries no measure")
-    if trials < 1:
-        raise InputDomainError("trials must be >= 1")
-
-    if m.kind == KIND_POINT_MASS:
-        out = method.decide(m.point.prefix(n))
-        hit = crit.met(loss_of(problem, out, world))
-        return Estimate(1.0 if hit else 0.0, 0.0, True)
-
+    path = _plan(method, world, n, Budget(strategy="mc", trials=trials))
+    if path == POINT_MASS:
+        return Estimate(float(_point_mass_exact(problem, method, world, n, crit)), 0.0, True)
     rng = seeding.generator(seed, "mc", world.id, n)
-
-    if method.success_block is not None and m.kind == KIND_IID_EXAMPLES:
-        flags = np.asarray(method.success_block(problem, world, n, crit, trials, rng), dtype=bool)
-    elif method.count_symmetric and method.decide_counts and m.kind == KIND_IID_BERNOULLI:
-        ks = rng.binomial(n, float(m.theta), size=trials)
-        cache = {}
-        flags = np.empty(trials, dtype=bool)
-        for i, k in enumerate(ks):
-            k = int(k)
-            if k not in cache:
-                cache[k] = _success_at_counts(problem, method, world, n, k, crit)
-            flags[i] = cache[k]
-    else:
-        flags = np.empty(trials, dtype=bool)
-        for t in range(trials):
-            seq = m.sample_prefix(rng, n)
-            flags[t] = crit.met(loss_of(problem, method.decide(seq), world))
-
-    p_hat = float(flags.mean())
-    return Estimate(p_hat, _binomial_stderr(p_hat, trials), False)
+    return _mc_estimate(_MC_PATHS[path](problem, method, world, n, crit, trials, rng))
 
 
 # ---------------------------------------------------------------------------
 # Curves
-
-
-def _exact_affordable(method, world, n, budget: Budget) -> bool:
-    m = world.measure
-    if m.kind == KIND_POINT_MASS:
-        return True
-    if (
-        method.count_symmetric
-        and method.decide_counts
-        and m.kind == KIND_IID_BERNOULLI
-        and n <= budget.symmetric_exact_cap
-    ):
-        return True
-    if m.kind in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-        support = sum(1 for _, pr in m.token_probs if pr > 0)
-        return support**n <= budget.exact_enum_cap
-    return False
 
 
 def resolve_workers(requested: Optional[int]) -> int:
@@ -438,13 +437,8 @@ def success_curve(
     def evaluate(key):
         wi, n = key
         w = worlds[wi]
-        if budget.strategy != "mc" and _exact_affordable(method, w, n, budget):
-            p = exact_success_prob(problem, method, w, n, crit, budget)
-            est = Estimate(p, 0.0, True)
-        elif budget.strategy == "exact":
-            raise ResourceBudgetError(
-                f"exact strategy: no exact path for world {w.id!r} at n={n}"
-            )
+        if _plan(method, w, n, budget) in _EXACT_PATHS:
+            est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
         else:
             est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed)
         return CurvePoint(
@@ -477,27 +471,40 @@ def _trailing_pass_start(stages, statuses) -> Optional[int]:
     return start
 
 
+def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list]:
+    """Start of the trailing zero-loss run of outputs on prefix[:s], s = 0..len(prefix),
+    or None when the last loss is positive; and every stage's loss."""
+    losses = [loss_of(problem, method.decide(prefix[:s]), world) for s in range(len(prefix) + 1)]
+    statuses = ["pass" if L == 0 else "fail" for L in losses]
+    return _trailing_pass_start(range(len(losses)), statuses), losses
+
+
+def _verdict(mode, horizon, world_verdicts, curve=None) -> Verdict:
+    # The first refuted world is the witness.
+    witness = next((wv.world_id for wv in world_verdicts if wv.status == "refuted"), None)
+    if witness:
+        status = REFUTED_AT_HORIZON
+    elif any(wv.status == "inconclusive" for wv in world_verdicts):
+        status = INCONCLUSIVE
+    else:
+        status = SUPPORTED_AT_HORIZON
+    return Verdict(status, mode, horizon, tuple(world_verdicts), witness, curve)
+
+
 def _check_identification(problem, method, worlds, horizon) -> Verdict:
     world_verdicts = []
-    witness = None
     for w in worlds:
-        stages = list(range(0, horizon + 1))
-        losses = [loss_of(problem, output_at(method, w, s), w) for s in stages]
-        statuses = ["pass" if L == 0 else "fail" for L in losses]
-        n0 = _trailing_pass_start(stages, statuses)
+        n0, losses = _zero_loss_scan(problem, method, w, w.branch.prefix(horizon))
         if n0 is not None:
             world_verdicts.append(WorldVerdict(w.id, "supported", n0))
         else:
-            fail_stages = [s for s, st in zip(stages, statuses) if st == "fail"]
+            fail_stages = [s for s, L in enumerate(losses) if L != 0]
             note = (
                 f"positive loss at stage {horizon} (loss={losses[-1]}); "
                 f"{len(fail_stages)} failing stages, last at {fail_stages[-1]}"
             )
             world_verdicts.append(WorldVerdict(w.id, "refuted", None, note))
-            if witness is None:
-                witness = w.id
-    status = REFUTED_AT_HORIZON if witness else SUPPORTED_AT_HORIZON
-    return Verdict(status, MODE_IDENTIFICATION, horizon, tuple(world_verdicts), witness, None)
+    return _verdict(MODE_IDENTIFICATION, horizon, world_verdicts)
 
 
 def _stage_status(point: CurvePoint, threshold: Fraction, margin: float) -> str:
@@ -561,8 +568,6 @@ def check_mode(
         by_world[pt.world_id].append(pt)
 
     world_verdicts = []
-    witness = None
-    any_inconclusive = False
     for w in worlds:
         pts = by_world[w.id]
         stages = [p.n for p in pts]
@@ -578,21 +583,11 @@ def check_mode(
                 f"does not exceed 1-delta = {float(threshold):.6g}"
             )
             world_verdicts.append(WorldVerdict(w.id, "refuted", None, note))
-            if witness is None:
-                witness = w.id
         else:
             world_verdicts.append(
                 WorldVerdict(w.id, "inconclusive", None, "final stage within sampling margin")
             )
-            any_inconclusive = True
-
-    if witness:
-        status = REFUTED_AT_HORIZON
-    elif any_inconclusive:
-        status = INCONCLUSIVE
-    else:
-        status = SUPPORTED_AT_HORIZON
-    return Verdict(status, params.mode, params.horizon, tuple(world_verdicts), witness, curve)
+    return _verdict(params.mode, params.horizon, world_verdicts, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -619,40 +614,57 @@ def lock_time(problem, method, world, horizon: int) -> Optional[int]:
             return None
         cand = 0 if b.zero_free else b.first_zero
         return cand if cand <= horizon else None
-    stages = list(range(0, horizon + 1))
-    losses = [loss_of(problem, output_at(method, world, s), world) for s in stages]
-    return _trailing_pass_start(stages, ["pass" if L == 0 else "fail" for L in losses])
+    return _zero_loss_scan(problem, method, world, b.prefix(horizon))[0]
 
 
-def _require_success_set_support(problem, world):
+def _set_plan(problem, method, world, strategy: str) -> str:
+    """The evaluation path of the success-set (lock-stage) probabilities in one world.
+
+    Unless the strategy is "mc", a closed form wins where one exists;
+    otherwise lock stages are sampled, or "exact" raises.
+    """
+    if strategy not in ("auto", "exact", "mc"):
+        raise InputDomainError(f"unknown strategy {strategy!r}")
     m = world.measure
     if m is None:
         raise PreconditionError(f"world {world.id!r} carries no measure")
-    if m.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES, KIND_POINT_MASS):
-        raise PreconditionError("success-set machinery needs a countably additive catalog measure")
     if problem.truth_of_prefix is None:
         raise PreconditionError(
             "success-set machinery needs a problem whose branches determine truths one-to-one"
         )
+    if strategy != "mc":
+        if m.kind == KIND_POINT_MASS:
+            return POINT_MASS
+        if method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI:
+            return GEOMETRIC_EXACT
+        if strategy == "exact":
+            raise ResourceBudgetError("no exact success-set path for this method/measure")
+    return MC
+
+
+def _point_mass_lock(problem, method, world, horizon) -> Optional[int]:
+    # Judged against the truth the point-mass branch itself determines (coherence).
+    truth = problem.truth_of_prefix(world.measure.point.prefix(horizon))
+    return lock_time(problem, method, replace(world, truth=truth), horizon)
 
 
 def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.ndarray:
     """Per sampled branch: the stage at which the method locks onto the truth.
 
-    Exact (horizon-free) via the geometric first-zero law for first-zero
-    locking methods; otherwise the start of the trailing zero-loss run
-    through the horizon, with horizon+1 where none exists.  The sample is
-    derived from (seed, world id, horizon) only, so all stages n share it --
-    that is what makes the monotonicity check a genuine set-inclusion test.
+    Samples the law of the exact success-set path where one exists;
+    otherwise the start of the trailing zero-loss run through the horizon,
+    with horizon+1 where none exists.  The sample is derived from
+    (seed, world id, horizon) only, so all stages n share it -- that is
+    what makes the monotonicity check a genuine set-inclusion test.
     """
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
-    if m.kind == KIND_POINT_MASS:
-        lock = lock_time(problem, method, replace_world_truth(problem, world, m.point.prefix(horizon)), horizon)
-        val = lock if lock is not None else horizon + 1
-        return np.full(trials, val, dtype=np.int64)
+    law = _set_plan(problem, method, world, "auto")
+    if law == POINT_MASS:
+        lock = _point_mass_lock(problem, method, world, horizon)
+        return np.full(trials, lock if lock is not None else horizon + 1, dtype=np.int64)
 
-    if method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI:
+    if law == GEOMETRIC_EXACT:
         # The lock stage is the first-zero position, whose law is geometric
         # with hit chance 1 - theta.  Sampling it directly is horizon-free
         # and avoids the truncation bias of scanning a finite prefix (a
@@ -666,20 +678,26 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.nda
     locks = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         prefix = m.sample_prefix(rng, horizon)
-        truth = problem.truth_of_prefix(prefix)
-        ephemeral = replace(world, truth=truth)
-        stages = list(range(0, horizon + 1))
-        losses = [
-            loss_of(problem, method.decide(prefix[:s]), ephemeral) for s in stages
-        ]
-        n0 = _trailing_pass_start(stages, ["pass" if L == 0 else "fail" for L in losses])
+        ephemeral = replace(world, truth=problem.truth_of_prefix(prefix))
+        n0, _ = _zero_loss_scan(problem, method, ephemeral, prefix)
         locks[t] = n0 if n0 is not None else horizon + 1
     return locks
 
 
-def replace_world_truth(problem, world, prefix):
-    """World with its truth re-resolved from a branch prefix (coherence)."""
-    return replace(world, truth=problem.truth_of_prefix(prefix))
+def _set_estimates(problem, method, world, stages, horizon, trials, seed, strategy) -> list:
+    """Lock-by-stage-n probability per stage, along the world's planned path."""
+    path = _set_plan(problem, method, world, strategy)
+    if path == GEOMETRIC_EXACT:
+        theta = world.measure.theta
+        return [Estimate(1 - theta**n, 0.0, True) for n in stages]
+    if path == POINT_MASS:
+        lock = _point_mass_lock(problem, method, world, horizon)
+        hits = [lock is not None and lock <= n for n in stages]
+        return [Estimate(Fraction(1 if hit else 0), 0.0, True) for hit in hits]
+    if any(n > horizon for n in stages):
+        raise PreconditionError("horizon must be >= n")
+    locks = _lock_stage_samples(problem, method, world, horizon, trials, seed)
+    return [_mc_estimate(locks <= n) for n in stages]
 
 
 def success_set_prob(
@@ -700,34 +718,10 @@ def success_set_prob(
     world when the lock happens on its branch.  Monte Carlo with an explicit
     horizon otherwise, or always under strategy="mc".
     """
-    if strategy not in ("auto", "exact", "mc"):
-        raise InputDomainError(f"unknown strategy {strategy!r}")
-    _require_success_set_support(problem, world)
     if n < 0:
         raise InputDomainError("n must be >= 0")
-    m = world.measure
-
-    if strategy != "mc":
-        if method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI:
-            p = m.theta
-            return Estimate(1 - p**n, 0.0, True)
-        if m.kind == KIND_POINT_MASS:
-            scan = max(n, 1) if horizon is None else horizon
-            lock = lock_time(
-                problem, method, replace_world_truth(problem, world, m.point.prefix(scan)), scan
-            )
-            hit = lock is not None and lock <= n
-            return Estimate(Fraction(1 if hit else 0), 0.0, True)
-        if strategy == "exact":
-            raise ResourceBudgetError("no exact success-set path for this method/measure")
-
     T = horizon if horizon is not None else max(n, 1)
-    if T < n:
-        raise PreconditionError("horizon must be >= n")
-    locks = _lock_stage_samples(problem, method, world, T, trials, seed)
-    flags = locks <= n
-    p_hat = float(flags.mean())
-    return Estimate(p_hat, _binomial_stderr(p_hat, trials), False)
+    return _set_estimates(problem, method, world, (n,), T, trials, seed, strategy)[0]
 
 
 def success_set_monotone(
@@ -744,7 +738,6 @@ def success_set_monotone(
     """Set inclusion on shared samples: every branch locked by n is locked by n'."""
     if not 0 <= n <= n_prime <= horizon:
         raise InputDomainError("need 0 <= n <= n' <= horizon")
-    _require_success_set_support(problem, world)
     locks = _lock_stage_samples(problem, method, world, horizon, trials, seed)
     return not bool(np.any((locks <= n) & ~(locks <= n_prime)))
 
@@ -775,29 +768,8 @@ def success_set_curve(
 
     def evaluate(wi):
         w = worlds[wi]
-        pts = []
-        m = w.measure
-        exact_path = strategy != "mc" and (
-            m.kind == KIND_POINT_MASS
-            or (method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI)
-        )
-        locks = (
-            None
-            if exact_path
-            else _lock_stage_samples(problem, method, w, horizon, trials, seed)
-        )
-        for n in stage_list:
-            if exact_path:
-                est = success_set_prob(
-                    problem, method, w, n, horizon=horizon, trials=trials, seed=seed,
-                    strategy=strategy,
-                )
-            else:
-                flags = locks <= n
-                p_hat = float(flags.mean())
-                est = Estimate(p_hat, _binomial_stderr(p_hat, trials), False)
-            pts.append(CurvePoint(w.id, n, est.value, est.stderr, est.exact, None))
-        return pts
+        ests = _set_estimates(problem, method, w, stage_list, horizon, trials, seed, strategy)
+        return [CurvePoint(w.id, n, e.value, e.stderr, e.exact, None) for n, e in zip(stage_list, ests)]
 
     results = _map_items(evaluate, list(range(len(worlds))), workers)
     points = tuple(pt for wi in range(len(worlds)) for pt in results[wi])

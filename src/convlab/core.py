@@ -164,7 +164,6 @@ def _cached_sampled_branch(branch_id, draw_block, first_zero=None, zero_free=Fal
 KIND_IID_BERNOULLI = "iid-bernoulli"
 KIND_IID_EXAMPLES = "iid-examples"
 KIND_POINT_MASS = "point-mass"
-KIND_CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -172,15 +171,12 @@ class Measure:
     """A tree measure over the evidence tree, of one of the catalog kinds.
 
     IID kinds carry an exact per-token distribution; point-mass carries the
-    single branch it concentrates on; custom carries caller-supplied
-    prefix-probability and sampling functions.
+    single branch it concentrates on.
     """
 
     kind: str
     token_probs: Optional[tuple[tuple[Token, Fraction], ...]] = None
     point: Optional[Branch] = None
-    prefix_prob_fn: Optional[Callable[[tuple], Fraction]] = None
-    sample_prefix_fn: Optional[Callable] = None
 
     @staticmethod
     def iid_bernoulli(theta) -> "Measure":
@@ -200,12 +196,6 @@ class Measure:
     @staticmethod
     def point_mass(branch: Branch) -> "Measure":
         return Measure(KIND_POINT_MASS, point=branch)
-
-    @staticmethod
-    def custom(prefix_prob_fn, sample_prefix_fn) -> "Measure":
-        return Measure(
-            KIND_CUSTOM, prefix_prob_fn=prefix_prob_fn, sample_prefix_fn=sample_prefix_fn
-        )
 
     @property
     def theta(self) -> Fraction:
@@ -227,15 +217,11 @@ class Measure:
             for tok in seq:
                 p *= self.token_prob(tok)
             return p
-        if self.kind == KIND_POINT_MASS:
-            return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
-        return self.prefix_prob_fn(seq)
+        return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
 
     def sample_prefix(self, rng, n: int) -> tuple[Token, ...]:
         if self.kind == KIND_POINT_MASS:
             return self.point.prefix(n)
-        if self.kind == KIND_CUSTOM:
-            return tuple(self.sample_prefix_fn(rng, n))
         tokens = [tok for tok, _ in self.token_probs]
         probs = [float(p) for _, p in self.token_probs]
         idx = rng.choice(len(tokens), size=n, p=probs)
@@ -252,8 +238,6 @@ class Measure:
         """Freeze one realized branch of this measure, derived from the seed key."""
         if self.kind == KIND_POINT_MASS:
             return self.point
-        if self.kind == KIND_CUSTOM:
-            raise PreconditionError("custom measures do not support branch realization")
         tokens = [tok for tok, _ in self.token_probs]
         probs = [float(p) for _, p in self.token_probs]
         rng = seeding.generator(master_seed, *key)
@@ -354,8 +338,6 @@ def absolute_error_loss() -> LossFunction:
 class EmpiricalProblem:
     """The quadruple of hypotheses, evidence alphabet, admitted worlds, and loss.
 
-    ``family`` tags which catalog construction produced the problem; the
-    convergence engine keys analytic bounds and fast paths on it.
     ``truth_of_prefix`` resolves the coherent truth of any sampled branch for
     problems where branches determine truths one-to-one; it stays None
     otherwise.
@@ -366,7 +348,6 @@ class EmpiricalProblem:
     alphabet: tuple[Token, ...]
     worlds: tuple[World, ...]
     loss: LossFunction
-    family: str = "custom"
     probe_hypotheses: tuple = ()
     truth_of_prefix: Optional[Callable[[tuple], object]] = None
 
@@ -405,11 +386,6 @@ class InferenceMethod:
 
     def __call__(self, seq) -> MethodOutput:
         return self.decide(seq)
-
-
-def apply_method(method: InferenceMethod, seq) -> MethodOutput:
-    """Evaluate the method on one evidence node."""
-    return method.decide(seq)
 
 
 def output_at(method: InferenceMethod, world: World, n: int) -> MethodOutput:

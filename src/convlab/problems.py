@@ -89,7 +89,6 @@ def easy_raven(max_first_zero: int = 20, literal: bool = False) -> EmpiricalProb
         alphabet=BINARY_ALPHABET,
         worlds=tuple(worlds),
         loss=identification_loss(),
-        family="easy-raven",
         probe_hypotheses=(YES, NO),
         truth_of_prefix=None if literal else _truth_of_binary_prefix,
     )
@@ -153,7 +152,6 @@ def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
         alphabet=BINARY_ALPHABET,
         worlds=tuple(worlds),
         loss=identification_loss(),
-        family="fine-grained-raven",
         probe_hypotheses=(YES, NO),
         truth_of_prefix=_truth_of_binary_prefix,
     )
@@ -204,7 +202,6 @@ def fair_coin(theta_grid: Optional[Sequence] = None, seed: int = 0) -> Empirical
         alphabet=BINARY_ALPHABET,
         worlds=worlds,
         loss=identification_loss(),
-        family="fair-coin",
         probe_hypotheses=(FAIR, UNFAIR),
     )
 
@@ -222,7 +219,6 @@ def coin_bias(theta_grid: Optional[Sequence] = None, seed: int = 0) -> Empirical
         alphabet=BINARY_ALPHABET,
         worlds=worlds,
         loss=absolute_error_loss(),
-        family="coin-bias",
         probe_hypotheses=tuple(grid),
     )
 
@@ -322,6 +318,5 @@ def binary_classification(task: ClassificationTask, seed: int = 0) -> EmpiricalP
         alphabet=alphabet,
         worlds=tuple(worlds),
         loss=excess_risk_loss(task.classifiers),
-        family="classification",
         probe_hypotheses=task.classifiers,
     )

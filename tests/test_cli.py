@@ -179,6 +179,25 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
+    def test_negative_mc_margin_exits_2(self, tmp_path, capsys):
+        doc = dict(FGR_CONFIG, budget={"strategy": "mc", "trials": 10, "mc_margin": -1})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "mc_margin" in capsys.readouterr().err
+
+
+class TestParseConfig:
+    @pytest.mark.parametrize("key", ["seed", "workers"])
+    def test_boolean_integers_are_rejected(self, key):
+        with pytest.raises(cl.ConfigurationError, match=key):
+            cli.parse_config(dict(RAVEN_CONFIG, **{key: True}))
+
+    @pytest.mark.parametrize("margin", [-3.0, "nan", "inf"])
+    def test_bad_mc_margin_is_rejected(self, margin):
+        doc = dict(FGR_CONFIG, budget={"mc_margin": margin})
+        with pytest.raises(cl.ConfigurationError, match="mc_margin"):
+            cli.parse_config(doc)
+
 
 class TestOtherSubcommands:
     def test_curve_success_set(self, tmp_path):

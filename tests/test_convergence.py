@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convlab as cl
-from convlab.convergence import Budget, _lock_stage_samples
+from convlab.convergence import Budget, _lock_stage_samples, _plan
 
 
 def rationals(max_den=40):
@@ -217,6 +217,93 @@ class TestSuccessCurve:
                 budget=Budget(strategy="exact"),
                 stages=(40,),
             )
+
+
+class TestBudget:
+    @pytest.mark.parametrize("margin", [-3.0, -1e-9, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite_margins(self, margin):
+        with pytest.raises(cl.InputDomainError, match="mc_margin"):
+            Budget(mc_margin=margin)
+
+    def test_zero_margin_is_allowed(self):
+        assert Budget(mc_margin=0.0).mc_margin == 0
+
+
+# Evaluation path per case at n = 3..7 under strategy "auto", with
+# symmetric_exact_cap = 4 and exact_enum_cap = 2**6: the binomial cap sits at
+# n = 4, the enumeration cap at n = 6 for binary data and n = 3 for the four
+# example pairs of world D1.  The last entry is the case's sampling path.
+PLAN_TABLE = {
+    "bernoulli/counts": ("binomial-exact",) * 2 + ("enum-exact",) * 2 + ("mc-counts",),
+    "bernoulli/flagless": ("enum-exact",) * 4 + ("mc-generic",),
+    "examples/block": ("enum-exact",) + ("mc-block",) * 4,
+    "examples/flagless": ("enum-exact",) + ("mc-generic",) * 4,
+    "point-mass/counts": ("point-mass",) * 5,
+}
+EXACT_PATHS = ("point-mass", "binomial-exact", "enum-exact")
+
+
+def _plan_case(case, toy_task, toy_erm_config):
+    if case.startswith("bernoulli"):
+        cb = cl.coin_bias([0.3])
+        method = cl.frequency_estimator
+        if case.endswith("flagless"):
+            method = replace(method, count_symmetric=False, decide_counts=None)
+        return cb, method, cb.world("theta=0.3"), cl.within(0.25)
+    if case.startswith("examples"):
+        prob = cl.binary_classification(toy_task)
+        method = cl.erm_method(toy_erm_config)
+        if case.endswith("flagless"):
+            method = replace(method, success_block=None)
+        return prob, method, prob.world("D1"), cl.within(0.05)
+    fg = cl.fine_grained_raven([0.5, 1])
+    return fg, cl.raven_rule, fg.world("p=1"), cl.EXACT
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("strategy", ["auto", "exact", "mc"])
+    @pytest.mark.parametrize("case", sorted(PLAN_TABLE))
+    def test_path_table(self, case, strategy, n, toy_task, toy_erm_config):
+        problem, method, world, crit = _plan_case(case, toy_task, toy_erm_config)
+        budget = Budget(strategy=strategy, symmetric_exact_cap=4, exact_enum_cap=2**6, trials=50)
+        paths = PLAN_TABLE[case]
+        want = paths[-1] if strategy == "mc" else paths[n - 3]
+
+        def curve_point():
+            curve = cl.success_curve(problem, method, [world], crit, n, budget=budget, stages=(n,))
+            return curve.points[0]
+
+        if strategy == "exact" and want not in EXACT_PATHS:
+            for call in (
+                lambda: _plan(method, world, n, budget),
+                curve_point,
+                lambda: cl.exact_success_prob(problem, method, world, n, crit, budget),
+            ):
+                with pytest.raises(cl.ResourceBudgetError):
+                    call()
+            return
+        assert _plan(method, world, n, budget) == want
+        point = curve_point()
+        try:
+            exact = cl.exact_success_prob(problem, method, world, n, crit, budget)
+        except cl.ResourceBudgetError:
+            exact = None
+        assert point.exact == (exact is not None) == (want in EXACT_PATHS)
+        if exact is not None:
+            assert point.estimate == exact
+
+    def test_binomial_cap_is_the_budget_cap(self):
+        cb = cl.coin_bias([0.3])
+        w = cb.world("theta=0.3")
+        n = Budget().symmetric_exact_cap + 1
+        crit = cl.within(0.1)
+        with pytest.raises(cl.ResourceBudgetError, match="mc_success_prob"):
+            cl.exact_success_prob(cb, cl.frequency_estimator, w, n, crit)
+        p = cl.exact_success_prob(
+            cb, cl.frequency_estimator, w, n, crit, Budget(symmetric_exact_cap=n)
+        )
+        assert isinstance(p, Fraction) and cl.bernoulli_bound(n, crit.eps) <= p < 1
 
 
 class TestCheckMode:

@@ -112,12 +112,12 @@ def test_sampled_branch_is_frozen_and_index_stable():
     assert b3.prefix(40)[-1] == late
 
 
-def test_apply_method_is_deterministic_and_validates_tokens():
-    assert cl.apply_method(cl.raven_rule, "111") == cl.apply_method(cl.raven_rule, "111") == cl.YES
-    assert cl.apply_method(cl.raven_rule, "") == cl.YES
-    assert cl.apply_method(cl.frequency_estimator, "1101") == Fraction(3, 4)
+def test_decide_is_deterministic_and_validates_tokens():
+    assert cl.raven_rule.decide("111") == cl.raven_rule.decide("111") == cl.YES
+    assert cl.raven_rule.decide("") == cl.YES
+    assert cl.frequency_estimator.decide("1101") == Fraction(3, 4)
     with pytest.raises(cl.InputDomainError):
-        cl.apply_method(cl.raven_rule, "12")
+        cl.raven_rule.decide("12")
 
 
 def test_output_at_tracks_the_branch_prefix():
