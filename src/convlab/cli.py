@@ -67,53 +67,62 @@ BOUND_HEADER = "n,eps,bound"
 # Catalogs
 
 
+def _world_seed(params: dict) -> int:
+    return int(params.pop("world_seed", 0))
+
+
+def _classification(params: dict) -> EmpiricalProblem:
+    task = classification_task(
+        features=params.pop("features"),
+        classifiers=[
+            Classifier.from_mapping(c["name"], c["labels"]) for c in params.pop("classifiers")
+        ],
+        distributions=[{(x, y): p for x, y, p in table} for table in params.pop("distributions")],
+    )
+    return binary_classification(task, seed=_world_seed(params))
+
+
+# Each builder pops the params it reads; build_problem rejects the rest.
+_PROBLEM_BUILDERS = {
+    "easy-raven": lambda params: easy_raven(
+        max_first_zero=int(params.pop("max_first_zero", 20)),
+        literal=bool(params.pop("literal", False)),
+    ),
+    "fine-grained-raven": lambda params: fine_grained_raven(
+        params.pop("p_grid"), seed=_world_seed(params)
+    ),
+    "fair-coin": lambda params: fair_coin(params.pop("theta_grid", None), seed=_world_seed(params)),
+    "coin-bias": lambda params: coin_bias(params.pop("theta_grid", None), seed=_world_seed(params)),
+    "binary-classification": _classification,
+}
+
+_CATALOG_METHODS = {m.name: m for m in (raven_rule, fair_coin_test, frequency_estimator)}
+
+
+def _reject_unknown_keys(section: str, params: dict) -> None:
+    if params:
+        raise ConfigurationError(f"{section}: unknown keys {sorted(params)}")
+
+
 def build_problem(name: str, params: dict) -> EmpiricalProblem:
+    if name not in _PROBLEM_BUILDERS:
+        raise ConfigurationError(f"problem.name: unknown problem {name!r}")
     params = dict(params or {})
     try:
-        if name == "easy-raven":
-            return easy_raven(
-                max_first_zero=int(params.pop("max_first_zero", 20)),
-                literal=bool(params.pop("literal", False)),
-            )
-        if name == "fine-grained-raven":
-            return fine_grained_raven(
-                params.pop("p_grid"), seed=int(params.pop("world_seed", 0))
-            )
-        if name == "fair-coin":
-            return fair_coin(
-                params.pop("theta_grid", None), seed=int(params.pop("world_seed", 0))
-            )
-        if name == "coin-bias":
-            return coin_bias(
-                params.pop("theta_grid", None), seed=int(params.pop("world_seed", 0))
-            )
-        if name == "binary-classification":
-            task = classification_task(
-                features=params.pop("features"),
-                classifiers=[
-                    Classifier.from_mapping(c["name"], c["labels"])
-                    for c in params.pop("classifiers")
-                ],
-                distributions=[
-                    {(x, y): p for x, y, p in table}
-                    for table in params.pop("distributions")
-                ],
-            )
-            return binary_classification(task, seed=int(params.pop("world_seed", 0)))
+        problem = _PROBLEM_BUILDERS[name](params)
     except KeyError as e:
         raise ConfigurationError(f"problem.params: missing {e.args[0]!r}") from None
-    raise ConfigurationError(f"problem.name: unknown problem {name!r}")
+    except (ValueError, TypeError) as e:
+        raise ConfigurationError(f"problem.params: {e}") from None
+    _reject_unknown_keys("problem.params", params)
+    return problem
 
 
 def build_method(name: str, params: dict, problem: EmpiricalProblem) -> InferenceMethod:
     params = dict(params or {})
-    if name == "raven-rule":
-        return raven_rule
-    if name == "fair-coin-test":
-        return fair_coin_test
-    if name == "frequency-estimator":
-        return frequency_estimator
-    if name == "erm":
+    if name in _CATALOG_METHODS:
+        method = _CATALOG_METHODS[name]
+    elif name == "erm":
         pool = tuple(problem.hypothesis_space)
         if not pool or not all(isinstance(h, Classifier) for h in pool):
             raise ConfigurationError("method.name: erm needs a classification problem")
@@ -126,8 +135,11 @@ def build_method(name: str, params: dict, problem: EmpiricalProblem) -> Inferenc
                 raise ConfigurationError(
                     f"method.params.hypothesis_order: unknown classifier {e.args[0]!r}"
                 ) from None
-        return erm_method(ErmConfig(pool))
-    raise ConfigurationError(f"method.name: unknown method {name!r}")
+        method = erm_method(ErmConfig(pool))
+    else:
+        raise ConfigurationError(f"method.name: unknown method {name!r}")
+    _reject_unknown_keys("method.params", params)
+    return method
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +320,10 @@ def emit_witness(
     if depth is not None:
         if method is None:
             raise ConfigurationError("cardinality witness needs a method")
-        rep = cardinality_witness_report(method, depth)
+        try:
+            rep = cardinality_witness_report(method, depth)
+        except TypeError as e:
+            raise ConfigurationError(f"method {method.name!r}: {e}") from None
         return {"kind": "cardinality", "problem": problem.name, "method": method.name, **rep}
     pair = underdetermination_witness(problem, horizon)
     if pair is None:
@@ -594,7 +609,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, InputDomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ResourceBudgetError, PreconditionError) as e:
+    except (ResourceBudgetError, PreconditionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

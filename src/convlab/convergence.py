@@ -30,9 +30,7 @@ from .core import (
     KIND_IID_BERNOULLI,
     KIND_IID_EXAMPLES,
     KIND_POINT_MASS,
-    NO,
     SUSPEND,
-    YES,
     EmpiricalProblem,
     InferenceMethod,
     InputDomainError,
@@ -40,6 +38,7 @@ from .core import (
     ResourceBudgetError,
     World,
     as_fraction,
+    binary_sequence,
     loss_of,
 )
 
@@ -273,7 +272,7 @@ def _plan(method, world, n, budget: Budget) -> str:
         raise InputDomainError("sample size must be >= 0")
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
-    counts = bool(method.count_symmetric and method.decide_counts) and m.kind == KIND_IID_BERNOULLI
+    counts = method.decide_counts is not None and m.kind == KIND_IID_BERNOULLI
     if budget.strategy != "mc":
         if counts and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
@@ -473,8 +472,16 @@ def _trailing_pass_start(stages, statuses) -> Optional[int]:
 
 def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list]:
     """Start of the trailing zero-loss run of outputs on prefix[:s], s = 0..len(prefix),
-    or None when the last loss is positive; and every stage's loss."""
-    losses = [loss_of(problem, method.decide(prefix[:s]), world) for s in range(len(prefix) + 1)]
+    or None when the last loss is positive; and every stage's loss.
+
+    A counts method is fed running (s, number of 1s) in one pass.
+    """
+    if method.decide_counts is not None:
+        ones = itertools.accumulate(binary_sequence(prefix), initial=0)
+        outs = [method.decide_counts(s, k) for s, k in enumerate(ones)]
+    else:
+        outs = [method.decide(prefix[:s]) for s in range(len(prefix) + 1)]
+    losses = [loss_of(problem, out, world) for out in outs]
     statuses = ["pass" if L == 0 else "fail" for L in losses]
     return _trailing_pass_start(range(len(losses)), statuses), losses
 
@@ -597,24 +604,11 @@ def check_mode(
 def lock_time(problem, method, world, horizon: int) -> Optional[int]:
     """First stage from which outputs attain zero loss through the horizon.
 
-    For first-zero-locking methods on branches with known zero structure the
-    answer is horizon-free (the rule's output settles permanently); otherwise
-    it is relative to the horizon.  None when no such stage <= horizon exists.
+    Relative to the horizon: None when no such stage <= horizon exists.
     """
     if horizon < 1:
         raise InputDomainError("horizon must be >= 1")
-    b = world.branch
-    if (
-        method.locks_at_first_zero
-        and problem.loss.name == "identification"
-        and (b.zero_free or b.first_zero is not None)
-    ):
-        coherent = YES if b.zero_free else NO
-        if world.truth != coherent:
-            return None
-        cand = 0 if b.zero_free else b.first_zero
-        return cand if cand <= horizon else None
-    return _zero_loss_scan(problem, method, world, b.prefix(horizon))[0]
+    return _zero_loss_scan(problem, method, world, world.branch.prefix(horizon))[0]
 
 
 def _set_plan(problem, method, world, strategy: str) -> str:
@@ -814,7 +808,7 @@ def underdetermination_witness(
 
 
 def _enumerate_outputs(method, depth: int):
-    if method.count_symmetric and method.decide_counts:
+    if method.decide_counts is not None:
         for n in range(depth + 1):
             for k in range(n + 1):
                 yield method.decide_counts(n, k)

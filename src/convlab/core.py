@@ -62,7 +62,10 @@ def as_fraction(x) -> Fraction:
             raise InputDomainError(f"non-finite value: {x!r}")
         return Fraction(str(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise InputDomainError(f"cannot parse {x!r} as an exact rational") from None
     raise InputDomainError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -101,17 +104,10 @@ def binary_sequence(seq) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Branch:
-    """An infinite data stream, represented by a total generator on indices >= 1.
-
-    ``first_zero`` records the position of the first 0 token when the
-    constructor knows it; ``zero_free`` asserts the branch never emits a 0.
-    Both stay at their defaults for branches without that structure.
-    """
+    """An infinite data stream, represented by a total generator on indices >= 1."""
 
     id: str
     token_at: Callable[[int], Token]
-    first_zero: Optional[int] = None
-    zero_free: bool = False
 
     def prefix(self, n: int) -> tuple[Token, ...]:
         if n < 0:
@@ -121,14 +117,12 @@ class Branch:
 
 def constant_branch(token: Token, branch_id: Optional[str] = None) -> Branch:
     bid = branch_id if branch_id is not None else f"constant-{token}"
-    zero_free = token != 0
-    first_zero = None if zero_free else 1
-    return Branch(bid, lambda i: token, first_zero=first_zero, zero_free=zero_free)
+    return Branch(bid, lambda i: token)
 
 
 def alternating_branch(branch_id: str = "alternating") -> Branch:
     # 1 0 1 0 ...: odd indices are 1, even are 0.
-    return Branch(branch_id, lambda i: i % 2, first_zero=2)
+    return Branch(branch_id, lambda i: i % 2)
 
 
 def single_zero_branch(k: int, branch_id: Optional[str] = None) -> Branch:
@@ -136,10 +130,10 @@ def single_zero_branch(k: int, branch_id: Optional[str] = None) -> Branch:
     if k < 1:
         raise InputDomainError("zero position must be >= 1")
     bid = branch_id if branch_id is not None else f"first-zero-at-{k}"
-    return Branch(bid, lambda i: 0 if i == k else 1, first_zero=k)
+    return Branch(bid, lambda i: 0 if i == k else 1)
 
 
-def _cached_sampled_branch(branch_id, draw_block, first_zero=None, zero_free=False):
+def _cached_sampled_branch(branch_id, draw_block):
     """Branch whose tokens are drawn lazily in blocks and memoized.
 
     ``draw_block(start, count)`` returns tokens for indices start..start+count-1
@@ -158,7 +152,7 @@ def _cached_sampled_branch(branch_id, draw_block, first_zero=None, zero_free=Fal
                     cache.extend(draw_block(len(cache) + 1, max(64, i - len(cache))))
         return cache[i - 1]
 
-    return Branch(branch_id, token_at, first_zero=first_zero, zero_free=zero_free)
+    return Branch(branch_id, token_at)
 
 
 KIND_IID_BERNOULLI = "iid-bernoulli"
@@ -369,20 +363,40 @@ class EmpiricalProblem:
 class InferenceMethod:
     """A deterministic map from finite data sequences to a hypothesis or SUSPEND.
 
-    ``count_symmetric`` declares that on binary alphabets the output depends
-    only on (length, number of 1 tokens); ``decide_counts`` is the O(1) form
-    used by the exact engine when the flag is set.  ``locks_at_first_zero``
-    marks methods whose output settles permanently at the first 0 token.
-    ``success_block`` optionally vectorizes Monte Carlo success evaluation;
-    it must sample from the same distribution the generic path samples from.
+    A method gives ``decide``, or ``decide_counts`` when it is count-symmetric:
+    on binary data its output depends only on (length, number of 1 tokens).
+    A counts method's ``decide`` is derived from ``decide_counts``, and the
+    engine reads the counts directly (binomial sums, per-stage scans).
+    ``locks_at_first_zero`` marks methods whose output settles permanently at
+    the first 0 token.  ``success_block`` optionally vectorizes Monte Carlo
+    success evaluation; it must sample from the same distribution the
+    generic path samples from.
     """
 
     name: str
-    decide: Callable[[Sequence], MethodOutput]
-    count_symmetric: bool = False
+    decide: Optional[Callable[[Sequence], MethodOutput]] = None
     decide_counts: Optional[Callable[[int, int], MethodOutput]] = None
     locks_at_first_zero: bool = False
     success_block: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.decide is not None:
+            return
+        counts = self.decide_counts
+        if counts is None:
+            raise ConfigurationError(f"method {self.name!r} needs decide or decide_counts")
+
+        # Closes over this counts function, so the derived decide survives
+        # replace(method, decide_counts=None).
+        def decide(seq) -> MethodOutput:
+            tokens = binary_sequence(seq)
+            return counts(len(tokens), sum(tokens))
+
+        object.__setattr__(self, "decide", decide)
+
+    @property
+    def count_symmetric(self) -> bool:
+        return self.decide_counts is not None
 
     def __call__(self, seq) -> MethodOutput:
         return self.decide(seq)

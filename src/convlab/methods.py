@@ -2,8 +2,8 @@
 
 Four rules: the enumerative raven rule, a shrinking-threshold fairness test,
 the sample-frequency estimator, and empirical risk minimization over a fixed
-classifier pool.  The first three are count-symmetric on binary data, so the
-engine can evaluate them exactly from (n, count of 1s) alone.
+classifier pool.  The first three are count-symmetric on binary data and are
+written only as ``decide_counts(n, count of 1s)``; their ``decide`` is derived.
 """
 
 from __future__ import annotations
@@ -24,26 +24,14 @@ from .core import (
     InferenceMethod,
     InputDomainError,
     MethodOutput,
-    binary_sequence,
 )
-
-
-def _raven_decide(seq) -> MethodOutput:
-    tokens = binary_sequence(seq)
-    return NO if 0 in tokens else YES
 
 
 def _raven_counts(n: int, k: int) -> MethodOutput:
     return YES if k == n else NO
 
 
-raven_rule = InferenceMethod(
-    "raven-rule",
-    _raven_decide,
-    count_symmetric=True,
-    decide_counts=_raven_counts,
-    locks_at_first_zero=True,
-)
+raven_rule = InferenceMethod("raven-rule", decide_counts=_raven_counts, locks_at_first_zero=True)
 
 
 def fair_coin_threshold(n: int) -> float:
@@ -60,17 +48,7 @@ def _fair_coin_counts(n: int, k: int) -> MethodOutput:
     return FAIR if abs(2 * k - n) ** 4 < 16 * n**3 else UNFAIR
 
 
-def _fair_coin_decide(seq) -> MethodOutput:
-    tokens = binary_sequence(seq)
-    return _fair_coin_counts(len(tokens), sum(tokens))
-
-
-fair_coin_test = InferenceMethod(
-    "fair-coin-test",
-    _fair_coin_decide,
-    count_symmetric=True,
-    decide_counts=_fair_coin_counts,
-)
+fair_coin_test = InferenceMethod("fair-coin-test", decide_counts=_fair_coin_counts)
 
 
 def near_threshold(n: int, k: int, band: float = 1e-15) -> bool:
@@ -89,17 +67,7 @@ def _frequency_counts(n: int, k: int) -> MethodOutput:
     return Fraction(k, n)
 
 
-def _frequency_decide(seq) -> MethodOutput:
-    tokens = binary_sequence(seq)
-    return _frequency_counts(len(tokens), sum(tokens))
-
-
-frequency_estimator = InferenceMethod(
-    "frequency-estimator",
-    _frequency_decide,
-    count_symmetric=True,
-    decide_counts=_frequency_counts,
-)
+frequency_estimator = InferenceMethod("frequency-estimator", decide_counts=_frequency_counts)
 
 
 @dataclass(frozen=True)

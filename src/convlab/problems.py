@@ -99,8 +99,8 @@ def _sampled_raven_branch(p: Fraction, world_id: str, seed: int) -> Branch:
 
     Sampled by the conditional decomposition: the first-0 position is
     geometric with hit chance 1-p, later tokens are IID draws.  This is
-    distributionally identical to direct per-token sampling and records the
-    first-zero position, which settles the world's truth.
+    distributionally identical to direct per-token sampling, and the 0 it
+    places settles the world's truth.
     """
     rng = seeding.generator(seed, "branch", world_id)
     g = int(rng.geometric(float(1 - p)))
@@ -115,7 +115,7 @@ def _sampled_raven_branch(p: Fraction, world_id: str, seed: int) -> Branch:
             return 0
         return tail.token_at(i - g)
 
-    return Branch(f"sampled/{world_id}", token_at, first_zero=g)
+    return Branch(f"sampled/{world_id}", token_at)
 
 
 def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:

@@ -185,6 +185,42 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "mc_margin" in capsys.readouterr().err
 
+    def test_unparsable_delta_exits_2(self, tmp_path, capsys):
+        doc = dict(FGR_CONFIG, mode={"mode": "II", "delta": "abc", "horizon": 10})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unparsable_theta_grid_entry_exits_2(self, tmp_path, capsys):
+        doc = dict(
+            FGR_CONFIG,
+            problem={"name": "fair-coin", "params": {"theta_grid": [0.5, "x"]}},
+            method={"name": "fair-coin-test", "params": {}},
+        )
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "problem.params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["problem", "method"])
+    def test_unknown_param_key_exits_2(self, tmp_path, capsys, section):
+        doc = dict(RAVEN_CONFIG)
+        doc[section] = dict(doc[section], params=dict(doc[section]["params"], bogus=1))
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{section}.params: unknown keys ['bogus']" in capsys.readouterr().err
+
+    def test_cardinality_witness_of_a_categorical_method_exits_2(self, capsys):
+        argv = ["witness", "--problem", "fair-coin", "--method", "fair-coin-test", "--depth", "4"]
+        assert cli.main(argv) == 2
+        assert "fair-coin-test" in capsys.readouterr().err
+
+    def test_unwritable_output_directory_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, RAVEN_CONFIG)
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        assert cli.main(["run", "--config", str(path), "--out", str(blocker / "x")]) == 3
+        assert "error" in capsys.readouterr().err
+
 
 class TestParseConfig:
     @pytest.mark.parametrize("key", ["seed", "workers"])

@@ -86,7 +86,7 @@ class TestExactSuccessProb:
             "frequency-estimator": cl.coin_bias([theta]),
         }[method.name]
         world = next(w for w in problem.worlds if w.extras.get("theta", w.extras.get("p")) == theta)
-        plodding = replace(method, count_symmetric=False, decide_counts=None)
+        plodding = replace(method, decide_counts=None)
         for n in range(1, 13):
             fast = cl.exact_success_prob(problem, method, world, n, crit)
             slow = cl.exact_success_prob(problem, plodding, world, n, crit)
@@ -151,7 +151,7 @@ class TestMcSuccessProb:
         # strip the fast-path metadata so sampling walks token by token
         cb = cl.coin_bias([Fraction(3, 10)])
         w = cb.world("theta=0.3")
-        plodding = replace(cl.frequency_estimator, count_symmetric=False, decide_counts=None)
+        plodding = replace(cl.frequency_estimator, decide_counts=None)
         exact = float(cl.exact_success_prob(cb, cl.frequency_estimator, w, 6, cl.within(0.2)))
         est = cl.mc_success_prob(cb, plodding, w, 6, cl.within(0.2), 20_000, seed=3)
         assert abs(est.value - exact) <= 4 * est.stderr + 1e-9
@@ -248,7 +248,7 @@ def _plan_case(case, toy_task, toy_erm_config):
         cb = cl.coin_bias([0.3])
         method = cl.frequency_estimator
         if case.endswith("flagless"):
-            method = replace(method, count_symmetric=False, decide_counts=None)
+            method = replace(method, decide_counts=None)
         return cb, method, cb.world("theta=0.3"), cl.within(0.25)
     if case.startswith("examples"):
         prob = cl.binary_classification(toy_task)
@@ -387,12 +387,27 @@ class TestLockTime:
         fc = cl.fair_coin()
         assert cl.lock_time(fc, cl.fair_coin_test, fc.world("theta=0.5/all-ones"), 64) is None
 
-    def test_fast_path_agrees_with_the_generic_scan(self):
-        er = cl.easy_raven(max_first_zero=12)
-        plodding = replace(cl.raven_rule, locks_at_first_zero=False)
-        for w in er.worlds:
-            for T in (5, 25, 60):
-                assert cl.lock_time(er, cl.raven_rule, w, T) == cl.lock_time(er, plodding, w, T)
+    @pytest.mark.parametrize(
+        "problem, method",
+        [
+            (cl.easy_raven(max_first_zero=12), cl.raven_rule),
+            (cl.easy_raven(max_first_zero=6, literal=True), cl.raven_rule),
+            (cl.fair_coin(), cl.fair_coin_test),
+            (cl.coin_bias(), cl.frequency_estimator),
+        ],
+        ids=["easy-raven", "easy-raven-literal", "fair-coin", "coin-bias"],
+    )
+    def test_counts_scan_agrees_with_the_per_sequence_scan(self, problem, method):
+        plodding = replace(method, decide_counts=None, locks_at_first_zero=False)
+
+        def mode1(m, T):
+            v = cl.check_mode(problem, m, cl.mode_params("I", T))
+            return v.status, [(wv.world_id, wv.status, wv.threshold_stage, wv.note) for wv in v.worlds]
+
+        for T in (5, 25, 60):
+            assert mode1(method, T) == mode1(plodding, T)
+            for w in problem.worlds:
+                assert cl.lock_time(problem, method, w, T) == cl.lock_time(problem, plodding, w, T)
 
     def test_incoherent_world_never_locks(self):
         literal = cl.easy_raven(max_first_zero=4, literal=True)

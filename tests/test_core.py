@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -40,14 +40,15 @@ def test_as_fraction_reads_floats_as_their_decimal():
     assert as_fraction(2) == Fraction(2)
     with pytest.raises(cl.InputDomainError):
         as_fraction(math.inf)
+    for text in ("abc", "1/0"):
+        with pytest.raises(cl.InputDomainError):
+            as_fraction(text)
 
 
 def test_branch_constructors_and_prefixes():
     assert cl.single_zero_branch(3).prefix(5) == (1, 1, 0, 1, 1)
     assert cl.constant_branch(1).prefix(4) == (1, 1, 1, 1)
     assert cl.alternating_branch().prefix(6) == (1, 0, 1, 0, 1, 0)
-    assert cl.single_zero_branch(3).first_zero == 3
-    assert cl.constant_branch(1).zero_free
 
 
 def test_worlds_are_immutable():
@@ -118,6 +119,16 @@ def test_decide_is_deterministic_and_validates_tokens():
     assert cl.frequency_estimator.decide("1101") == Fraction(3, 4)
     with pytest.raises(cl.InputDomainError):
         cl.raven_rule.decide("12")
+
+
+def test_method_needs_decide_or_counts_and_derives_decide_from_counts():
+    with pytest.raises(cl.ConfigurationError):
+        cl.InferenceMethod("x")
+    ones = cl.InferenceMethod("ones", decide_counts=lambda n, k: k)
+    assert ones.count_symmetric and ones.decide("1101") == 3
+    # the derived decide survives dropping the counts
+    plain = replace(ones, decide_counts=None)
+    assert not plain.count_symmetric and plain.decide([1, 1]) == 2
 
 
 def test_output_at_tracks_the_branch_prefix():

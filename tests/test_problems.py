@@ -24,13 +24,13 @@ class TestEasyRaven:
 
     def test_first_zero_worlds_cover_the_declared_range(self):
         er = cl.easy_raven(max_first_zero=7)
-        ks = [w.branch.first_zero for w in er.worlds if w.truth == cl.NO]
+        ks = [w.branch.prefix(8).index(0) + 1 for w in er.worlds if w.truth == cl.NO]
         assert ks == list(range(1, 8))
 
     def test_literal_reading_admits_incoherent_twins_behind_the_flag(self):
         literal = cl.easy_raven(max_first_zero=3, literal=True)
         twin = literal.world("first-zero-at-2/literal-yes")
-        assert twin.truth == cl.YES and twin.branch.first_zero == 2
+        assert twin.truth == cl.YES and twin.branch.prefix(4) == (1, 0, 1, 1)
         # the literal family loses the branch-to-truth bijection
         assert literal.truth_of_prefix is None
         assert cl.underdetermination_witness(literal) is not None
@@ -67,9 +67,7 @@ class TestFineGrainedRaven:
         w1, w2 = fg1.world("p=0.7"), fg2.world("p=0.7")
         assert w1.branch.prefix(50) == w2.branch.prefix(50)
         assert w1.truth == cl.NO
-        fz = w1.branch.first_zero
-        assert w1.branch.prefix(fz)[-1] == 0
-        assert all(t == 1 for t in w1.branch.prefix(fz - 1))
+        assert 0 in w1.branch.prefix(200)  # the 0 that makes the truth No
 
     def test_p_outside_unit_interval_rejected(self):
         with pytest.raises(cl.InputDomainError):
