@@ -67,8 +67,24 @@ BOUND_HEADER = "n,eps,bound"
 # Catalogs
 
 
+# JSON gives true/false and integers their own types; strings, floats and
+# booleans standing in for them are config errors, not values to coerce.
+def _int_param(params: dict, key: str, default: int) -> int:
+    value = params.pop(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _bool_param(params: dict, key: str, default: bool) -> bool:
+    value = params.pop(key, default)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _world_seed(params: dict) -> int:
-    return int(params.pop("world_seed", 0))
+    return _int_param(params, "world_seed", 0)
 
 
 def _classification(params: dict) -> EmpiricalProblem:
@@ -85,8 +101,8 @@ def _classification(params: dict) -> EmpiricalProblem:
 # Each builder pops the params it reads; build_problem rejects the rest.
 _PROBLEM_BUILDERS = {
     "easy-raven": lambda params: easy_raven(
-        max_first_zero=int(params.pop("max_first_zero", 20)),
-        literal=bool(params.pop("literal", False)),
+        max_first_zero=_int_param(params, "max_first_zero", 20),
+        literal=_bool_param(params, "literal", False),
     ),
     "fine-grained-raven": lambda params: fine_grained_raven(
         params.pop("p_grid"), seed=_world_seed(params)

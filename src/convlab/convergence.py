@@ -287,29 +287,65 @@ def _plan(method, world, n, budget: Budget) -> str:
     return MC_COUNTS if counts else MC_GENERIC
 
 
+# Distinct output objects whose success one evaluation-path call remembers.
+_SUCCESS_MEMO_CAP = 256
+
+
+def _success_test(problem, world, crit):
+    """Whether a method output meets the criterion in the world, memoised per output object.
+
+    Catalog methods return a few shared objects (FAIR/UNFAIR, YES/NO, the
+    pool's classifiers), so each one's loss is evaluated once per call.  The
+    memo is keyed by identity and holds each keyed object, so its id cannot
+    be reused while the memo lives; it stops growing at _SUCCESS_MEMO_CAP
+    objects, so a method that builds a fresh output per input does not pin
+    them all.
+    """
+    memo = {}
+
+    def met(out) -> bool:
+        entry = memo.get(id(out))
+        if entry is not None:
+            return entry[1]
+        hit = crit.met(loss_of(problem, out, world))
+        if len(memo) < _SUCCESS_MEMO_CAP:
+            memo[id(out)] = (out, hit)
+        return hit
+
+    return met
+
+
 def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
-    out = method.decide(world.measure.point.prefix(n))
-    return Fraction(1) if crit.met(loss_of(problem, out, world)) else Fraction(0)
+    met = _success_test(problem, world, crit)
+    return Fraction(1) if met(method.decide(world.measure.point.prefix(n))) else Fraction(0)
 
 
 def _binomial_exact(problem, method, world, n, crit) -> Fraction:
+    met = _success_test(problem, world, crit)
     th = world.measure.theta
     p, q = th.numerator, th.denominator
-    num = 0
+    r = q - p
+    if p == 0 or r == 0:
+        # theta is 0 or 1 (q = 1): all mass sits on k = 0 or k = n.
+        return Fraction(1 if met(method.decide_counts(n, 0 if p == 0 else n)) else 0)
+    # term = comb(n, k) * p**k * r**(n - k), stepped in k by its ratio (n - k) p / ((k + 1) r).
+    num, term = 0, r**n
     for k in range(n + 1):
-        if crit.met(loss_of(problem, method.decide_counts(n, k), world)):
-            num += math.comb(n, k) * p**k * (q - p) ** (n - k)
+        if met(method.decide_counts(n, k)):
+            num += term
+        term = term * (n - k) * p // ((k + 1) * r)
     return Fraction(num, q**n)
 
 
 def _enum_exact(problem, method, world, n, crit) -> Fraction:
+    met = _success_test(problem, world, crit)
     support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
     total = Fraction(0)
 
     def walk(prefix, weight):
         nonlocal total
         if len(prefix) == n:
-            if crit.met(loss_of(problem, method.decide(prefix), world)):
+            if met(method.decide(prefix)):
                 total += weight
             return
         for tok, pr in support:
@@ -351,15 +387,17 @@ def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
 
 def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
     # Each distinct success count is decided once.
+    met = _success_test(problem, world, crit)
     ks = rng.binomial(n, float(world.measure.theta), size=trials)
     distinct, inverse = np.unique(ks, return_inverse=True)
-    hits = [crit.met(loss_of(problem, method.decide_counts(n, int(k)), world)) for k in distinct]
+    hits = [met(method.decide_counts(n, int(k))) for k in distinct]
     return np.array(hits, dtype=bool)[inverse]
 
 
 def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
+    met = _success_test(problem, world, crit)
     sample = world.measure.sample_prefix
-    hits = [crit.met(loss_of(problem, method.decide(sample(rng, n)), world)) for _ in range(trials)]
+    hits = [met(method.decide(sample(rng, n))) for _ in range(trials)]
     return np.array(hits, dtype=bool)
 
 

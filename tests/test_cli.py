@@ -235,6 +235,40 @@ class TestParseConfig:
             cli.parse_config(doc)
 
 
+class TestProblemParamTypes:
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("easy-raven", {"literal": "false"}),
+            ("easy-raven", {"literal": 0}),
+            ("easy-raven", {"max_first_zero": 2.7}),
+            ("easy-raven", {"max_first_zero": "3"}),
+            ("easy-raven", {"max_first_zero": True}),
+            ("fair-coin", {"world_seed": 1.5}),
+            ("coin-bias", {"world_seed": "7"}),
+            ("fine-grained-raven", {"p_grid": [0.5], "world_seed": False}),
+        ],
+    )
+    def test_values_of_the_wrong_json_type_are_rejected(self, name, params):
+        key = next(k for k in params if k != "p_grid")
+        with pytest.raises(cl.ConfigurationError, match=key):
+            cli.build_problem(name, params)
+
+    def test_json_booleans_and_integers_are_read(self):
+        literal = cli.build_problem("easy-raven", {"literal": True, "max_first_zero": 2})
+        assert [w.id for w in literal.worlds] == [w.id for w in cl.easy_raven(2, literal=True).worlds]
+        seeded = cli.build_problem("fair-coin", {"world_seed": 5})
+        assert seeded.world("theta=0.3").branch.prefix(40) == cl.fair_coin(seed=5).world(
+            "theta=0.3"
+        ).branch.prefix(40)
+
+    def test_string_literal_exits_2(self, tmp_path, capsys):
+        doc = dict(RAVEN_CONFIG, problem={"name": "easy-raven", "params": {"literal": "false"}})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "literal" in capsys.readouterr().err
+
+
 class TestOtherSubcommands:
     def test_curve_success_set(self, tmp_path):
         doc = dict(FGR_CONFIG, mode={"mode": "II", "delta": 0.05, "horizon": 20, "stages": [1, 5, 10, 20]})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convlab as cl
-from convlab.convergence import Budget, _lock_stage_samples, _plan
+from convlab import convergence
+from convlab.convergence import Budget, _binomial_exact, _lock_stage_samples, _plan
 
 
 def rationals(max_den=40):
@@ -87,10 +89,57 @@ class TestExactSuccessProb:
         }[method.name]
         world = next(w for w in problem.worlds if w.extras.get("theta", w.extras.get("p")) == theta)
         plodding = replace(method, decide_counts=None)
-        for n in range(1, 13):
+        for n in range(13):
             fast = cl.exact_success_prob(problem, method, world, n, crit)
             slow = cl.exact_success_prob(problem, plodding, world, n, crit)
             assert fast == slow
+
+    @pytest.mark.parametrize("theta", [Fraction(0), Fraction(1)])
+    @pytest.mark.parametrize(
+        "method,crit",
+        [
+            (cl.raven_rule, cl.EXACT),
+            (cl.fair_coin_test, cl.EXACT),
+            (cl.frequency_estimator, cl.within(0.25)),
+        ],
+    )
+    def test_degenerate_biases_agree_with_enumeration(self, theta, method, crit):
+        # The coin problems' default grids hold IID worlds at both ends;
+        # fine-grained-raven has one only at p = 0 (p = 1 is a point mass).
+        if method is cl.raven_rule:
+            problem = cl.fine_grained_raven([0])
+            world = problem.world("p=0")
+            if theta == 1:
+                world = replace(world, truth=cl.YES, measure=cl.Measure.iid_bernoulli(theta))
+        else:
+            problem = cl.fair_coin() if method is cl.fair_coin_test else cl.coin_bias()
+            world = problem.world(f"theta={theta}")
+        plodding = replace(method, decide_counts=None)
+        for n in (0, 1, 7):
+            assert _plan(method, world, n, Budget()) == "binomial-exact"
+            assert cl.exact_success_prob(problem, method, world, n, crit) == cl.exact_success_prob(
+                problem, plodding, world, n, crit
+            )
+
+    @pytest.mark.parametrize("n", [400, 500])
+    @pytest.mark.parametrize("theta", [Fraction(7, 20), Fraction(1, 2)])
+    def test_binomial_sum_equals_a_direct_comb_window_sum(self, n, theta):
+        p, q = theta.numerator, theta.denominator
+
+        def window_sum(ks):
+            return Fraction(sum(math.comb(n, k) * p**k * (q - p) ** (n - k) for k in ks), q**n)
+
+        eps = Fraction(1, 20)
+        cb = cl.coin_bias([theta])
+        w = cb.world(f"theta={float(theta)}")
+        inside = [k for k in range(n + 1) if abs(Fraction(k, n) - theta) < eps]
+        assert _binomial_exact(cb, cl.frequency_estimator, w, n, cl.within(eps)) == window_sum(inside)
+
+        fc = cl.fair_coin([Fraction(7, 20), Fraction(1, 2)])
+        w = fc.world(f"theta={float(theta)}")
+        accept = [k for k in range(n + 1) if abs(2 * k - n) ** 4 < 16 * n**3]
+        success = accept if theta == Fraction(1, 2) else sorted(set(range(n + 1)) - set(accept))
+        assert _binomial_exact(fc, cl.fair_coin_test, w, n, cl.EXACT) == window_sum(success)
 
     def test_point_mass_is_an_indicator(self):
         fg = cl.fine_grained_raven([0.5, 1])
@@ -108,6 +157,52 @@ class TestExactSuccessProb:
         er = cl.easy_raven()
         with pytest.raises(cl.PreconditionError):
             cl.exact_success_prob(er, cl.raven_rule, er.world("all-ones"), 3, cl.EXACT)
+
+
+class TestSuccessMemo:
+    """Each distinct output object's loss is evaluated once per success-probability call."""
+
+    @pytest.fixture
+    def loss_calls(self, monkeypatch):
+        calls = []
+        loss_of = convergence.loss_of
+
+        def counted(problem, out, world):
+            calls.append(out)
+            return loss_of(problem, out, world)
+
+        monkeypatch.setattr(convergence, "loss_of", counted)
+        return calls
+
+    def test_erm_enumeration_evaluates_each_pool_classifier_at_most_once(
+        self, loss_calls, toy_task, toy_erm_config
+    ):
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        w = prob.world("D2")
+        assert _plan(erm, w, 6, Budget()) == "enum-exact"
+        cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
+        assert 0 < len(loss_calls) <= len(toy_erm_config.hypothesis_order)
+
+    def test_fair_coin_binomial_sum_evaluates_each_verdict_at_most_once(self, loss_calls):
+        fc = cl.fair_coin()
+        assert cl.exact_success_prob(fc, cl.fair_coin_test, fc.world("theta=0.5"), 200, cl.EXACT) > 0
+        assert 0 < len(loss_calls) <= 3
+
+    def test_fresh_outputs_per_leaf_keep_the_memo_small(self):
+        # A flagless frequency estimator builds a new Fraction at each of the
+        # 2**14 leaves; the memo must not hold them all.
+        user = cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide)
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.world("theta=0.3")
+        assert _plan(user, w, 14, Budget()) == "enum-exact"
+        tracemalloc.start()
+        try:
+            cl.exact_success_prob(cb, user, w, 14, cl.within(0.1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestMcSuccessProb:
