@@ -396,9 +396,8 @@ def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
 
 def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
     met = _success_test(problem, world, crit)
-    sample = world.measure.sample_prefix
-    hits = [met(method.decide(sample(rng, n))) for _ in range(trials)]
-    return np.array(hits, dtype=bool)
+    prefixes = world.measure.sample_prefixes(rng, trials, n)
+    return np.array([met(method.decide(prefix)) for prefix in prefixes], dtype=bool)
 
 
 _MC_PATHS = {MC_BLOCK: _mc_block, MC_COUNTS: _mc_counts, MC_GENERIC: _mc_generic}
@@ -708,8 +707,7 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.nda
         return rng.geometric(float(1 - th), size=trials).astype(np.int64)
 
     locks = np.empty(trials, dtype=np.int64)
-    for t in range(trials):
-        prefix = m.sample_prefix(rng, horizon)
+    for t, prefix in enumerate(m.sample_prefixes(rng, trials, horizon)):
         ephemeral = replace(world, truth=problem.truth_of_prefix(prefix))
         n0, _ = _zero_loss_scan(problem, method, ephemeral, prefix)
         locks[t] = n0 if n0 is not None else horizon + 1

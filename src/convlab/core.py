@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from . import seeding
 
 Token = Hashable
@@ -158,6 +160,8 @@ def _cached_sampled_branch(branch_id, draw_block):
 KIND_IID_BERNOULLI = "iid-bernoulli"
 KIND_IID_EXAMPLES = "iid-examples"
 KIND_POINT_MASS = "point-mass"
+# Uniforms per chunk of IID token draws; a chunk holds whole rows.
+_CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,33 +217,50 @@ class Measure:
             return p
         return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
 
+    def _uniform_chunks(self, rng, trials: int, n: int):
+        """The cdf and (first row, rows) chunks of the uniforms of ``rng.choice(k, (trials, n), p)``.
+
+        choice maps each u of ``rng.random((trials, n))`` to ``cdf.searchsorted(u, side="right")``;
+        drawing those uniforms a few whole rows at a time advances rng alike.
+        """
+        if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
+            raise PreconditionError("IID sampling requires an IID catalog measure")
+        cdf = np.array([float(p) for _, p in self.token_probs]).cumsum()
+        cdf /= cdf[-1]
+        rows = max(1, _CHUNK_DRAWS // max(n, 1))
+        return cdf, ((t, rng.random((min(rows, trials - t), n))) for t in range(0, trials, rows))
+
+    def sample_prefixes(self, rng, trials: int, n: int):
+        """Yield ``trials`` sampled length-n prefixes: the draws of as many sample_prefix calls."""
+        tokens = np.fromiter((tok for tok, _ in self.token_probs), dtype=object)
+        cdf, chunks = self._uniform_chunks(rng, trials, n)
+        for _, u in chunks:
+            yield from map(tuple, tokens[cdf.searchsorted(u, side="right")])
+
     def sample_prefix(self, rng, n: int) -> tuple[Token, ...]:
         if self.kind == KIND_POINT_MASS:
             return self.point.prefix(n)
-        tokens = [tok for tok, _ in self.token_probs]
-        probs = [float(p) for _, p in self.token_probs]
-        idx = rng.choice(len(tokens), size=n, p=probs)
-        return tuple(tokens[i] for i in idx)
+        return next(self.sample_prefixes(rng, 1, n))
 
-    def sample_index_block(self, rng, trials: int, n: int):
-        """(trials, n) array of indices into the token table, one row per trial."""
-        if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-            raise PreconditionError("block sampling requires an IID catalog measure")
-        probs = [float(p) for _, p in self.token_probs]
-        return rng.choice(len(probs), size=(trials, n), p=probs)
+    def sample_count_block(self, rng, trials: int, n: int) -> np.ndarray:
+        """(trials, tokens) token counts of the draws of sample_prefixes(rng, trials, n)."""
+        cdf, chunks = self._uniform_chunks(rng, trials, n)
+        at_or_below = np.full((trials, len(cdf)), n, dtype=np.int64)
+        for t, u in chunks:
+            for j in range(len(cdf) - 1):  # u < cdf[j] exactly when u's token index is <= j
+                at_or_below[t : t + len(u), j] = np.count_nonzero(u < cdf[j], axis=1)
+        return np.diff(at_or_below, axis=1, prepend=0)
 
     def sample_branch(self, master_seed: int, *key, branch_id: str) -> Branch:
         """Freeze one realized branch of this measure, derived from the seed key."""
         if self.kind == KIND_POINT_MASS:
             return self.point
-        tokens = [tok for tok, _ in self.token_probs]
-        probs = [float(p) for _, p in self.token_probs]
         rng = seeding.generator(master_seed, *key)
 
         def draw_block(start, count):
             # rng is consumed strictly left to right, so blocks are
             # deterministic functions of (seed key, start).
-            return [tokens[i] for i in rng.choice(len(tokens), size=count, p=probs)]
+            return list(next(self.sample_prefixes(rng, 1, count)))
 
         return _cached_sampled_branch(branch_id, draw_block)
 
@@ -370,7 +391,7 @@ class InferenceMethod:
     ``locks_at_first_zero`` marks methods whose output settles permanently at
     the first 0 token.  ``success_block`` optionally vectorizes Monte Carlo
     success evaluation; it must sample from the same distribution the
-    generic path samples from.
+    generic path samples from (ERM's reads the same draws, as counts).
     """
 
     name: str

@@ -104,26 +104,21 @@ def erm(seq, cfg: ErmConfig) -> MethodOutput:
 def _erm_success_block(cfg: ErmConfig):
     """Vectorized Monte Carlo success evaluation for ERM under IID examples.
 
-    Samples (trials, n) example indices in one draw, scores every classifier
-    by a table lookup, picks per-trial argmins (first minimum = declared
-    order), and maps the winner's true loss through the criterion.  The
-    sampling distribution matches the per-trial generic path.
+    Samples each trial's example counts (the generic path's draws, so the
+    flags agree trial for trial), scores every classifier by its mistakes,
+    picks per-trial argmins (first minimum = declared order), and maps the
+    winner's true loss through the criterion.
     """
 
     def block(problem, world, n, crit, trials, rng):
         from .core import loss_of  # local import avoids a cycle at module load
 
         measure = world.measure
-        pairs = [tok for tok, _ in measure.token_probs]
         order = cfg.hypothesis_order
         err = np.array(
-            [[1 if h(x) != y else 0 for h in order] for x, y in pairs], dtype=np.int64
+            [[1 if h(x) != y else 0 for h in order] for (x, y), _ in measure.token_probs], dtype=np.int64
         )
-        idx = measure.sample_index_block(rng, trials, n)
-        counts = np.zeros((trials, len(pairs)), dtype=np.int64)
-        for j in range(len(pairs)):
-            counts[:, j] = (idx == j).sum(axis=1)
-        chosen = (counts @ err).argmin(axis=1)
+        chosen = (measure.sample_count_block(rng, trials, n) @ err).argmin(axis=1)
         success_by_h = np.array([crit.met(loss_of(problem, h, world)) for h in order])
         return success_by_h[chosen]
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convlab as cl
-from convlab import convergence
-from convlab.convergence import Budget, _binomial_exact, _lock_stage_samples, _plan
+from convlab import convergence, seeding
+from convlab.convergence import Budget, _binomial_exact, _lock_stage_samples, _mc_block, _mc_generic, _plan
 
 
 def rationals(max_den=40):
@@ -250,6 +250,16 @@ class TestMcSuccessProb:
         exact = float(cl.exact_success_prob(cb, cl.frequency_estimator, w, 6, cl.within(0.2)))
         est = cl.mc_success_prob(cb, plodding, w, 6, cl.within(0.2), 20_000, seed=3)
         assert abs(est.value - exact) <= 4 * est.stderr + 1e-9
+
+    @pytest.mark.parametrize("crit", [cl.EXACT, cl.within(0.05)], ids=["exact", "within"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
+    def test_erm_block_and_generic_paths_give_the_same_flags(self, n, crit, toy_task, toy_erm_config):
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        for w in prob.worlds:
+            block = _mc_block(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
+            generic = _mc_generic(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
+            assert block.tolist() == generic.tolist()
 
 
 class TestSuccessCurve:

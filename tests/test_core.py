@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import convlab as cl
+from convlab import seeding
 from convlab.core import (
+    _CHUNK_DRAWS,
     SUSPEND,
     Branch,
     Measure,
@@ -111,6 +115,77 @@ def test_sampled_branch_is_frozen_and_index_stable():
     b3 = m.sample_branch(99, "x", branch_id="s3")
     late = b3.token_at(40)
     assert b3.prefix(40)[-1] == late
+
+
+class TestIidSampler:
+    """The chunked IID sampler reproduces ``Generator.choice`` draw for draw."""
+
+    LAWS = {
+        "theta=0": Measure.iid_bernoulli(0),
+        "theta=1": Measure.iid_bernoulli(1),
+        "theta=0.3": Measure.iid_bernoulli(Fraction(3, 10)),
+        "examples-with-a-zero": Measure.iid_examples(
+            {("a", 1): "0.45", ("a", 0): "0", ("b", 0): "0.45", ("b", 1): "0.1"}
+        ),
+    }
+    # (trials, n): no tokens, one trial, a trial count that is no multiple
+    # of a chunk's rows, and one row longer than a chunk.
+    SHAPES = [(5, 0), (1, 7), (2 * (_CHUNK_DRAWS // 100) + 3, 100), (2, _CHUNK_DRAWS + 5)]
+
+    @staticmethod
+    def _choice(law, rng, size):
+        probs = [float(p) for _, p in law.token_probs]
+        return rng.choice(len(probs), size=size, p=probs)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_count_block_counts_the_rows_of_choice(self, law, shape):
+        m = self.LAWS[law]
+        trials, n = shape
+        ours, theirs = seeding.generator(4, law), seeding.generator(4, law)
+        counts = m.sample_count_block(ours, trials, n)
+        idx = self._choice(m, theirs, shape)
+        want = np.stack([(idx == j).sum(axis=1) for j in range(len(m.token_probs))], axis=1)
+        assert counts.shape == want.shape and (counts == want).all()
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("shape", SHAPES[:3])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_prefixes_are_successive_single_prefixes(self, law, shape):
+        m = self.LAWS[law]
+        trials, n = shape
+        ours, single, theirs = (seeding.generator(5, law) for _ in range(3))
+        prefixes = list(m.sample_prefixes(ours, trials, n))
+        assert prefixes == [m.sample_prefix(single, n) for _ in range(trials)]
+        tokens = [tok for tok, _ in m.token_probs]
+        assert prefixes == [tuple(tokens[i] for i in row) for row in self._choice(m, theirs, shape)]
+        assert ours.random() == single.random() == theirs.random()
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_sampled_branch_reads_the_same_stream(self, law):
+        m = self.LAWS[law]
+        tokens = [tok for tok, _ in m.token_probs]
+        # The first lookup fills the branch's memo with a block of 64 draws.
+        want = tuple(tokens[i] for i in self._choice(m, seeding.generator(99, "x"), 64))
+        assert m.sample_branch(99, "x", branch_id="s").prefix(64) == want
+
+    def test_count_block_builds_no_trials_by_n_array(self):
+        m = Measure.iid_examples({("a", 1): "0.45", ("a", 0): "0.05", ("b", 0): "0.45", ("b", 1): "0.05"})
+        rng = seeding.generator(6, "memory")
+        tracemalloc.start()
+        try:
+            counts = m.sample_count_block(rng, 10_000, 500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (counts.sum(axis=1) == 500).all()
+        assert peak < 8 * 2**20
+
+    def test_point_mass_has_no_iid_stream(self):
+        m = Measure.point_mass(cl.constant_branch(1))
+        assert m.sample_prefix(seeding.generator(0), 3) == (1, 1, 1)
+        with pytest.raises(cl.PreconditionError):
+            m.sample_count_block(seeding.generator(0), 2, 3)
 
 
 def test_decide_is_deterministic_and_validates_tokens():
