@@ -92,7 +92,6 @@ from .convergence import (
     resolve_workers,
     success_curve,
     success_set_curve,
-    success_set_monotone,
     success_set_prob,
     underdetermination_witness,
     within,

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -29,15 +29,9 @@ from .convergence import (
     cardinality_witness_report,
     check_mode,
     mode_params,
-    resolve_workers,
-    success_curve,
     success_set_curve,
     underdetermination_witness,
-    within,
-    EXACT,
     MODE_IDENTIFICATION,
-    MODE_STOCHASTIC_APPROXIMATION,
-    MODE_STOCHASTIC_IDENTIFICATION,
 )
 from .core import (
     Classifier,
@@ -67,24 +61,20 @@ BOUND_HEADER = "n,eps,bound"
 # Catalogs
 
 
-# JSON gives true/false and integers their own types; strings, floats and
-# booleans standing in for them are config errors, not values to coerce.
-def _int_param(params: dict, key: str, default: int) -> int:
-    value = params.pop(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{key}: expected an integer, got {value!r}")
-    return value
+_KIND_NAMES = {int: "an integer", (int, float): "a number", bool: "true or false"}
 
 
-def _bool_param(params: dict, key: str, default: bool) -> bool:
-    value = params.pop(key, default)
-    if not isinstance(value, bool):
-        raise ConfigurationError(f"{key}: expected true or false, got {value!r}")
+# JSON gives true/false, integers and other numbers their own types; strings,
+# floats and booleans standing in for them are config errors, not values to coerce.
+def _typed(value, key: str, kind=int):
+    """value if JSON read it as kind (int, (int, float) or bool); a bool is never a number."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigurationError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
 def _world_seed(params: dict) -> int:
-    return _int_param(params, "world_seed", 0)
+    return _typed(params.pop("world_seed", 0), "world_seed")
 
 
 def _classification(params: dict) -> EmpiricalProblem:
@@ -101,8 +91,8 @@ def _classification(params: dict) -> EmpiricalProblem:
 # Each builder pops the params it reads; build_problem rejects the rest.
 _PROBLEM_BUILDERS = {
     "easy-raven": lambda params: easy_raven(
-        max_first_zero=_int_param(params, "max_first_zero", 20),
-        literal=_bool_param(params, "literal", False),
+        max_first_zero=_typed(params.pop("max_first_zero", 20), "max_first_zero"),
+        literal=_typed(params.pop("literal", False), "literal", bool),
     ),
     "fine-grained-raven": lambda params: fine_grained_raven(
         params.pop("p_grid"), seed=_world_seed(params)
@@ -200,34 +190,36 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigurationError("problem.name: required")
     if "name" not in method:
         raise ConfigurationError("method.name: required")
+    stages = mode.get("stages")
+    if stages is not None and not isinstance(stages, list):
+        raise ConfigurationError("mode.stages: expected a list of integers")
     try:
         mp = mode_params(
             mode=str(mode.get("mode", "")),
-            horizon=mode.get("horizon", 0),
+            horizon=_typed(mode.get("horizon", 0), "mode.horizon"),
             delta=mode.get("delta"),
             epsilon=mode.get("epsilon"),
-            stages=mode.get("stages"),
+            stages=None if stages is None else [_typed(n, "mode.stages") for n in stages],
             world_ids=mode.get("world_ids"),
         )
     except InputDomainError as e:
         raise ConfigurationError(f"mode: {e}") from None
-    try:
-        budget = Budget(
-            strategy=str(budget_doc.get("strategy", "auto")),
-            exact_enum_cap=int(budget_doc.get("exact_enum_cap", Budget.exact_enum_cap)),
-            symmetric_exact_cap=int(
-                budget_doc.get("symmetric_exact_cap", Budget.symmetric_exact_cap)
-            ),
-            trials=int(budget_doc.get("trials", Budget.trials)),
-            mc_margin=float(budget_doc.get("mc_margin", Budget.mc_margin)),
+    numbers = {
+        key: _typed(budget_doc.get(key, getattr(Budget, key)), f"budget.{key}", kind)
+        for key, kind in (
+            ("exact_enum_cap", int),
+            ("symmetric_exact_cap", int),
+            ("trials", int),
+            ("mc_margin", (int, float)),
         )
-    except (InputDomainError, ValueError) as e:
+    }
+    try:
+        budget = Budget(strategy=str(budget_doc.get("strategy", "auto")), **numbers)
+    except (InputDomainError, OverflowError) as e:  # an integer too large for a float margin
         raise ConfigurationError(f"budget: {e}") from None
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigurationError("seed: expected an integer")
-    workers = doc.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    seed = _typed(doc.get("seed", 0), "seed")
+    workers = _typed(doc.get("workers", 1), "workers")
+    if workers < 1:
         raise ConfigurationError("workers: expected a positive integer")
     return ExperimentConfig(
         name=str(doc.get("name", "experiment")),
@@ -305,19 +297,7 @@ class RunRecord:
     timestamp: str
 
     def to_json(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "seed": self.seed,
-            "version": self.version,
-            "status": self.status,
-            "mode": self.mode,
-            "horizon": self.horizon,
-            "witness_world": self.witness_world,
-            "verdicts": list(self.verdicts),
-            "curves": list(self.curves),
-            "duration_ms": self.duration_ms,
-            "timestamp": self.timestamp,
-        }
+        return asdict(self)
 
 
 def emit_witness(
@@ -372,14 +352,13 @@ def run(config: ExperimentConfig, digest: str, out_dir: Path) -> RunRecord:
     t0 = time.perf_counter()
     problem = build_problem(config.problem_name, config.problem_params)
     method = build_method(config.method_name, config.method_params, problem)
-    workers = resolve_workers(config.workers)
     verdict = check_mode(
         problem,
         method,
         config.mode,
         budget=config.budget,
         seed=config.seed,
-        workers=workers,
+        workers=config.workers,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     curves = []
@@ -420,19 +399,18 @@ def _load_config(args) -> tuple[ExperimentConfig, str]:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config: invalid JSON at line {e.lineno}: {e.msg}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError("top level: expected a single experiment object")
     overridden = False
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-        overridden = True
-    if getattr(args, "horizon", None) is not None:
-        doc.setdefault("mode", {})["horizon"] = args.horizon
-        overridden = True
-    if getattr(args, "trials", None) is not None:
-        doc.setdefault("budget", {})["trials"] = args.trials
-        overridden = True
-    if getattr(args, "workers", None) is not None:
-        doc["workers"] = args.workers
-        overridden = True
+    overrides = (("seed", None), ("horizon", "mode"), ("trials", "budget"), ("workers", None))
+    for flag, section in overrides:
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        target = doc.setdefault(section, {}) if section else doc
+        if isinstance(target, dict):  # parse_config rejects a section that is not an object
+            target[flag] = value
+            overridden = True
     digest = config_digest(canonical_bytes(doc) if overridden else raw)
     return parse_config(doc), digest
 
@@ -447,49 +425,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _criterion_for(mode: ModeParams):
-    if mode.mode == MODE_STOCHASTIC_APPROXIMATION:
-        return within(mode.epsilon)
-    if mode.mode == MODE_STOCHASTIC_IDENTIFICATION:
-        return EXACT
-    raise ConfigurationError("mode: success curves need mode II or III")
-
-
 def _cmd_curve(args) -> int:
     config, _ = _load_config(args)
     problem = build_problem(config.problem_name, config.problem_params)
     method = build_method(config.method_name, config.method_params, problem)
-    worlds = (
-        tuple(problem.world(i) for i in config.mode.world_ids)
-        if config.mode.world_ids is not None
-        else problem.worlds
-    )
-    workers = resolve_workers(config.workers)
+    mode = config.mode
     if args.kind == "success-set":
-        stages = config.mode.stages or tuple(range(1, config.mode.horizon + 1))
         curve = success_set_curve(
             problem,
             method,
-            worlds,
-            stages,
-            horizon=config.mode.horizon,
+            mode.worlds_of(problem),
+            mode.stages or range(1, mode.horizon + 1),
+            horizon=mode.horizon,
             trials=config.budget.trials,
             seed=config.seed,
-            workers=workers,
+            workers=config.workers,
             strategy=config.budget.strategy,
         )
+    elif mode.mode == MODE_IDENTIFICATION:
+        raise ConfigurationError("mode: success curves need mode II or III")
     else:
-        curve = success_curve(
-            problem,
-            method,
-            worlds,
-            _criterion_for(config.mode),
-            config.mode.horizon,
-            budget=config.budget,
-            seed=config.seed,
-            stages=config.mode.stages,
-            workers=workers,
-        )
+        curve = check_mode(
+            problem, method, mode, budget=config.budget, seed=config.seed, workers=config.workers
+        ).curve
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / (config.curve_path or f"{config.name}-curve.csv")

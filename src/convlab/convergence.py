@@ -144,6 +144,12 @@ class ModeParams:
             if list(self.stages) != sorted(set(self.stages)):
                 raise InputDomainError("stages must be strictly increasing")
 
+    def worlds_of(self, problem) -> tuple[World, ...]:
+        """The problem's worlds named by world_ids, or all of them."""
+        if self.world_ids is None:
+            return problem.worlds
+        return tuple(problem.world(i) for i in self.world_ids)
+
 
 def mode_params(mode, horizon, delta=None, epsilon=None, stages=None, world_ids=None) -> ModeParams:
     return ModeParams(
@@ -581,11 +587,7 @@ def check_mode(
     inside the margin yield an inconclusive world rather than a refuted one.
     """
     budget = budget or Budget()
-    worlds = (
-        tuple(problem.world(i) for i in params.world_ids)
-        if params.world_ids is not None
-        else problem.worlds
-    )
+    worlds = params.worlds_of(problem)
     if params.mode == MODE_IDENTIFICATION:
         return _check_identification(problem, method, worlds, params.horizon)
 
@@ -685,8 +687,8 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.nda
     Samples the law of the exact success-set path where one exists;
     otherwise the start of the trailing zero-loss run through the horizon,
     with horizon+1 where none exists.  The sample is derived from
-    (seed, world id, horizon) only, so all stages n share it -- that is
-    what makes the monotonicity check a genuine set-inclusion test.
+    (seed, world id, horizon) only, so all stages n share it and the
+    estimated lock probability is nondecreasing in n.
     """
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
@@ -752,24 +754,6 @@ def success_set_prob(
         raise InputDomainError("n must be >= 0")
     T = horizon if horizon is not None else max(n, 1)
     return _set_estimates(problem, method, world, (n,), T, trials, seed, strategy)[0]
-
-
-def success_set_monotone(
-    problem,
-    method,
-    world,
-    n: int,
-    n_prime: int,
-    *,
-    horizon: int,
-    trials: int = 10_000,
-    seed: int = 0,
-) -> bool:
-    """Set inclusion on shared samples: every branch locked by n is locked by n'."""
-    if not 0 <= n <= n_prime <= horizon:
-        raise InputDomainError("need 0 <= n <= n' <= horizon")
-    locks = _lock_stage_samples(problem, method, world, horizon, trials, seed)
-    return not bool(np.any((locks <= n) & ~(locks <= n_prime)))
 
 
 def success_set_curve(

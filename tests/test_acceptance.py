@@ -9,6 +9,7 @@ test body.
 import itertools
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import convlab as cl
@@ -146,6 +147,7 @@ def test_c07_success_set_law():
     t0 = time.perf_counter()
     ps = [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]
     fg = cl.fine_grained_raven(ps)
+    scanned = replace(cl.raven_rule, locks_at_first_zero=False)
     for p in ps:
         w = fg.world(f"p={float(p)}")
         for n in range(0, 31):
@@ -164,12 +166,18 @@ def test_c07_success_set_law():
             truth = 1 - p**n
             se = math.sqrt(float(truth * (1 - truth)) / 100_000)
             assert abs(est.value - float(truth)) <= 4 * max(se, est.stderr) + 1e-12, (p, n)
-        for n in range(0, 31):
-            for n2 in range(n, 31):
-                assert cl.success_set_monotone(
-                    fg, cl.raven_rule, w, n, n2, horizon=30, trials=100_000, seed=31
-                )
-    _report(7, time.perf_counter() - t0, 60, "exact law, MC agreement, and monotone inclusion")
+        # lock-law conformance: with its first-zero law switched off, the raven
+        # rule's lock stages come from the generic scan of each sampled
+        # length-30 prefix, which must reproduce the declared law; a prefix
+        # without a 0 has truth Yes and locks at stage 0, hence the p**30 term
+        scan = cl.success_set_curve(
+            fg, scanned, [w], range(1, 31), horizon=30, trials=10_000, seed=31, strategy="mc"
+        )
+        for pt in scan.points:
+            truth = 1 - p**pt.n + p**30
+            se = math.sqrt(float(truth * (1 - truth)) / 10_000)
+            assert abs(pt.estimate - float(truth)) <= 4 * max(se, pt.stderr) + 1e-12, (p, pt.n)
+    _report(7, time.perf_counter() - t0, 60, "exact law, MC agreement, lock-law conformance")
 
 
 def test_c08_hierarchy_on_fine_grained_raven():

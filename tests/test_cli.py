@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,16 @@ class TestRun:
         first_line = (tmp_path / "fgr-mode2-curve.csv").read_text().splitlines()[0]
         assert first_line == "problem,method,world_id,n,criterion,estimate,stderr,exact,bound"
 
+    def test_record_keys_come_in_the_documented_order(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = re.search(r"record JSON `\{(.*?)\}`", readme, re.S).group(1)
+        keys = [k.strip().rstrip("[]") for k in documented.split(",")]
+        path = write_config(tmp_path, FGR_CONFIG)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "fgr-mode2-record.json").read_text())
+        assert list(record) == keys
+        assert isinstance(record["verdicts"], list) and isinstance(record["curves"], list)
+
     def test_seed_override_changes_the_digest_but_stays_reproducible(self, tmp_path):
         path = write_config(tmp_path, FGR_CONFIG)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -209,6 +221,13 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{section}.params: unknown keys ['bogus']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[1], dict(RAVEN_CONFIG, mode=5)], ids=["list", "mode-number"])
+    def test_override_of_a_malformed_config_exits_2(self, tmp_path, capsys, doc):
+        path = write_config(tmp_path, doc)
+        argv = ["run", "--config", str(path), "--horizon", "3", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "expected" in capsys.readouterr().err
+
     def test_cardinality_witness_of_a_categorical_method_exits_2(self, capsys):
         argv = ["witness", "--problem", "fair-coin", "--method", "fair-coin-test", "--depth", "4"]
         assert cli.main(argv) == 2
@@ -233,6 +252,50 @@ class TestParseConfig:
         doc = dict(FGR_CONFIG, budget={"mc_margin": margin})
         with pytest.raises(cl.ConfigurationError, match="mc_margin"):
             cli.parse_config(doc)
+
+
+class TestConfigNumberTypes:
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("budget", "trials", 2.7),
+            ("budget", "trials", True),
+            ("budget", "trials", "500"),
+            ("budget", "exact_enum_cap", 1024.0),
+            ("budget", "symmetric_exact_cap", "64"),
+            ("budget", "mc_margin", True),
+            ("budget", "mc_margin", "3"),
+            ("mode", "horizon", "10"),
+            ("mode", "horizon", 10.9),
+            ("mode", "horizon", True),
+            ("mode", "stages", [1.9, 3]),
+            ("mode", "stages", [1, "3"]),
+            ("mode", "stages", 5),
+        ],
+    )
+    def test_values_of_the_wrong_json_type_are_rejected(self, section, key, value):
+        doc = dict(FGR_CONFIG, **{section: dict(FGR_CONFIG[section], **{key: value})})
+        with pytest.raises(cl.ConfigurationError, match=f"{section}.{key}"):
+            cli.parse_config(doc)
+        assert doc[section][key] == value
+
+    def test_integer_margin_too_large_for_a_float_is_rejected(self):
+        with pytest.raises(cl.ConfigurationError, match="budget"):
+            cli.parse_config(dict(FGR_CONFIG, budget={"mc_margin": 10**400}))
+
+    def test_json_numbers_are_read(self):
+        mode = dict(FGR_CONFIG["mode"], stages=[5, 40])
+        doc = dict(FGR_CONFIG, budget={"trials": 500, "mc_margin": 2}, mode=mode)
+        config = cli.parse_config(doc)
+        assert (config.budget.trials, config.budget.mc_margin) == (500, 2)
+        assert config.mode.stages == (5, 40)
+        assert cli.parse_config(dict(doc, budget={"mc_margin": 2.5})).budget.mc_margin == 2.5
+
+    def test_float_horizon_exits_2(self, tmp_path, capsys):
+        doc = dict(FGR_CONFIG, mode={"mode": "II", "delta": 0.05, "horizon": 10.9})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "mode.horizon" in capsys.readouterr().err
 
 
 class TestProblemParamTypes:
@@ -267,6 +330,35 @@ class TestProblemParamTypes:
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "literal" in capsys.readouterr().err
+
+
+MODE_THREE_CONFIG = {
+    "name": "coin-mode3",
+    "problem": {"name": "coin-bias", "params": {"theta_grid": [0.3, 0.5]}},
+    "method": {"name": "frequency-estimator", "params": {}},
+    "mode": {"mode": "III", "delta": 0.1, "epsilon": 0.2, "horizon": 30, "stages": [5, 30]},
+    "budget": {"strategy": "auto", "symmetric_exact_cap": 10, "trials": 2000},
+    "seed": 7,
+}
+
+
+class TestCurveCommand:
+    @pytest.mark.parametrize("doc", [FGR_CONFIG, MODE_THREE_CONFIG], ids=["mode-II", "mode-III"])
+    def test_curve_writes_the_bytes_run_writes(self, tmp_path, doc):
+        path = write_config(tmp_path, doc)
+        ran, curved = tmp_path / "run", tmp_path / "curve"
+        assert cli.main(["run", "--config", str(path), "--out", str(ran)]) == 0
+        assert cli.main(["curve", "--config", str(path), "--out", str(curved)]) == 0
+        name = f"{doc['name']}-curve.csv"
+        assert (curved / name).read_bytes() == (ran / name).read_bytes()
+        assert sorted(p.name for p in curved.iterdir()) == [name]
+
+    def test_mode_one_config_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        path = write_config(tmp_path, RAVEN_CONFIG)
+        out = tmp_path / "out"
+        assert cli.main(["curve", "--config", str(path), "--out", str(out)]) == 2
+        assert "mode II or III" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOtherSubcommands:

@@ -551,14 +551,6 @@ class TestSuccessSets:
                 assert not est.exact
                 assert abs(est.value - float(1 - p**n)) <= 4 * est.stderr + 1e-9
 
-    def test_monotone_on_shared_samples(self):
-        fg = cl.fine_grained_raven([0.5, 0.9])
-        for w in fg.worlds:
-            for n, n2 in [(0, 1), (1, 5), (5, 30), (0, 30)]:
-                assert cl.success_set_monotone(
-                    fg, cl.raven_rule, w, n, n2, horizon=30, trials=5000, seed=2
-                )
-
     def test_monotonicity_implies_nondecreasing_probabilities(self):
         fg = cl.fine_grained_raven([0.7])
         w = fg.world("p=0.7")
@@ -570,16 +562,46 @@ class TestSuccessSets:
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_generic_sampling_path_matches_the_closed_form(self):
-        # remove the first-zero flag to force the per-branch scan
-        fg = cl.fine_grained_raven([0.6])
-        w = fg.world("p=0.6")
-        plodding = replace(cl.raven_rule, locks_at_first_zero=False)
-        est = cl.success_set_prob(
-            fg, plodding, w, 4, horizon=12, trials=4000, seed=6, strategy="mc"
+    @staticmethod
+    def _lock_law_deviations(method, p, stages, horizon=12, trials=4000, seed=6):
+        """Per stage: (|scan - law|, true standard error) for the generic lock scan.
+
+        The law is the method's declared first-zero path read at the horizon:
+        its closed form 1 - p**n plus p**horizon, the chance that a scanned
+        prefix holds no 0 (truth Yes, locked from stage 0).
+        """
+        fg = cl.fine_grained_raven([p])
+        w = fg.worlds[0]
+        scan = cl.success_set_curve(
+            fg, replace(method, locks_at_first_zero=False), [w], stages,
+            horizon=horizon, trials=trials, seed=seed, strategy="mc",
         )
-        expected = float(1 - Fraction(3, 5) ** 4)
-        assert abs(est.value - expected) <= 4 * est.stderr + 1e-9
+        out = []
+        for pt in scan.points:
+            declared = cl.success_set_prob(fg, method, w, pt.n)
+            assert declared.exact and declared.value == 1 - p**pt.n
+            law = declared.value + p**horizon
+            se = max(math.sqrt(float(law * (1 - law)) / trials), pt.stderr)
+            out.append((abs(pt.estimate - float(law)), se))
+        return out
+
+    @pytest.mark.parametrize(
+        "p", [Fraction(3, 10), Fraction(3, 5), Fraction(9, 10)], ids=["p=0.3", "p=0.6", "p=0.9"]
+    )
+    def test_generic_sampling_path_matches_the_closed_form(self, p):
+        for gap, se in self._lock_law_deviations(cl.raven_rule, p, (1, 4, 12)):
+            assert gap <= 4 * se + 1e-12
+
+    def test_a_wrong_first_zero_declaration_fails_the_scan_check(self):
+        # Negative control: this rule locks at the second 0 but declares the
+        # first-zero law, so its declared path and its scan must disagree.
+        second_zero = cl.InferenceMethod(
+            "second-zero-rule",
+            decide_counts=lambda n, k: cl.YES if n - k < 2 else cl.NO,
+            locks_at_first_zero=True,
+        )
+        gaps = self._lock_law_deviations(second_zero, Fraction(3, 5), (1, 4, 12))
+        assert any(gap > 10 * se for gap, se in gaps)
 
     def test_requires_branch_unique_problem_and_measure(self):
         fc = cl.fair_coin()
