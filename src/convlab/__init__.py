@@ -20,6 +20,7 @@ from .core import (
     Branch,
     Classifier,
     ConfigurationError,
+    CountLaws,
     EmpiricalProblem,
     FiniteHypothesisSpace,
     InferenceMethod,

@@ -3,9 +3,10 @@
 The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
-full enumeration of the evidence tree level, or an O(n) binomial sum for
-count-symmetric methods under IID-Bernoulli data -- and by seeded Monte
-Carlo otherwise; one planner (``_plan``) picks that path per (world, n).
+full enumeration of the evidence tree level, or a binomial sum over the
+success counts of count-symmetric methods under IID-Bernoulli data -- and
+by seeded Monte Carlo otherwise; one planner (``_plan``) picks that path
+per (world, n).
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -130,6 +132,9 @@ class ModeParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputDomainError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for v in (self.horizon, *(self.stages or ())):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InputDomainError(f"horizon and stages must be integers, got {v!r}")
         if self.horizon < 1:
             raise InputDomainError("horizon must be >= 1")
         if self.mode in (MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_APPROXIMATION):
@@ -154,10 +159,10 @@ class ModeParams:
 def mode_params(mode, horizon, delta=None, epsilon=None, stages=None, world_ids=None) -> ModeParams:
     return ModeParams(
         mode=mode,
-        horizon=int(horizon),
+        horizon=horizon,
         delta=None if delta is None else as_fraction(delta),
         epsilon=None if epsilon is None else as_fraction(epsilon),
-        stages=None if stages is None else tuple(int(s) for s in stages),
+        stages=None if stages is None else tuple(stages),
         world_ids=None if world_ids is None else tuple(world_ids),
     )
 
@@ -233,22 +238,12 @@ def required_sample_size(eps, delta) -> int:
 
 
 def analytic_bound(problem, method, world, n, crit):
-    """A certified lower bound on the success probability, where one applies."""
+    """A certified lower bound on the success probability, where the method's laws declare one."""
     m = world.measure
-    if m is None or m.kind != KIND_IID_BERNOULLI or n < 1:
+    laws = method.laws
+    if m is None or m.kind != KIND_IID_BERNOULLI or n < 1 or laws is None or laws.bound is None:
         return None
-    if method.name == "frequency-estimator" and crit.kind == "within":
-        return bernoulli_bound(n, crit.eps)
-    if method.name == "fair-coin-test" and crit.kind == "exact":
-        th = m.theta
-        if th == Fraction(1, 2):
-            return max(0.0, 1 - 1 / (4 * math.sqrt(n)))
-        # Off the fair bias the bound kicks in once the acceptance radius
-        # drops strictly below half the gap: n**(-1/4) < |theta - 1/2| / 2.
-        half_gap = abs(th - Fraction(1, 2)) / 2
-        if n * half_gap**4 > 1:
-            return max(0.0, 1 - 1 / (4 * math.sqrt(n)))
-    return None
+    return laws.bound(problem, world, n, crit)
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +322,28 @@ def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
 
 
 def _binomial_exact(problem, method, world, n, crit) -> Fraction:
-    met = _success_test(problem, world, crit)
     th = world.measure.theta
     p, q = th.numerator, th.denominator
     r = q - p
-    if p == 0 or r == 0:
-        # theta is 0 or 1 (q = 1): all mass sits on k = 0 or k = n.
-        return Fraction(1 if met(method.decide_counts(n, 0 if p == 0 else n)) else 0)
-    # term = comb(n, k) * p**k * r**(n - k), stepped in k by its ratio (n - k) p / ((k + 1) r).
-    num, term = 0, r**n
-    for k in range(n + 1):
-        if met(method.decide_counts(n, k)):
+    # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
+    ks = range(n + 1) if p and r else (0 if p == 0 else n,)
+    ranges = None if method.laws is None else method.laws.window(problem, world, n, crit)
+    if ranges is None:  # no declared window vouches: decide each k, joining runs into ranges
+        met = _success_test(problem, world, crit)
+        ranges = []
+        for k in ks:
+            if met(method.decide_counts(n, k)):
+                start = ranges.pop().start if ranges and ranges[-1].stop == k else k
+                ranges.append(range(start, k + 1))
+    if len(ks) == 1:
+        return Fraction(int(any(ks[0] in rg for rg in ranges)))
+    num = 0
+    for rg in filter(None, ranges):  # an empty range's start may lie past n
+        # term = comb(n, k) * p**k * r**(n - k), stepped in k by its ratio (n - k) p / ((k + 1) r).
+        term = math.comb(n, rg.start) * p**rg.start * r ** (n - rg.start)
+        for k in rg:
             num += term
-        term = term * (n - k) * p // ((k + 1) * r)
+            term = term * (n - k) * p // ((k + 1) * r)
     return Fraction(num, q**n)
 
 

@@ -336,17 +336,18 @@ class LossFunction:
     eval: Callable[[object, World], object]
 
 
+# One object each, so a method's declared laws can recognise them by identity.
+_IDENTIFICATION_LOSS = LossFunction("identification", lambda h, w: 0 if h == w.truth else 1)
+_ABSOLUTE_ERROR_LOSS = LossFunction("absolute-error", lambda h, w: abs(h - w.truth))
+
+
 def identification_loss() -> LossFunction:
-    # 0 on the world's truth, 1 on every other hypothesis.
-    return LossFunction("identification", lambda h, w: 0 if h == w.truth else 1)
+    """0 on the world's truth, 1 on every other hypothesis."""
+    return _IDENTIFICATION_LOSS
 
 
 def absolute_error_loss() -> LossFunction:
-    def ev(h, w):
-        d = h - w.truth
-        return -d if d < 0 else d
-
-    return LossFunction("absolute-error", ev)
+    return _ABSOLUTE_ERROR_LOSS
 
 
 @dataclass(frozen=True)
@@ -381,6 +382,19 @@ class EmpiricalProblem:
 
 
 @dataclass(frozen=True)
+class CountLaws:
+    """A counts method's laws under IID-Bernoulli worlds, each a function of (problem, world, n, crit).
+
+    ``window``: ranges holding exactly the k in 0..n whose output meets crit, or
+    None where it cannot vouch.  ``bound``: a lower bound on the success
+    probability at n >= 1, or None.
+    """
+
+    window: Callable[..., Optional[list[range]]]
+    bound: Optional[Callable] = None
+
+
+@dataclass(frozen=True)
 class InferenceMethod:
     """A deterministic map from finite data sequences to a hypothesis or SUSPEND.
 
@@ -388,6 +402,7 @@ class InferenceMethod:
     on binary data its output depends only on (length, number of 1 tokens).
     A counts method's ``decide`` is derived from ``decide_counts``, and the
     engine reads the counts directly (binomial sums, per-stage scans).
+    ``laws`` declares a counts method's success windows and bound.
     ``locks_at_first_zero`` marks methods whose output settles permanently at
     the first 0 token.  ``success_block`` optionally vectorizes Monte Carlo
     success evaluation; it must sample from the same distribution the
@@ -399,6 +414,7 @@ class InferenceMethod:
     decide_counts: Optional[Callable[[int, int], MethodOutput]] = None
     locks_at_first_zero: bool = False
     success_block: Optional[Callable] = None
+    laws: Optional[CountLaws] = None
 
     def __post_init__(self):
         if self.decide is not None:

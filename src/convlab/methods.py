@@ -21,17 +21,38 @@ from .core import (
     UNFAIR,
     YES,
     Classifier,
+    CountLaws,
     InferenceMethod,
     InputDomainError,
+    IntervalHypothesisSpace,
     MethodOutput,
+    absolute_error_loss,
+    identification_loss,
 )
+from .convergence import bernoulli_bound
+
+
+def _two_label_window(problem, world, n, crit, labels, first: range):
+    """Success window of a rule giving labels[0] on the counts in first, labels[1] on the rest of 0..n."""
+    guard = problem.loss is identification_loss() and world.truth in labels
+    if not (guard and all(h in problem.hypothesis_space for h in labels)):
+        return None
+    if crit.met(1):  # a wrong label's loss meets crit too
+        return [range(n + 1)]
+    return [first] if world.truth == labels[0] else [range(first.start), range(first.stop, n + 1)]
 
 
 def _raven_counts(n: int, k: int) -> MethodOutput:
     return YES if k == n else NO
 
 
-raven_rule = InferenceMethod("raven-rule", decide_counts=_raven_counts, locks_at_first_zero=True)
+def _raven_window(problem, world, n, crit):
+    return _two_label_window(problem, world, n, crit, (YES, NO), range(n, n + 1))
+
+
+raven_rule = InferenceMethod(
+    "raven-rule", decide_counts=_raven_counts, locks_at_first_zero=True, laws=CountLaws(_raven_window)
+)
 
 
 def fair_coin_threshold(n: int) -> float:
@@ -48,7 +69,28 @@ def _fair_coin_counts(n: int, k: int) -> MethodOutput:
     return FAIR if abs(2 * k - n) ** 4 < 16 * n**3 else UNFAIR
 
 
-fair_coin_test = InferenceMethod("fair-coin-test", decide_counts=_fair_coin_counts)
+def _fair_coin_window(problem, world, n, crit):
+    if n == 0:
+        return []  # SUSPEND meets no criterion
+    # |2k - n|**4 < 16 n**3  <=>  |2k - n| <= r, the integer fourth root of 16 n**3 - 1.
+    r = math.isqrt(math.isqrt(16 * n**3 - 1))
+    accepts = range(max(0, (n - r + 1) // 2), min(n, (n + r) // 2) + 1)
+    return _two_label_window(problem, world, n, crit, (FAIR, UNFAIR), accepts)
+
+
+def _fair_coin_bound(problem, world, n, crit):
+    # Chebyshev: 1 - 1/(4 sqrt n), on the fair coin and, off it, once the
+    # acceptance radius drops strictly below half the gap: n**(-1/4) < |theta - 1/2| / 2.
+    gap = abs(world.measure.theta - Fraction(1, 2))
+    coherent = world.truth == (UNFAIR if gap else FAIR)
+    coherent = coherent and _fair_coin_window(problem, world, n, crit) is not None
+    applies = crit.kind == "exact" and coherent and (gap == 0 or n * (gap / 2) ** 4 > 1)
+    return max(0.0, 1 - 1 / (4 * math.sqrt(n))) if applies else None
+
+
+fair_coin_test = InferenceMethod(
+    "fair-coin-test", decide_counts=_fair_coin_counts, laws=CountLaws(_fair_coin_window, _fair_coin_bound)
+)
 
 
 def near_threshold(n: int, k: int, band: float = 1e-15) -> bool:
@@ -67,7 +109,31 @@ def _frequency_counts(n: int, k: int) -> MethodOutput:
     return Fraction(k, n)
 
 
-frequency_estimator = InferenceMethod("frequency-estimator", decide_counts=_frequency_counts)
+def _frequency_window(problem, world, n, crit):
+    if n == 0:
+        return []  # SUSPEND meets no criterion
+    space, t = problem.hypothesis_space, world.truth
+    interval = isinstance(space, IntervalHypothesisSpace) and space.lo <= 0 and space.hi >= 1
+    if not (interval and problem.loss is absolute_error_loss() and isinstance(t, (int, Fraction))):
+        return None  # an output outside the space, or a loss other than |k/n - t| for a rational t
+    if crit.kind == "exact":  # k = n t
+        lo, hi = math.ceil(n * t), math.floor(n * t)
+    else:  # |k/n - t| < eps  <=>  n (t - eps) < k < n (t + eps)
+        lo, hi = math.floor(n * (t - Fraction(crit.eps))) + 1, math.ceil(n * (t + Fraction(crit.eps))) - 1
+    return [range(max(0, lo), min(n, hi) + 1)]
+
+
+def _frequency_bound(problem, world, n, crit):
+    # Chebyshev on the sample frequency, when the window vouches and the truth is the coin's bias.
+    coherent = world.truth == world.measure.theta and _frequency_window(problem, world, n, crit) is not None
+    return bernoulli_bound(n, crit.eps) if crit.kind == "within" and coherent else None
+
+
+frequency_estimator = InferenceMethod(
+    "frequency-estimator",
+    decide_counts=_frequency_counts,
+    laws=CountLaws(_frequency_window, _frequency_bound),
+)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,10 +185,18 @@ class TestSuccessMemo:
         cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
         assert 0 < len(loss_calls) <= len(toy_erm_config.hypothesis_order)
 
-    def test_fair_coin_binomial_sum_evaluates_each_verdict_at_most_once(self, loss_calls):
+    def test_fair_coin_binomial_scan_evaluates_each_verdict_at_most_once(self, loss_calls):
+        fc = cl.fair_coin()
+        undeclared = replace(cl.fair_coin_test, laws=None)
+        assert cl.exact_success_prob(fc, undeclared, fc.world("theta=0.5"), 200, cl.EXACT) > 0
+        assert 0 < len(loss_calls) <= 3
+
+    def test_a_declared_window_evaluates_no_loss(self, loss_calls):
         fc = cl.fair_coin()
         assert cl.exact_success_prob(fc, cl.fair_coin_test, fc.world("theta=0.5"), 200, cl.EXACT) > 0
-        assert 0 < len(loss_calls) <= 3
+        cb = cl.coin_bias([Fraction(7, 20)])
+        assert cl.exact_success_prob(cb, cl.frequency_estimator, cb.world("theta=0.35"), 200, cl.within(0.05)) > 0
+        assert loss_calls == []
 
     def test_fresh_outputs_per_leaf_keep_the_memo_small(self):
         # A flagless frequency estimator builds a new Fraction at each of the
@@ -203,6 +212,94 @@ class TestSuccessMemo:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+LAW_THETAS = [Fraction(0), Fraction(1, 10), Fraction(7, 20), Fraction(1, 2), Fraction(13, 20), Fraction(1)]
+LAW_CRITS = [cl.EXACT] + [cl.within(e) for e in (Fraction(1, 20), Fraction(1, 10), Fraction(3, 20), 2)]
+
+
+def _law_worlds(method):
+    """(problem, world) pairs: each bias of LAW_THETAS under every truth the method's loss can meet."""
+    if method is cl.frequency_estimator:
+        problem = cl.coin_bias(LAW_THETAS)
+        return [(problem, w) for w in problem.worlds if "/" not in w.id]  # one sampled world per bias
+    problem, labels = (cl.fine_grained_raven([0]), (cl.YES, cl.NO)) if method is cl.raven_rule else (
+        cl.fair_coin(), (cl.FAIR, cl.UNFAIR)
+    )
+    base = problem.worlds[0]
+    return [
+        (problem, replace(base, truth=truth, measure=cl.Measure.iid_bernoulli(th)))
+        for th in LAW_THETAS
+        for truth in labels
+    ]
+
+
+class TestCountLaws:
+    """Every catalog window equals the per-k scan it stands in for; every bound sits below the sum."""
+
+    @pytest.mark.parametrize(
+        "method,n_max",
+        [(cl.raven_rule, 60), (cl.fair_coin_test, 300), (cl.frequency_estimator, 60)],
+        ids=["raven-rule", "fair-coin-test", "frequency-estimator"],
+    )
+    def test_windows_equal_the_per_k_scan(self, method, n_max):
+        # The catalog losses read only the world's truth, so worlds of one
+        # truth share their scans, and worlds of one bias their binomial terms.
+        scans, terms = {}, {}
+        for problem, world in _law_worlds(method):
+            th = world.measure.theta
+            p, r = th.numerator, th.denominator - th.numerator
+            for n in range(n_max + 1):
+                if (th, n) not in terms:
+                    terms[th, n] = [math.comb(n, k) * p**k * r ** (n - k) for k in range(n + 1)]
+                row = terms[th, n]
+                for crit in LAW_CRITS:
+                    if (world.truth, n, crit) not in scans:
+                        met = convergence._success_test(problem, world, crit)
+                        scans[world.truth, n, crit] = [k for k in range(n + 1) if met(method.decide_counts(n, k))]
+                    scan = scans[world.truth, n, crit]
+                    window = method.laws.window(problem, world, n, crit)
+                    assert [k for rg in window for k in rg] == scan, (world.id, world.truth, n, crit)
+                    exact = _binomial_exact(problem, method, world, n, crit)
+                    assert exact == Fraction(sum(row[k] for k in scan), th.denominator**n)
+                    bound = cl.analytic_bound(problem, method, world, n, crit)
+                    assert bound is None or bound <= exact, (world.id, world.truth, n, crit)
+
+    @pytest.mark.parametrize("crit", [cl.EXACT, cl.within(Fraction(1, 10))], ids=["exact", "within"])
+    def test_a_declaration_that_cannot_vouch_declines(self, crit):
+        fe = cl.frequency_estimator
+        undeclared = replace(fe, laws=None)
+        cb = cl.coin_bias([Fraction(7, 20)])
+        # A loss the window does not know: the scan's Fraction, which differs from
+        # the absolute-error one under within(1/10).
+        squared = replace(cb, loss=cl.LossFunction("squared-error", lambda h, w: (h - w.truth) ** 2))
+        w = squared.world("theta=0.35")
+        for n in range(1, 41):
+            assert fe.laws.window(squared, w, n, crit) is None
+            assert cl.exact_success_prob(squared, fe, w, n, crit) == cl.exact_success_prob(
+                squared, undeclared, w, n, crit
+            )
+        if crit is not cl.EXACT:
+            assert cl.exact_success_prob(squared, fe, w, 40, crit) != cl.exact_success_prob(cb, fe, w, 40, crit)
+        # A space missing outputs: the scan's InputDomainError.
+        narrow = replace(cb, hypothesis_space=cl.IntervalHypothesisSpace(Fraction(0), Fraction(1, 2)))
+        assert cl.exact_success_prob(narrow, fe, w, 0, crit) == 0  # SUSPEND only
+        for n in (1, 7, 40):
+            assert fe.laws.window(narrow, w, n, crit) is None
+            for method in (fe, undeclared):
+                with pytest.raises(cl.InputDomainError, match="outside the hypothesis space"):
+                    cl.exact_success_prob(narrow, method, w, n, crit)
+
+    def test_bounds_come_from_the_laws_not_the_name(self):
+        cb = cl.coin_bias([Fraction(7, 20)])
+        w = cb.world("theta=0.35")
+        crit = cl.within(Fraction(1, 10))
+        impostor = cl.InferenceMethod("frequency-estimator", lambda seq: Fraction(0))
+        assert cl.analytic_bound(cb, impostor, w, 40, crit) is None
+        assert cl.analytic_bound(cb, cl.frequency_estimator, w, 40, crit) == Fraction(3, 8)
+        fc = cl.fair_coin()
+        impostor = cl.InferenceMethod("fair-coin-test", lambda seq: cl.UNFAIR)
+        assert cl.analytic_bound(fc, impostor, fc.world("theta=0.5"), 40, cl.EXACT) is None
 
 
 class TestMcSuccessProb:
@@ -482,6 +579,19 @@ class TestCheckMode:
             cl.mode_params("II", 0, delta=0.1)
         with pytest.raises(cl.InputDomainError):
             cl.mode_params("II", 10, delta=0.1, stages=(5, 20))
+
+    @pytest.mark.parametrize(
+        "horizon,stages", [(10.9, None), (True, None), ("10", None), (10.0, None), (10, [1.9, 3]), (10, [True, 3])]
+    )
+    def test_mode_params_rejects_non_integer_horizons_and_stages(self, horizon, stages):
+        with pytest.raises(cl.InputDomainError, match="must be integers"):
+            cl.mode_params("II", horizon, delta=0.1, stages=stages)
+        with pytest.raises(cl.InputDomainError, match="must be integers"):
+            cl.ModeParams("II", horizon, Fraction(1, 10), stages=None if stages is None else tuple(stages))
+
+    def test_mode_params_keeps_integer_horizons_and_stages(self):
+        mp = cl.mode_params("II", np.int64(10), delta=0.1, stages=[1, np.int64(3)])
+        assert (mp.horizon, mp.stages) == (10, (1, 3))
 
 
 class TestLockTime:
