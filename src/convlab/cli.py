@@ -167,7 +167,8 @@ class ExperimentConfig:
     record_path: Optional[str]
 
 
-def _section(doc: dict, key: str, required: bool = True) -> dict:
+def _section(doc: dict, key: str, keys: tuple, required: bool = True) -> dict:
+    """The object doc[key], whose keys must all be among keys."""
     sec = doc.get(key)
     if sec is None:
         if required:
@@ -175,17 +176,21 @@ def _section(doc: dict, key: str, required: bool = True) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigurationError(f"{key}: expected an object")
+    _reject_unknown_keys(key, set(sec) - set(keys))
     return sec
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("top level: expected a single experiment object")
-    problem = _section(doc, "problem")
-    method = _section(doc, "method")
-    mode = _section(doc, "mode")
-    budget_doc = _section(doc, "budget", required=False)
-    output = _section(doc, "output", required=False)
+    top = ("name", "problem", "method", "mode", "budget", "seed", "workers", "output")
+    _reject_unknown_keys("top level", set(doc) - set(top))
+    problem = _section(doc, "problem", ("name", "params"))
+    method = _section(doc, "method", ("name", "params"))
+    mode = _section(doc, "mode", ("mode", "horizon", "delta", "epsilon", "stages", "world_ids"))
+    budget_keys = ("strategy", "exact_enum_cap", "symmetric_exact_cap", "trials", "mc_margin")
+    budget_doc = _section(doc, "budget", budget_keys, required=False)
+    output = _section(doc, "output", ("curve", "record"), required=False)
     if "name" not in problem:
         raise ConfigurationError("problem.name: required")
     if "name" not in method:

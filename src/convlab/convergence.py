@@ -19,6 +19,7 @@ import itertools
 import math
 import numbers
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -148,6 +149,9 @@ class ModeParams:
                 raise InputDomainError("stages must be nonempty and lie in [1, horizon]")
             if list(self.stages) != sorted(set(self.stages)):
                 raise InputDomainError("stages must be strictly increasing")
+        ids = self.world_ids
+        if ids is not None and not (isinstance(ids, tuple) and all(isinstance(i, str) for i in ids)):
+            raise InputDomainError(f"world_ids must be a sequence of world id strings, got {ids!r}")
 
     def worlds_of(self, problem) -> tuple[World, ...]:
         """The problem's worlds named by world_ids, or all of them."""
@@ -157,13 +161,15 @@ class ModeParams:
 
 
 def mode_params(mode, horizon, delta=None, epsilon=None, stages=None, world_ids=None) -> ModeParams:
+    if isinstance(world_ids, Iterable) and not isinstance(world_ids, str):
+        world_ids = tuple(world_ids)  # a string stays whole, for ModeParams to reject
     return ModeParams(
         mode=mode,
         horizon=horizon,
         delta=None if delta is None else as_fraction(delta),
         epsilon=None if epsilon is None else as_fraction(epsilon),
         stages=None if stages is None else tuple(stages),
-        world_ids=None if world_ids is None else tuple(world_ids),
+        world_ids=world_ids,
     )
 
 
@@ -321,12 +327,8 @@ def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
     return Fraction(1) if met(method.decide(world.measure.point.prefix(n))) else Fraction(0)
 
 
-def _binomial_exact(problem, method, world, n, crit) -> Fraction:
-    th = world.measure.theta
-    p, q = th.numerator, th.denominator
-    r = q - p
-    # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
-    ks = range(n + 1) if p and r else (0 if p == 0 else n,)
+def _success_ranges(problem, method, world, n, crit, ks) -> list[range]:
+    """The ranges of success counts at n: the declared window, else a scan of the increasing ks."""
     ranges = None if method.laws is None else method.laws.window(problem, world, n, crit)
     if ranges is None:  # no declared window vouches: decide each k, joining runs into ranges
         met = _success_test(problem, world, crit)
@@ -335,6 +337,16 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
             if met(method.decide_counts(n, k)):
                 start = ranges.pop().start if ranges and ranges[-1].stop == k else k
                 ranges.append(range(start, k + 1))
+    return ranges
+
+
+def _binomial_exact(problem, method, world, n, crit) -> Fraction:
+    th = world.measure.theta
+    p, q = th.numerator, th.denominator
+    r = q - p
+    # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
+    ks = range(n + 1) if p and r else (0 if p == 0 else n,)
+    ranges = _success_ranges(problem, method, world, n, crit, ks)
     if len(ks) == 1:
         return Fraction(int(any(ks[0] in rg for rg in ranges)))
     num = 0
@@ -396,12 +408,12 @@ def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
 
 
 def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    # Each distinct success count is decided once.
-    met = _success_test(problem, world, crit)
+    # Flags each trial by the success ranges; a scan decides only the distinct sampled counts.
     ks = rng.binomial(n, float(world.measure.theta), size=trials)
-    distinct, inverse = np.unique(ks, return_inverse=True)
-    hits = [met(method.decide_counts(n, int(k))) for k in distinct]
-    return np.array(hits, dtype=bool)[inverse]
+    hit = np.zeros(n + 1, dtype=bool)
+    for rg in _success_ranges(problem, method, world, n, crit, np.unique(ks).tolist()):
+        hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
+    return hit[ks]
 
 
 def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
@@ -657,8 +669,9 @@ def lock_time(problem, method, world, horizon: int) -> Optional[int]:
 def _set_plan(problem, method, world, strategy: str) -> str:
     """The evaluation path of the success-set (lock-stage) probabilities in one world.
 
-    Unless the strategy is "mc", a closed form wins where one exists;
-    otherwise lock stages are sampled, or "exact" raises.
+    A point-mass world has one branch, so its lock stage is exact under
+    every strategy.  Otherwise, unless the strategy is "mc", a closed form
+    wins where one exists; lock stages are sampled, or "exact" raises.
     """
     if strategy not in ("auto", "exact", "mc"):
         raise InputDomainError(f"unknown strategy {strategy!r}")
@@ -669,9 +682,9 @@ def _set_plan(problem, method, world, strategy: str) -> str:
         raise PreconditionError(
             "success-set machinery needs a problem whose branches determine truths one-to-one"
         )
+    if m.kind == KIND_POINT_MASS:
+        return POINT_MASS
     if strategy != "mc":
-        if m.kind == KIND_POINT_MASS:
-            return POINT_MASS
         if method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI:
             return GEOMETRIC_EXACT
         if strategy == "exact":
@@ -686,22 +699,18 @@ def _point_mass_lock(problem, method, world, horizon) -> Optional[int]:
 
 
 def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.ndarray:
-    """Per sampled branch: the stage at which the method locks onto the truth.
+    """Per sampled branch of an IID world: the stage at which the method locks onto the truth.
 
-    Samples the law of the exact success-set path where one exists;
+    Samples the geometric first-zero law where the method declares it;
     otherwise the start of the trailing zero-loss run through the horizon,
     with horizon+1 where none exists.  The sample is derived from
     (seed, world id, horizon) only, so all stages n share it and the
-    estimated lock probability is nondecreasing in n.
+    estimated lock probability is nondecreasing in n.  Point-mass worlds
+    never sample: their lock stage is exact.
     """
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
-    law = _set_plan(problem, method, world, "auto")
-    if law == POINT_MASS:
-        lock = _point_mass_lock(problem, method, world, horizon)
-        return np.full(trials, lock if lock is not None else horizon + 1, dtype=np.int64)
-
-    if law == GEOMETRIC_EXACT:
+    if _set_plan(problem, method, world, "auto") == GEOMETRIC_EXACT:
         # The lock stage is the first-zero position, whose law is geometric
         # with hit chance 1 - theta.  Sampling it directly is horizon-free
         # and avoids the truncation bias of scanning a finite prefix (a
@@ -749,10 +758,11 @@ def success_set_prob(
 ) -> Estimate:
     """Probability that the method has locked onto the truth by stage n.
 
-    Exact closed form for first-zero-locking methods under IID-Bernoulli(p):
-    1 - p**n (the chance a 0 has shown up by stage n); 1 for the point-mass
-    world when the lock happens on its branch.  Monte Carlo with an explicit
-    horizon otherwise, or always under strategy="mc".
+    Exact under every strategy in a point-mass world: 1 when the lock
+    happens on its branch by stage n, else 0.  Exact closed form for
+    first-zero-locking methods under IID-Bernoulli(p): 1 - p**n (the chance
+    a 0 has shown up by stage n).  Monte Carlo with an explicit horizon
+    otherwise, and in every IID world under strategy="mc".
     """
     if n < 0:
         raise InputDomainError("n must be >= 0")

@@ -93,16 +93,6 @@ fair_coin_test = InferenceMethod(
 )
 
 
-def near_threshold(n: int, k: int, band: float = 1e-15) -> bool:
-    """Whether the observed deviation sits within ``band`` of the radius.
-
-    The decision itself is exact, but reports flag these stages because the
-    float radius and the rational deviation are this close to a boundary.
-    """
-    deviation = abs(Fraction(2 * k - n, 2 * n))
-    return abs(float(deviation) - fair_coin_threshold(n)) <= band
-
-
 def _frequency_counts(n: int, k: int) -> MethodOutput:
     if n == 0:
         return SUSPEND

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import seeding
 from .core import (
     FAIR,
     NO,
     UNFAIR,
     YES,
-    Branch,
     Classifier,
     ConfigurationError,
     EmpiricalProblem,
@@ -94,37 +92,14 @@ def easy_raven(max_first_zero: int = 20, literal: bool = False) -> EmpiricalProb
     )
 
 
-def _sampled_raven_branch(p: Fraction, world_id: str, seed: int) -> Branch:
-    """One frozen realization of an IID-Bernoulli(p) color stream.
-
-    Sampled by the conditional decomposition: the first-0 position is
-    geometric with hit chance 1-p, later tokens are IID draws.  This is
-    distributionally identical to direct per-token sampling, and the 0 it
-    places settles the world's truth.
-    """
-    rng = seeding.generator(seed, "branch", world_id)
-    g = int(rng.geometric(float(1 - p)))
-    tail = Measure.iid_bernoulli(p).sample_branch(
-        seed, "branch-tail", world_id, branch_id=f"{world_id}/tail"
-    )
-
-    def token_at(i: int) -> int:
-        if i < g:
-            return 1
-        if i == g:
-            return 0
-        return tail.token_at(i - g)
-
-    return Branch(f"sampled/{world_id}", token_at)
-
-
 def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
     """The raven question with each world carrying an IID color measure.
 
     Each grid value p is the chance of observing a 1.  p = 1 yields the
     trivial extension: the all-1 branch under a point mass, truth Yes.  For
-    p < 1 the frozen branch contains a 0 with probability one, so its truth
-    is No by coherence.  Hypotheses and loss are unchanged from the plain
+    p < 1 the frozen branch is sampled from the world's measure, as in the
+    coin problems; it contains a 0 with probability one, so its truth is No
+    by coherence.  Hypotheses and loss are unchanged from the plain
     raven problem.
     """
     ps = [as_fraction(p) for p in p_grid]
@@ -142,10 +117,9 @@ def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
                 World(wid, branch, YES, measure=Measure.point_mass(branch), extras={"p": p})
             )
         else:
-            branch = _sampled_raven_branch(p, wid, seed)
-            worlds.append(
-                World(wid, branch, NO, measure=Measure.iid_bernoulli(p), extras={"p": p})
-            )
+            measure = Measure.iid_bernoulli(p)
+            branch = measure.sample_branch(seed, "branch", wid, branch_id=f"sampled/{wid}")
+            worlds.append(World(wid, branch, NO, measure=measure, extras={"p": p}))
     return EmpiricalProblem(
         name="fine-grained-raven",
         hypothesis_space=FiniteHypothesisSpace((YES, NO)),

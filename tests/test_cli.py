@@ -221,6 +221,33 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{section}.params: unknown keys ['bogus']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,doc",
+        [
+            ("top level", dict(FGR_CONFIG, sed=3)),
+            ("problem", dict(FGR_CONFIG, problem=dict(FGR_CONFIG["problem"], parms={}))),
+            ("method", dict(FGR_CONFIG, method=dict(FGR_CONFIG["method"], param={}))),
+            ("mode", dict(FGR_CONFIG, mode=dict(FGR_CONFIG["mode"], horizn=5))),
+            ("budget", dict(FGR_CONFIG, budget={"trails": 7})),
+            ("output", dict(FGR_CONFIG, output={"curv": "c.csv"})),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, section, doc):
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{section}: unknown keys" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "world_ids", ["p=0.5", ["p=0.5", 1], 5], ids=["string", "non-string-entry", "number"]
+    )
+    def test_malformed_world_ids_exit_2(self, tmp_path, capsys, world_ids):
+        doc = dict(FGR_CONFIG, mode=dict(FGR_CONFIG["mode"], world_ids=world_ids))
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "mode: world_ids must be a sequence of world id strings" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [[1], dict(RAVEN_CONFIG, mode=5)], ids=["list", "mode-number"])
     def test_override_of_a_malformed_config_exits_2(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, doc)
@@ -242,6 +269,23 @@ class TestExitCodes:
 
 
 class TestParseConfig:
+    def test_every_documented_key_is_read(self):
+        doc = dict(
+            FGR_CONFIG,
+            mode=dict(FGR_CONFIG["mode"], epsilon=0.5, stages=[5, 40], world_ids=["p=0.5", "p=1"]),
+            budget={
+                "strategy": "mc", "exact_enum_cap": 64, "symmetric_exact_cap": 8, "trials": 50, "mc_margin": 2
+            },
+            workers=2,
+            output={"curve": "c.csv", "record": "r.json"},
+        )
+        config = cli.parse_config(doc)
+        assert config.mode.world_ids == ("p=0.5", "p=1")
+        budget = config.budget
+        assert (budget.exact_enum_cap, budget.symmetric_exact_cap) == (64, 8)
+        assert (budget.strategy, budget.trials, budget.mc_margin) == ("mc", 50, 2)
+        assert (config.workers, config.curve_path, config.record_path) == (2, "c.csv", "r.json")
+
     @pytest.mark.parametrize("key", ["seed", "workers"])
     def test_boolean_integers_are_rejected(self, key):
         with pytest.raises(cl.ConfigurationError, match=key):
@@ -369,6 +413,11 @@ class TestOtherSubcommands:
         lines = (tmp_path / "fgr-mode2-curve.csv").read_text().strip().splitlines()
         assert lines[0] == cli.CURVE_HEADER
         assert all(",success-set," in line for line in lines[1:])
+        # Under strategy "mc" the point-mass world's rows stay exact; the IID worlds' are sampled.
+        rows = [dict(zip(cli.CURVE_HEADER.split(","), line.split(","))) for line in lines[1:]]
+        point_mass = {(r["estimate"], r["exact"]) for r in rows if r["world_id"] == "p=1"}
+        assert point_mass == {("1.0", "true")}
+        assert {r["exact"] for r in rows if r["world_id"] != "p=1"} == {"false"}
 
     def test_verify_ok_problem_exits_0(self, capsys):
         assert cli.main(["verify", "--problem", "easy-raven"]) == 0

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import convlab as cl
 from convlab import convergence, seeding
-from convlab.convergence import Budget, _binomial_exact, _lock_stage_samples, _mc_block, _mc_generic, _plan
+from convlab.convergence import (
+    Budget,
+    _binomial_exact,
+    _lock_stage_samples,
+    _mc_block,
+    _mc_counts,
+    _mc_generic,
+    _plan,
+)
 
 
 def rationals(max_den=40):
@@ -192,11 +200,28 @@ class TestSuccessMemo:
         assert 0 < len(loss_calls) <= 3
 
     def test_a_declared_window_evaluates_no_loss(self, loss_calls):
+        # Neither the binomial sum nor the Monte Carlo counts path decides a count.
+        decided = []
+
+        def counted(method):
+            def decide_counts(n, k):
+                decided.append((n, k))
+                return method.decide_counts(n, k)
+
+            return replace(method, decide_counts=decide_counts)
+
         fc = cl.fair_coin()
-        assert cl.exact_success_prob(fc, cl.fair_coin_test, fc.world("theta=0.5"), 200, cl.EXACT) > 0
         cb = cl.coin_bias([Fraction(7, 20)])
-        assert cl.exact_success_prob(cb, cl.frequency_estimator, cb.world("theta=0.35"), 200, cl.within(0.05)) > 0
-        assert loss_calls == []
+        cases = [
+            (fc, cl.fair_coin_test, fc.world("theta=0.5"), cl.EXACT),
+            (cb, cl.frequency_estimator, cb.world("theta=0.35"), cl.within(0.05)),
+        ]
+        for problem, method, world, crit in cases:
+            method = counted(method)
+            assert _plan(method, world, 200, Budget(strategy="mc")) == "mc-counts"
+            assert cl.exact_success_prob(problem, method, world, 200, crit) > 0
+            assert cl.mc_success_prob(problem, method, world, 200, crit, 2000, seed=3).value > 0
+        assert loss_calls == [] and decided == []
 
     def test_fresh_outputs_per_leaf_keep_the_memo_small(self):
         # A flagless frequency estimator builds a new Fraction at each of the
@@ -289,6 +314,39 @@ class TestCountLaws:
             for method in (fe, undeclared):
                 with pytest.raises(cl.InputDomainError, match="outside the hypothesis space"):
                     cl.exact_success_prob(narrow, method, w, n, crit)
+
+    @pytest.mark.parametrize(
+        "method", [cl.raven_rule, cl.fair_coin_test, cl.frequency_estimator],
+        ids=["raven-rule", "fair-coin-test", "frequency-estimator"],
+    )
+    def test_mc_counts_flags_equal_with_and_without_the_window(self, method):
+        # The windowed flags are the scan's, trial for trial, on one generator;
+        # theta = 0 and 1 and empty windows included.
+        undeclared = replace(method, laws=None)
+        empty = 0
+        for problem, world in _law_worlds(method):
+            for n in (0, 1, 2, 7, 40):
+                for crit in LAW_CRITS:
+                    empty += not any(method.laws.window(problem, world, n, crit))
+                    key = (11, world.id, n)
+                    declared = _mc_counts(problem, method, world, n, crit, 300, seeding.generator(*key))
+                    scanned = _mc_counts(problem, undeclared, world, n, crit, 300, seeding.generator(*key))
+                    assert declared.tolist() == scanned.tolist(), (world.id, world.truth, n, crit)
+        assert empty > 0
+
+    @pytest.mark.parametrize("ranges", [[range(-5, -2)], [range(-2, 3)], [range(2, 4), range(9, 20)]])
+    def test_mc_counts_reads_only_the_window_ks_in_0_through_n(self, ranges):
+        # A declared range reaching below 0 or past n flags only its counts in 0..n.
+        method = cl.InferenceMethod(
+            "ranged",
+            decide_counts=lambda n, k: cl.NO if any(k in rg for rg in ranges) else cl.YES,
+            laws=cl.CountLaws(lambda problem, world, n, crit: ranges),
+        )
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.world("p=0.5")
+        declared = _mc_counts(fg, method, w, 10, cl.EXACT, 2000, seeding.generator(4))
+        scanned = _mc_counts(fg, replace(method, laws=None), w, 10, cl.EXACT, 2000, seeding.generator(4))
+        assert declared.tolist() == scanned.tolist()
 
     def test_bounds_come_from_the_laws_not_the_name(self):
         cb = cl.coin_bias([Fraction(7, 20)])
@@ -589,6 +647,17 @@ class TestCheckMode:
         with pytest.raises(cl.InputDomainError, match="must be integers"):
             cl.ModeParams("II", horizon, Fraction(1, 10), stages=None if stages is None else tuple(stages))
 
+    @pytest.mark.parametrize(
+        "world_ids", ["theta=0.5", ["theta=0.5", 1], 5], ids=["string", "non-string-entry", "number"]
+    )
+    def test_mode_params_rejects_world_ids_that_are_not_id_strings(self, world_ids):
+        with pytest.raises(cl.InputDomainError, match="world_ids"):
+            cl.mode_params("II", 10, delta=0.1, world_ids=world_ids)
+
+    def test_mode_params_keeps_world_id_sequences(self):
+        for ids in (["theta=0.5"], ("theta=0.5",), (w for w in ["theta=0.5"])):
+            assert cl.mode_params("II", 10, delta=0.1, world_ids=ids).world_ids == ("theta=0.5",)
+
     def test_mode_params_keeps_integer_horizons_and_stages(self):
         mp = cl.mode_params("II", np.int64(10), delta=0.1, stages=[1, np.int64(3)])
         assert (mp.horizon, mp.stages) == (10, (1, 3))
@@ -648,7 +717,11 @@ class TestSuccessSets:
         fg = cl.fine_grained_raven([0.3, 0.5, 1.0])
         assert cl.success_set_prob(fg, cl.raven_rule, fg.world("p=0.5"), 3).value == Fraction(7, 8)
         assert cl.success_set_prob(fg, cl.raven_rule, fg.world("p=0.3"), 1).value == Fraction(7, 10)
-        assert cl.success_set_prob(fg, cl.raven_rule, fg.world("p=1"), 12).value == 1
+        for strategy in ("auto", "exact", "mc"):  # a point-mass lock is exact under every strategy
+            est = cl.success_set_prob(fg, cl.raven_rule, fg.world("p=1"), 12, strategy=strategy)
+            assert est == (1, 0.0, True)
+        curve = cl.success_set_curve(fg, cl.raven_rule, fg.worlds, [5], horizon=5, trials=200, strategy="mc")
+        assert [pt.exact for pt in curve.points] == [False, False, True]  # p = 0.3, 0.5, 1
 
     def test_monte_carlo_agrees_with_the_closed_form(self):
         fg = cl.fine_grained_raven([0.3, 0.9])

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import convlab as cl
-from convlab.methods import near_threshold
 
 
 class TestRavenRule:
@@ -37,8 +36,6 @@ class TestFairCoinTest:
         # exactly 1/2; the strict inequality resolves this to Unfair
         assert cl.fair_coin_test.decide_counts(16, 16) == cl.UNFAIR
         assert cl.fair_coin_test.decide_counts(15, 15) == cl.FAIR
-        assert near_threshold(16, 16)
-        assert not near_threshold(16, 8)
 
     def test_threshold_strictly_decreasing(self):
         samples = [1, 2, 3, 10, 100, 5_000, 123_456, 10**6]

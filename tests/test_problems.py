@@ -68,6 +68,10 @@ class TestFineGrainedRaven:
         assert w1.branch.prefix(50) == w2.branch.prefix(50)
         assert w1.truth == cl.NO
         assert 0 in w1.branch.prefix(200)  # the 0 that makes the truth No
+        # The frozen branch is the measure's own seeded sample, as in the coin problems.
+        measure = cl.Measure.iid_bernoulli(Fraction(7, 10))
+        direct = measure.sample_branch(5, "branch", "p=0.7", branch_id="sampled/p=0.7")
+        assert (w1.branch.id, w1.branch.prefix(300)) == (direct.id, direct.prefix(300))
 
     def test_p_outside_unit_interval_rejected(self):
         with pytest.raises(cl.InputDomainError):
