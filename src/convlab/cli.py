@@ -61,13 +61,19 @@ BOUND_HEADER = "n,eps,bound"
 # Catalogs
 
 
-_KIND_NAMES = {int: "an integer", (int, float): "a number", bool: "true or false"}
+_KIND_NAMES = {
+    int: "an integer",
+    (int, float): "a number",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
+}
 
 
 # JSON gives true/false, integers and other numbers their own types; strings,
 # floats and booleans standing in for them are config errors, not values to coerce.
 def _typed(value, key: str, kind=int):
-    """value if JSON read it as kind (int, (int, float) or bool); a bool is never a number."""
+    """value if JSON read it as kind (a key of _KIND_NAMES); a bool is never a number."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigurationError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
@@ -180,6 +186,12 @@ def _section(doc: dict, key: str, keys: tuple, required: bool = True) -> dict:
     return sec
 
 
+def _optional(sec: dict, section: str, key: str, kind):
+    """sec[key] typed as kind, or None where it is absent or null."""
+    value = sec.get(key)
+    return None if value is None else _typed(value, f"{section}.{key}", kind)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("top level: expected a single experiment object")
@@ -229,15 +241,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(
         name=str(doc.get("name", "experiment")),
         problem_name=str(problem["name"]),
-        problem_params=dict(problem.get("params") or {}),
+        problem_params=dict(_optional(problem, "problem", "params", dict) or {}),
         method_name=str(method["name"]),
-        method_params=dict(method.get("params") or {}),
+        method_params=dict(_optional(method, "method", "params", dict) or {}),
         mode=mp,
         budget=budget,
         seed=seed,
         workers=workers,
-        curve_path=output.get("curve"),
-        record_path=output.get("record"),
+        curve_path=_optional(output, "output", "curve", str),
+        record_path=_optional(output, "output", "record", str),
     )
 
 

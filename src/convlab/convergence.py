@@ -3,10 +3,11 @@
 The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
-full enumeration of the evidence tree level, or a binomial sum over the
-success counts of count-symmetric methods under IID-Bernoulli data -- and
-by seeded Monte Carlo otherwise; one planner (``_plan``) picks that path
-per (world, n).
+full enumeration of the evidence tree level, a binomial sum over the
+success counts of count-symmetric methods under IID-Bernoulli data, or a
+multinomial sum over the token-count vectors of exchangeable methods
+(``decide_count_block``) under any IID world -- and by seeded Monte Carlo
+otherwise; one planner (``_plan``) picks that path per (world, n).
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -258,6 +259,7 @@ def analytic_bound(problem, method, world, n, crit):
 POINT_MASS = "point-mass"
 BINOMIAL_EXACT = "binomial-exact"
 ENUM_EXACT = "enum-exact"
+MULTINOMIAL_EXACT = "multinomial-exact"
 MC_BLOCK = "mc-block"
 MC_COUNTS = "mc-counts"
 MC_GENERIC = "mc-generic"
@@ -269,8 +271,10 @@ def _plan(method, world, n, budget: Budget) -> str:
     """The evaluation path of the success probability at (world, n) under the budget.
 
     Unless the strategy is "mc", an exact path wins where it fits its cap
-    (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves);
-    past the caps "auto" samples and "exact" raises.
+    (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves,
+    which also caps the multinomial sum that replaces enumeration for a
+    method declaring decide_count_block); past the caps "auto" samples and
+    "exact" raises.
     """
     m = world.measure
     if m is None:
@@ -284,7 +288,7 @@ def _plan(method, world, n, budget: Budget) -> str:
         if counts and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
         if sum(pr > 0 for _, pr in m.token_probs) ** n <= budget.exact_enum_cap:
-            return ENUM_EXACT
+            return ENUM_EXACT if method.decide_count_block is None else MULTINOMIAL_EXACT
         if budget.strategy == "exact":
             raise ResourceBudgetError(
                 f"exact strategy: no exact path for world {world.id!r} at n={n}"
@@ -377,14 +381,51 @@ def _enum_exact(problem, method, world, n, crit) -> Fraction:
     return total
 
 
-_EXACT_PATHS = {POINT_MASS: _point_mass_exact, BINOMIAL_EXACT: _binomial_exact, ENUM_EXACT: _enum_exact}
+def _compositions(n: int, t: int) -> np.ndarray:
+    """All C(n+t-1, t-1) count vectors of t nonnegative ints summing to n, one per row."""
+    # Stars and bars: the t-1 bar positions among n+t-1 slots fix the gaps between them.
+    m = math.comb(n + t - 1, t - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(n + t - 1), t - 1))
+    edges = np.full((m, t + 1), n + t - 1, dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:t] = np.fromiter(bars, dtype=np.int64, count=m * (t - 1)).reshape(m, t - 1)
+    return np.diff(edges, axis=1) - 1
+
+
+def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
+    # An exchangeable method's output depends only on the token counts c, whose
+    # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
+    met = _success_test(problem, world, crit)
+    support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
+    q = math.lcm(*(pr.denominator for _, pr in support))
+    nums = [pr.numerator * (q // pr.denominator) for _, pr in support]
+    fact = [math.factorial(c) for c in range(n + 1)]
+    counts = _compositions(n, len(support))
+    outs = method.decide_count_block([tok for tok, _ in support], counts)
+    num = 0
+    for cs, out in zip(counts.tolist(), outs):
+        if met(out):
+            weight = fact[n]
+            for a, c in zip(nums, cs):
+                weight = weight // fact[c] * a**c  # exact: each partial n!/(c_0!...c_j!) is whole
+            num += weight
+    return Fraction(num, q**n)
+
+
+_EXACT_PATHS = {
+    POINT_MASS: _point_mass_exact,
+    BINOMIAL_EXACT: _binomial_exact,
+    ENUM_EXACT: _enum_exact,
+    MULTINOMIAL_EXACT: _multinomial_exact,
+}
 
 
 def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None) -> Fraction:
     """Exact probability mass of length-n sequences whose output meets the criterion.
 
     Takes the exact path the budget plans: the point-mass indicator, the
-    binomial sum over success counts, or enumeration of the tree level.
+    binomial sum over success counts, the multinomial sum over token-count
+    vectors, or enumeration of the tree level.
     """
     path = _plan(method, world, n, budget or Budget())
     if path not in _EXACT_PATHS:

@@ -407,6 +407,11 @@ class InferenceMethod:
     the first 0 token.  ``success_block`` optionally vectorizes Monte Carlo
     success evaluation; it must sample from the same distribution the
     generic path samples from (ERM's reads the same draws, as counts).
+    ``decide_count_block(tokens, counts)`` declares an exchangeable method on
+    any finite alphabet: given the measure's positive-probability tokens (in
+    ``token_probs`` order) and an (m, len(tokens)) int array of token counts,
+    it returns the m outputs ``decide`` gives on any sequence with those
+    counts; the engine's multinomial exact sum reads it.
     """
 
     name: str
@@ -415,6 +420,7 @@ class InferenceMethod:
     locks_at_first_zero: bool = False
     success_block: Optional[Callable] = None
     laws: Optional[CountLaws] = None
+    decide_count_block: Optional[Callable[[Sequence, np.ndarray], Sequence[MethodOutput]]] = None
 
     def __post_init__(self):
         if self.decide is not None:

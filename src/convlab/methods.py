@@ -157,34 +157,47 @@ def erm(seq, cfg: ErmConfig) -> MethodOutput:
     return best
 
 
-def _erm_success_block(cfg: ErmConfig):
+def _erm_winners(order, tokens, counts) -> np.ndarray:
+    """Per count row, the index of the first classifier in order with the fewest mistakes."""
+    bad = [j for j, (_, y) in enumerate(tokens) if y not in (0, 1)]
+    if bad and counts[:, bad].any():  # erm raises on any sequence holding such a token
+        raise InputDomainError(f"example label must be 0/1, got {tokens[bad[0]][1]!r}")
+    err = np.array([[1 if h(x) != y else 0 for h in order] for x, y in tokens], dtype=np.int64)
+    return (counts @ err).argmin(axis=1)  # argmin keeps the first minimum: the declared order
+
+
+def _erm_success_block(order):
     """Vectorized Monte Carlo success evaluation for ERM under IID examples.
 
     Samples each trial's example counts (the generic path's draws, so the
-    flags agree trial for trial), scores every classifier by its mistakes,
-    picks per-trial argmins (first minimum = declared order), and maps the
-    winner's true loss through the criterion.
+    flags agree trial for trial), picks the winners by the argmin ERM's
+    count block decides by, and maps each distinct winner's true loss
+    through the criterion.
     """
 
     def block(problem, world, n, crit, trials, rng):
         from .core import loss_of  # local import avoids a cycle at module load
 
         measure = world.measure
-        order = cfg.hypothesis_order
-        err = np.array(
-            [[1 if h(x) != y else 0 for h in order] for (x, y), _ in measure.token_probs], dtype=np.int64
-        )
-        chosen = (measure.sample_count_block(rng, trials, n) @ err).argmin(axis=1)
-        success_by_h = np.array([crit.met(loss_of(problem, h, world)) for h in order])
-        return success_by_h[chosen]
+        positive = np.array([p > 0 for _, p in measure.token_probs])
+        tokens = [tok for tok, p in measure.token_probs if p > 0]
+        winners = _erm_winners(order, tokens, measure.sample_count_block(rng, trials, n)[:, positive])
+        hits = np.zeros(len(order), dtype=bool)
+        for i in np.flatnonzero(np.bincount(winners, minlength=len(order))):
+            hits[i] = crit.met(loss_of(problem, order[i], world))
+        return hits[winners]
 
     return block
 
 
 def erm_method(cfg: ErmConfig) -> InferenceMethod:
     """ERM as an inference method over the configured classifier pool."""
+    order = cfg.hypothesis_order
+    pool = np.empty(len(order), dtype=object)
+    pool[:] = order
     return InferenceMethod(
         "erm",
         lambda seq: erm(seq, cfg),
-        success_block=_erm_success_block(cfg),
+        success_block=_erm_success_block(order),
+        decide_count_block=lambda tokens, counts: pool[_erm_winners(order, tokens, counts)],
     )

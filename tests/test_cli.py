@@ -240,6 +240,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key,section,value",
+        [
+            ("problem.params: expected an object", "problem", {**FGR_CONFIG["problem"], "params": [1]}),
+            ("method.params: expected an object", "method", {"name": "raven-rule", "params": [[1, 2, 3]]}),
+            ("output.curve: expected a string", "output", {"curve": 5}),
+            ("output.record: expected a string", "output", {"record": 5}),
+        ],
+        ids=["problem-params-list", "method-params-pairs", "curve-number", "record-number"],
+    )
+    def test_mistyped_params_and_output_paths_exit_2(self, tmp_path, capsys, key, section, value):
+        path = write_config(tmp_path, dict(FGR_CONFIG, **{section: value}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "world_ids", ["p=0.5", ["p=0.5", 1], 5], ids=["string", "non-string-entry", "number"]
     )
     def test_malformed_world_ids_exit_2(self, tmp_path, capsys, world_ids):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convlab as cl
-from convlab import convergence, seeding
+from convlab import cli, convergence, seeding
 from convlab.convergence import (
     Budget,
     _binomial_exact,
@@ -183,13 +183,16 @@ class TestSuccessMemo:
         monkeypatch.setattr(convergence, "loss_of", counted)
         return calls
 
-    def test_erm_enumeration_evaluates_each_pool_classifier_at_most_once(
-        self, loss_calls, toy_task, toy_erm_config
+    @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact"])
+    def test_erm_exact_paths_evaluate_each_pool_classifier_at_most_once(
+        self, loss_calls, path, toy_task, toy_erm_config
     ):
         prob = cl.binary_classification(toy_task)
         erm = cl.erm_method(toy_erm_config)
+        if path == "enum-exact":
+            erm = replace(erm, decide_count_block=None)
         w = prob.world("D2")
-        assert _plan(erm, w, 6, Budget()) == "enum-exact"
+        assert _plan(erm, w, 6, Budget()) == path
         cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
         assert 0 < len(loss_calls) <= len(toy_erm_config.hypothesis_order)
 
@@ -409,12 +412,106 @@ class TestMcSuccessProb:
     @pytest.mark.parametrize("crit", [cl.EXACT, cl.within(0.05)], ids=["exact", "within"])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     def test_erm_block_and_generic_paths_give_the_same_flags(self, n, crit, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
+        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
         erm = cl.erm_method(toy_erm_config)
         for w in prob.worlds:
             block = _mc_block(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
             generic = _mc_generic(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
             assert block.tolist() == generic.tolist()
+
+
+def _with_a_zero_entry(task):
+    """The task plus a law whose table lists a (feature, label) pair at probability 0."""
+    law = ((("a", 1), Fraction(1, 2)), (("a", 0), Fraction(0)), (("b", 0), Fraction(1, 2)))
+    return replace(task, distribution_grid=task.distribution_grid + (law,))
+
+
+class TestMultinomialExact:
+    MULTINOMIAL_CRITS = [cl.EXACT, cl.within(0.05), cl.within(0.3)]
+
+    def test_equals_enumeration_on_every_toy_world(self, toy_task, toy_erm_config):
+        # D0's table leaves two of the four pairs out and D3 lists one at
+        # probability 0: supports smaller than the alphabet.
+        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
+        erm = cl.erm_method(toy_erm_config)
+        plodding = replace(erm, decide_count_block=None)
+        for w in prob.worlds:
+            for crit in self.MULTINOMIAL_CRITS:
+                for n in range(9):
+                    assert _plan(erm, w, n, Budget()) == "multinomial-exact"
+                    assert _plan(plodding, w, n, Budget()) == "enum-exact"
+                    fast = cl.exact_success_prob(prob, erm, w, n, crit)
+                    assert isinstance(fast, Fraction)
+                    assert fast == cl.exact_success_prob(prob, plodding, w, n, crit), (w.id, crit, n)
+
+    def test_the_block_sees_only_positive_probability_tokens(self, toy_task, toy_erm_config):
+        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
+        erm = cl.erm_method(toy_erm_config)
+        seen = []
+
+        def block(tokens, counts):
+            seen.append((list(tokens), counts.shape))
+            return erm.decide_count_block(tokens, counts)
+
+        spy = replace(erm, decide_count_block=block)
+        assert cl.exact_success_prob(prob, spy, prob.world("D3"), 3, cl.EXACT) == Fraction(3, 4)
+        assert seen == [([("a", 1), ("b", 0)], (4, 2))]
+
+    def test_compositions_are_every_count_vector_once(self):
+        for n, t in [(0, 1), (0, 3), (5, 1), (6, 4), (3, 2)]:
+            rows = convergence._compositions(n, t).tolist()
+            assert len(rows) == math.comb(n + t - 1, t - 1) == len(set(map(tuple, rows)))
+            assert all(len(r) == t and sum(r) == n and min(r) >= 0 for r in rows)
+
+    def test_curve_equals_the_enumerated_curve(self, toy_task, toy_erm_config):
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        plodding = replace(erm, decide_count_block=None)
+        curves = [cl.success_curve(prob, m, prob.worlds, cl.within(0.05), 6) for m in (erm, plodding)]
+        assert all(pt.exact and isinstance(pt.estimate, Fraction) for pt in curves[0].points)
+        assert [pt.estimate for pt in curves[0].points] == [pt.estimate for pt in curves[1].points]
+        assert cli.curve_csv(curves[0]) == cli.curve_csv(curves[1])
+
+    @staticmethod
+    def _majority(toy_classifiers, ties_to_one=True):
+        """A user method: all-1 when label-1 examples are the majority (ties per the flag), else all-0."""
+        all0, all1, _ = toy_classifiers
+
+        def pick(ones, n):
+            return all1 if (2 * ones >= n if ties_to_one else 2 * ones > n) else all0
+
+        def block(tokens, counts):
+            labels = np.array([y for _, y in tokens])
+            return [pick(ones, n) for ones, n in zip(counts @ labels, counts.sum(axis=1))]
+
+        decide = lambda seq: pick(sum(y for _, y in seq), len(seq))  # noqa: E731
+        return cl.InferenceMethod("majority", decide, decide_count_block=block)
+
+    def test_a_user_block_method_takes_the_path(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(toy_task)
+        method = self._majority(toy_classifiers)
+        plodding = replace(method, decide_count_block=None)
+        for w in prob.worlds:
+            for n in range(7):
+                assert _plan(method, w, n, Budget()) == "multinomial-exact"
+                for crit in self.MULTINOMIAL_CRITS:
+                    want = cl.exact_success_prob(prob, plodding, w, n, crit)
+                    assert cl.exact_success_prob(prob, method, w, n, crit) == want
+
+    def test_a_block_that_disagrees_with_decide_fails_the_comparison(self, toy_task, toy_classifiers):
+        # Negative control: the block breaks ties toward all-0, decide toward
+        # all-1; in D2 (best: all-0) a tied sample has positive probability.
+        prob = cl.binary_classification(toy_task)
+        honest = self._majority(toy_classifiers)
+        liar = replace(honest, decide_count_block=self._majority(toy_classifiers, False).decide_count_block)
+        w = prob.world("D2")
+        plodding = replace(honest, decide_count_block=None)
+        diffs = [
+            cl.exact_success_prob(prob, liar, w, n, cl.within(0.05))
+            != cl.exact_success_prob(prob, plodding, w, n, cl.within(0.05))
+            for n in range(7)
+        ]
+        assert diffs == [n % 2 == 0 for n in range(7)]
 
 
 class TestSuccessCurve:
@@ -496,11 +593,11 @@ class TestBudget:
 PLAN_TABLE = {
     "bernoulli/counts": ("binomial-exact",) * 2 + ("enum-exact",) * 2 + ("mc-counts",),
     "bernoulli/flagless": ("enum-exact",) * 4 + ("mc-generic",),
-    "examples/block": ("enum-exact",) + ("mc-block",) * 4,
+    "examples/block": ("multinomial-exact",) + ("mc-block",) * 4,
     "examples/flagless": ("enum-exact",) + ("mc-generic",) * 4,
     "point-mass/counts": ("point-mass",) * 5,
 }
-EXACT_PATHS = ("point-mass", "binomial-exact", "enum-exact")
+EXACT_PATHS = ("point-mass", "binomial-exact", "enum-exact", "multinomial-exact")
 
 
 def _plan_case(case, toy_task, toy_erm_config):
@@ -514,7 +611,7 @@ def _plan_case(case, toy_task, toy_erm_config):
         prob = cl.binary_classification(toy_task)
         method = cl.erm_method(toy_erm_config)
         if case.endswith("flagless"):
-            method = replace(method, success_block=None)
+            method = replace(method, success_block=None, decide_count_block=None)
         return prob, method, prob.world("D1"), cl.within(0.05)
     fg = cl.fine_grained_raven([0.5, 1])
     return fg, cl.raven_rule, fg.world("p=1"), cl.EXACT

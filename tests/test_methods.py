@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,3 +95,22 @@ class TestErm:
 
     def test_not_count_symmetric(self, toy_erm_config):
         assert not cl.erm_method(toy_erm_config).count_symmetric
+
+    @given(
+        data=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1)), max_size=25),
+        order=st.permutations(range(3)),
+    )
+    def test_count_block_decides_as_erm(self, toy_classifiers, data, order):
+        # One row per example multiset: the data's counts, and a row of zeros.
+        cfg = cl.ErmConfig(tuple(toy_classifiers[i] for i in order))
+        tokens = [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+        counts = np.array([[data.count(tok) for tok in tokens], [0] * 4])
+        outs = cl.erm_method(cfg).decide_count_block(tokens, counts)
+        assert outs[0] is cl.erm(data, cfg) and outs[1] is cl.erm([], cfg)
+
+    def test_count_block_rejects_a_drawn_label_outside_0_1(self, toy_erm_config):
+        block = cl.erm_method(toy_erm_config).decide_count_block
+        tokens = [("a", 1), ("a", 2)]
+        assert block(tokens, np.array([[3, 0]]))[0] is cl.erm([("a", 1)] * 3, toy_erm_config)
+        with pytest.raises(cl.InputDomainError):
+            block(tokens, np.array([[2, 1]]))
