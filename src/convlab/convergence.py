@@ -32,7 +32,6 @@ from . import seeding
 from .core import (
     FAIR,
     KIND_IID_BERNOULLI,
-    KIND_IID_EXAMPLES,
     KIND_POINT_MASS,
     SUSPEND,
     EmpiricalProblem,
@@ -105,12 +104,16 @@ class Budget:
     def __post_init__(self):
         if self.strategy not in ("auto", "exact", "mc"):
             raise InputDomainError(f"unknown strategy {self.strategy!r}")
+        for v in (self.trials, self.exact_enum_cap, self.symmetric_exact_cap):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InputDomainError(f"trials and budget caps must be integers, got {v!r}")
         if self.trials < 1:
             raise InputDomainError("trials must be >= 1")
         if self.exact_enum_cap < 1 or self.symmetric_exact_cap < 0:
             raise InputDomainError("budget caps must be positive")
-        if not (math.isfinite(self.mc_margin) and self.mc_margin >= 0):
-            raise InputDomainError(f"mc_margin must be finite and >= 0, got {self.mc_margin!r}")
+        m = self.mc_margin
+        if isinstance(m, bool) or not isinstance(m, numbers.Real) or not (math.isfinite(m) and m >= 0):
+            raise InputDomainError(f"mc_margin must be a finite real >= 0, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -274,7 +277,9 @@ def _plan(method, world, n, budget: Budget) -> str:
     (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves,
     which also caps the multinomial sum that replaces enumeration for a
     method declaring decide_count_block); past the caps "auto" samples and
-    "exact" raises.
+    "exact" raises.  A method declaring decide_count_block samples count
+    blocks, a counts method on IID-Bernoulli data samples counts, and any
+    other samples whole prefixes.
     """
     m = world.measure
     if m is None:
@@ -293,7 +298,7 @@ def _plan(method, world, n, budget: Budget) -> str:
             raise ResourceBudgetError(
                 f"exact strategy: no exact path for world {world.id!r} at n={n}"
             )
-    if method.success_block is not None and m.kind == KIND_IID_EXAMPLES:
+    if method.decide_count_block is not None:
         return MC_BLOCK
     return MC_COUNTS if counts else MC_GENERIC
 
@@ -392,23 +397,34 @@ def _compositions(n: int, t: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
+def _count_block_flags(problem, method, world, crit, tokens, counts) -> np.ndarray:
+    """Per row of token counts, whether the method's output on those counts meets the criterion.
+
+    Reads decide_count_block's (outputs, index) and tests each output some row picks once.
+    """
+    outputs, index = method.decide_count_block(tokens, counts)
+    met = _success_test(problem, world, crit)
+    hits = np.zeros(len(outputs), dtype=bool)
+    for i in np.flatnonzero(np.bincount(index, minlength=len(outputs))):
+        hits[i] = met(outputs[i])
+    return hits[index]
+
+
 def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
     # An exchangeable method's output depends only on the token counts c, whose
     # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
-    met = _success_test(problem, world, crit)
     support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
     q = math.lcm(*(pr.denominator for _, pr in support))
     nums = [pr.numerator * (q // pr.denominator) for _, pr in support]
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(support))
-    outs = method.decide_count_block([tok for tok, _ in support], counts)
+    flags = _count_block_flags(problem, method, world, crit, [tok for tok, _ in support], counts)
     num = 0
-    for cs, out in zip(counts.tolist(), outs):
-        if met(out):
-            weight = fact[n]
-            for a, c in zip(nums, cs):
-                weight = weight // fact[c] * a**c  # exact: each partial n!/(c_0!...c_j!) is whole
-            num += weight
+    for cs in counts[flags].tolist():
+        weight = fact[n]
+        for a, c in zip(nums, cs):
+            weight = weight // fact[c] * a**c  # exact: each partial n!/(c_0!...c_j!) is whole
+        num += weight
     return Fraction(num, q**n)
 
 
@@ -445,7 +461,11 @@ def _mc_estimate(flags: np.ndarray) -> Estimate:
 
 
 def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    return np.asarray(method.success_block(problem, world, n, crit, trials, rng), dtype=bool)
+    # The token counts of sample_prefixes' draws, so the flags match _mc_generic's trial for trial.
+    probs = world.measure.token_probs
+    positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
+    counts = world.measure.sample_count_block(rng, trials, n)[:, positive]
+    return _count_block_flags(problem, method, world, crit, [probs[j][0] for j in positive], counts)
 
 
 def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
@@ -896,6 +916,8 @@ def _enumerate_outputs(method, depth: int):
 
 
 def _output_gap(method, depth: int):
+    if depth < 0:
+        raise InputDomainError("depth must be >= 0")
     values = set()
     for out in _enumerate_outputs(method, depth):
         if out is SUSPEND:
@@ -923,8 +945,6 @@ def cardinality_witness(method: InferenceMethod, depth: int = 15) -> Fraction:
     Finitely many inputs can only realise finitely many of the continuum of
     values, so the gap is always nonempty.
     """
-    if depth < 0:
-        raise InputDomainError("depth must be >= 0")
     lo, hi, _ = _output_gap(method, depth)
     return (lo + hi) / 2
 

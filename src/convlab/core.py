@@ -404,23 +404,21 @@ class InferenceMethod:
     engine reads the counts directly (binomial sums, per-stage scans).
     ``laws`` declares a counts method's success windows and bound.
     ``locks_at_first_zero`` marks methods whose output settles permanently at
-    the first 0 token.  ``success_block`` optionally vectorizes Monte Carlo
-    success evaluation; it must sample from the same distribution the
-    generic path samples from (ERM's reads the same draws, as counts).
-    ``decide_count_block(tokens, counts)`` declares an exchangeable method on
-    any finite alphabet: given the measure's positive-probability tokens (in
-    ``token_probs`` order) and an (m, len(tokens)) int array of token counts,
-    it returns the m outputs ``decide`` gives on any sequence with those
-    counts; the engine's multinomial exact sum reads it.
+    the first 0 token.  ``decide_count_block(tokens, counts)`` declares an
+    exchangeable method on any finite alphabet: given the measure's
+    positive-probability tokens (in ``token_probs`` order) and an
+    (m, len(tokens)) int array of token counts, it returns ``(outputs,
+    index)``, row i's output being ``outputs[index[i]]`` -- the output
+    ``decide`` gives on any sequence with those counts.  The engine's
+    multinomial exact sum and its Monte Carlo block path both read it.
     """
 
     name: str
     decide: Optional[Callable[[Sequence], MethodOutput]] = None
     decide_counts: Optional[Callable[[int, int], MethodOutput]] = None
     locks_at_first_zero: bool = False
-    success_block: Optional[Callable] = None
     laws: Optional[CountLaws] = None
-    decide_count_block: Optional[Callable[[Sequence, np.ndarray], Sequence[MethodOutput]]] = None
+    decide_count_block: Optional[Callable[[Sequence, np.ndarray], tuple[Sequence, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.decide is not None:
@@ -440,6 +438,11 @@ class InferenceMethod:
     @property
     def count_symmetric(self) -> bool:
         return self.decide_counts is not None
+
+    @property
+    def success_block(self):
+        """``decide_count_block``, by the name bench/tracer.py reads it; it goes when that tracer does."""
+        return self.decide_count_block
 
     def __call__(self, seq) -> MethodOutput:
         return self.decide(seq)

@@ -166,38 +166,11 @@ def _erm_winners(order, tokens, counts) -> np.ndarray:
     return (counts @ err).argmin(axis=1)  # argmin keeps the first minimum: the declared order
 
 
-def _erm_success_block(order):
-    """Vectorized Monte Carlo success evaluation for ERM under IID examples.
-
-    Samples each trial's example counts (the generic path's draws, so the
-    flags agree trial for trial), picks the winners by the argmin ERM's
-    count block decides by, and maps each distinct winner's true loss
-    through the criterion.
-    """
-
-    def block(problem, world, n, crit, trials, rng):
-        from .core import loss_of  # local import avoids a cycle at module load
-
-        measure = world.measure
-        positive = np.array([p > 0 for _, p in measure.token_probs])
-        tokens = [tok for tok, p in measure.token_probs if p > 0]
-        winners = _erm_winners(order, tokens, measure.sample_count_block(rng, trials, n)[:, positive])
-        hits = np.zeros(len(order), dtype=bool)
-        for i in np.flatnonzero(np.bincount(winners, minlength=len(order))):
-            hits[i] = crit.met(loss_of(problem, order[i], world))
-        return hits[winners]
-
-    return block
-
-
 def erm_method(cfg: ErmConfig) -> InferenceMethod:
     """ERM as an inference method over the configured classifier pool."""
     order = cfg.hypothesis_order
-    pool = np.empty(len(order), dtype=object)
-    pool[:] = order
     return InferenceMethod(
         "erm",
         lambda seq: erm(seq, cfg),
-        success_block=_erm_success_block(order),
-        decide_count_block=lambda tokens, counts: pool[_erm_winners(order, tokens, counts)],
+        decide_count_block=lambda tokens, counts: (order, _erm_winners(order, tokens, counts)),
     )

@@ -272,10 +272,18 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "expected" in capsys.readouterr().err
 
-    def test_cardinality_witness_of_a_categorical_method_exits_2(self, capsys):
-        argv = ["witness", "--problem", "fair-coin", "--method", "fair-coin-test", "--depth", "4"]
+    @pytest.mark.parametrize(
+        "problem, method, depth, err",
+        [
+            ("fair-coin", "fair-coin-test", "4", "fair-coin-test"),
+            ("coin-bias", "frequency-estimator", "-1", "depth must be >= 0"),
+        ],
+        ids=["categorical-method", "negative-depth"],
+    )
+    def test_malformed_cardinality_witness_exits_2(self, capsys, problem, method, depth, err):
+        argv = ["witness", "--problem", problem, "--method", method, "--depth", depth]
         assert cli.main(argv) == 2
-        assert "fair-coin-test" in capsys.readouterr().err
+        assert err in capsys.readouterr().err
 
     def test_unwritable_output_directory_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path, RAVEN_CONFIG)

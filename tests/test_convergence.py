@@ -183,8 +183,8 @@ class TestSuccessMemo:
         monkeypatch.setattr(convergence, "loss_of", counted)
         return calls
 
-    @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact"])
-    def test_erm_exact_paths_evaluate_each_pool_classifier_at_most_once(
+    @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact", "mc-block"])
+    def test_erm_paths_evaluate_each_pool_classifier_at_most_once(
         self, loss_calls, path, toy_task, toy_erm_config
     ):
         prob = cl.binary_classification(toy_task)
@@ -192,8 +192,12 @@ class TestSuccessMemo:
         if path == "enum-exact":
             erm = replace(erm, decide_count_block=None)
         w = prob.world("D2")
-        assert _plan(erm, w, 6, Budget()) == path
-        cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
+        if path == "mc-block":
+            assert _plan(erm, w, 6, Budget(strategy="mc")) == path
+            _mc_block(prob, erm, w, 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
+        else:
+            assert _plan(erm, w, 6, Budget()) == path
+            cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
         assert 0 < len(loss_calls) <= len(toy_erm_config.hypothesis_order)
 
     def test_fair_coin_binomial_scan_evaluates_each_verdict_at_most_once(self, loss_calls):
@@ -411,12 +415,18 @@ class TestMcSuccessProb:
 
     @pytest.mark.parametrize("crit", [cl.EXACT, cl.within(0.05)], ids=["exact", "within"])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
-    def test_erm_block_and_generic_paths_give_the_same_flags(self, n, crit, toy_task, toy_erm_config):
+    @pytest.mark.parametrize("which", ["erm", "majority"])
+    def test_erm_block_and_generic_paths_give_the_same_flags(
+        self, which, n, crit, toy_task, toy_classifiers, toy_erm_config
+    ):
         prob = cl.binary_classification(_with_a_zero_entry(toy_task))
-        erm = cl.erm_method(toy_erm_config)
+        if which == "erm":
+            method = cl.erm_method(toy_erm_config)
+        else:
+            method = TestMultinomialExact._majority(toy_classifiers)
         for w in prob.worlds:
-            block = _mc_block(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
-            generic = _mc_generic(prob, erm, w, n, crit, 300, seeding.generator(2, w.id, n))
+            block = _mc_block(prob, method, w, n, crit, 300, seeding.generator(2, w.id, n))
+            generic = _mc_generic(prob, method, w, n, crit, 300, seeding.generator(2, w.id, n))
             assert block.tolist() == generic.tolist()
 
 
@@ -455,7 +465,8 @@ class TestMultinomialExact:
 
         spy = replace(erm, decide_count_block=block)
         assert cl.exact_success_prob(prob, spy, prob.world("D3"), 3, cl.EXACT) == Fraction(3, 4)
-        assert seen == [([("a", 1), ("b", 0)], (4, 2))]
+        _mc_block(prob, spy, prob.world("D3"), 3, cl.EXACT, 50, seeding.generator(0))
+        assert seen == [([("a", 1), ("b", 0)], (4, 2)), ([("a", 1), ("b", 0)], (50, 2))]
 
     def test_compositions_are_every_count_vector_once(self):
         for n, t in [(0, 1), (0, 3), (5, 1), (6, 4), (3, 2)]:
@@ -477,14 +488,14 @@ class TestMultinomialExact:
         """A user method: all-1 when label-1 examples are the majority (ties per the flag), else all-0."""
         all0, all1, _ = toy_classifiers
 
-        def pick(ones, n):
-            return all1 if (2 * ones >= n if ties_to_one else 2 * ones > n) else all0
+        def one_wins(ones, n):
+            return 2 * ones >= n if ties_to_one else 2 * ones > n
 
         def block(tokens, counts):
             labels = np.array([y for _, y in tokens])
-            return [pick(ones, n) for ones, n in zip(counts @ labels, counts.sum(axis=1))]
+            return (all0, all1), one_wins(counts @ labels, counts.sum(axis=1)).astype(np.int64)
 
-        decide = lambda seq: pick(sum(y for _, y in seq), len(seq))  # noqa: E731
+        decide = lambda seq: (all0, all1)[one_wins(sum(y for _, y in seq), len(seq))]  # noqa: E731
         return cl.InferenceMethod("majority", decide, decide_count_block=block)
 
     def test_a_user_block_method_takes_the_path(self, toy_task, toy_classifiers):
@@ -512,6 +523,14 @@ class TestMultinomialExact:
             for n in range(7)
         ]
         assert diffs == [n % 2 == 0 for n in range(7)]
+        # The Monte Carlo block path reads the same block: its flags part from
+        # the generic path's on the tied draws, which 300 trials hit at every even n.
+        mc_diffs = [
+            _mc_block(prob, liar, w, n, cl.within(0.05), 300, seeding.generator(2, w.id, n)).tolist()
+            != _mc_generic(prob, liar, w, n, cl.within(0.05), 300, seeding.generator(2, w.id, n)).tolist()
+            for n in range(7)
+        ]
+        assert mc_diffs == [n % 2 == 0 for n in range(7)]
 
 
 class TestSuccessCurve:
@@ -585,12 +604,31 @@ class TestBudget:
     def test_zero_margin_is_allowed(self):
         assert Budget(mc_margin=0.0).mc_margin == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("exact_enum_cap", 2.5),
+            ("symmetric_exact_cap", True),
+            ("mc_margin", "3"),
+            ("mc_margin", True),
+        ],
+    )
+    def test_rejects_bools_and_non_numbers(self, field, value):
+        with pytest.raises(cl.InputDomainError, match=field.split("_")[-1]):
+            Budget(strategy="mc", **{field: value})
+
+    def test_numpy_numbers_pass(self):
+        assert Budget(trials=np.int64(5), exact_enum_cap=np.int32(8), mc_margin=np.float64(2)).trials == 5
+
 
 # Evaluation path per case at n = 3..7 under strategy "auto", with
 # symmetric_exact_cap = 4 and exact_enum_cap = 2**6: the binomial cap sits at
 # n = 4, the enumeration cap at n = 6 for binary data and n = 3 for the four
 # example pairs of world D1.  The last entry is the case's sampling path.
 PLAN_TABLE = {
+    "bernoulli/block": ("multinomial-exact",) * 4 + ("mc-block",),
     "bernoulli/counts": ("binomial-exact",) * 2 + ("enum-exact",) * 2 + ("mc-counts",),
     "bernoulli/flagless": ("enum-exact",) * 4 + ("mc-generic",),
     "examples/block": ("multinomial-exact",) + ("mc-block",) * 4,
@@ -600,18 +638,26 @@ PLAN_TABLE = {
 EXACT_PATHS = ("point-mass", "binomial-exact", "enum-exact", "multinomial-exact")
 
 
+def _frequency_block(tokens, counts):
+    """The frequency estimator as a count block on the coin's tokens; every row sums to the same n."""
+    n = int(counts[0].sum())
+    return [cl.frequency_estimator.decide_counts(n, k) for k in range(n + 1)], counts[:, list(tokens).index(1)]
+
+
 def _plan_case(case, toy_task, toy_erm_config):
     if case.startswith("bernoulli"):
         cb = cl.coin_bias([0.3])
         method = cl.frequency_estimator
         if case.endswith("flagless"):
             method = replace(method, decide_counts=None)
+        if case.endswith("block"):
+            method = replace(method, decide_counts=None, decide_count_block=_frequency_block)
         return cb, method, cb.world("theta=0.3"), cl.within(0.25)
     if case.startswith("examples"):
         prob = cl.binary_classification(toy_task)
         method = cl.erm_method(toy_erm_config)
         if case.endswith("flagless"):
-            method = replace(method, success_block=None, decide_count_block=None)
+            method = replace(method, decide_count_block=None)
         return prob, method, prob.world("D1"), cl.within(0.05)
     fg = cl.fine_grained_raven([0.5, 1])
     return fg, cl.raven_rule, fg.world("p=1"), cl.EXACT
@@ -942,6 +988,11 @@ class TestCardinalityWitness:
     def test_rejects_categorical_methods(self):
         with pytest.raises(TypeError):
             cl.cardinality_witness(cl.raven_rule, 3)
+
+    @pytest.mark.parametrize("witness", [cl.cardinality_witness, cl.cardinality_witness_report])
+    def test_rejects_a_negative_depth(self, witness):
+        with pytest.raises(cl.InputDomainError, match="depth"):
+            witness(cl.frequency_estimator, -1)
 
     def test_report_summarizes_the_gap(self):
         rep = cl.cardinality_witness_report(cl.frequency_estimator, 4)

@@ -206,6 +206,15 @@ def test_method_needs_decide_or_counts_and_derives_decide_from_counts():
     assert not plain.count_symmetric and plain.decide([1, 1]) == 2
 
 
+def test_success_block_is_a_read_only_name_for_the_count_block(toy_erm_config):
+    erm = cl.erm_method(toy_erm_config)
+    assert erm.success_block is erm.decide_count_block is not None
+    with pytest.raises(TypeError):
+        cl.InferenceMethod("x", lambda seq: 0, success_block=lambda *a: None)
+    with pytest.raises(TypeError):
+        replace(erm, success_block=lambda *a: None)
+
+
 def test_output_at_tracks_the_branch_prefix():
     er = cl.easy_raven()
     assert cl.output_at(cl.raven_rule, er.world("all-ones"), 5) == cl.YES

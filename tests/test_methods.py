@@ -105,12 +105,13 @@ class TestErm:
         cfg = cl.ErmConfig(tuple(toy_classifiers[i] for i in order))
         tokens = [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
         counts = np.array([[data.count(tok) for tok in tokens], [0] * 4])
-        outs = cl.erm_method(cfg).decide_count_block(tokens, counts)
-        assert outs[0] is cl.erm(data, cfg) and outs[1] is cl.erm([], cfg)
+        outputs, index = cl.erm_method(cfg).decide_count_block(tokens, counts)
+        assert outputs[index[0]] is cl.erm(data, cfg) and outputs[index[1]] is cl.erm([], cfg)
 
     def test_count_block_rejects_a_drawn_label_outside_0_1(self, toy_erm_config):
         block = cl.erm_method(toy_erm_config).decide_count_block
         tokens = [("a", 1), ("a", 2)]
-        assert block(tokens, np.array([[3, 0]]))[0] is cl.erm([("a", 1)] * 3, toy_erm_config)
+        outputs, index = block(tokens, np.array([[3, 0]]))
+        assert outputs[index[0]] is cl.erm([("a", 1)] * 3, toy_erm_config)
         with pytest.raises(cl.InputDomainError):
             block(tokens, np.array([[2, 1]]))
