@@ -277,9 +277,9 @@ def _plan(method, world, n, budget: Budget) -> str:
     (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves,
     which also caps the multinomial sum that replaces enumeration for a
     method declaring decide_count_block); past the caps "auto" samples and
-    "exact" raises.  A method declaring decide_count_block samples count
-    blocks, a counts method on IID-Bernoulli data samples counts, and any
-    other samples whole prefixes.
+    "exact" raises.  Sampling decides Measure.sample_count_block's count vectors
+    for a block method, their column 1 for a counts method on IID-Bernoulli data,
+    and whole prefixes otherwise: one law, not one stream of draws.
     """
     m = world.measure
     if m is None:
@@ -337,12 +337,12 @@ def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
 
 
 def _success_ranges(problem, method, world, n, crit, ks) -> list[range]:
-    """The ranges of success counts at n: the declared window, else a scan of the increasing ks."""
+    """The success-count ranges at n: the declared window, else a scan of the increasing ks() it calls."""
     ranges = None if method.laws is None else method.laws.window(problem, world, n, crit)
     if ranges is None:  # no declared window vouches: decide each k, joining runs into ranges
         met = _success_test(problem, world, crit)
         ranges = []
-        for k in ks:
+        for k in ks():
             if met(method.decide_counts(n, k)):
                 start = ranges.pop().start if ranges and ranges[-1].stop == k else k
                 ranges.append(range(start, k + 1))
@@ -355,7 +355,7 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
     r = q - p
     # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
     ks = range(n + 1) if p and r else (0 if p == 0 else n,)
-    ranges = _success_ranges(problem, method, world, n, crit, ks)
+    ranges = _success_ranges(problem, method, world, n, crit, lambda: ks)
     if len(ks) == 1:
         return Fraction(int(any(ks[0] in rg for rg in ranges)))
     num = 0
@@ -461,7 +461,7 @@ def _mc_estimate(flags: np.ndarray) -> Estimate:
 
 
 def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    # The token counts of sample_prefixes' draws, so the flags match _mc_generic's trial for trial.
+    # Multinomial count vectors of the positive-probability tokens: _mc_generic's law, not its draws.
     probs = world.measure.token_probs
     positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
     counts = world.measure.sample_count_block(rng, trials, n)[:, positive]
@@ -470,9 +470,9 @@ def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
 
 def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
     # Flags each trial by the success ranges; a scan decides only the distinct sampled counts.
-    ks = rng.binomial(n, float(world.measure.theta), size=trials)
+    ks = world.measure.sample_count_block(rng, trials, n)[:, 1]
     hit = np.zeros(n + 1, dtype=bool)
-    for rg in _success_ranges(problem, method, world, n, crit, np.unique(ks).tolist()):
+    for rg in _success_ranges(problem, method, world, n, crit, lambda: np.unique(ks).tolist()):
         hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
     return hit[ks]
 

@@ -217,24 +217,20 @@ class Measure:
             return p
         return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
 
-    def _uniform_chunks(self, rng, trials: int, n: int):
-        """The cdf and (first row, rows) chunks of the uniforms of ``rng.choice(k, (trials, n), p)``.
+    def sample_prefixes(self, rng, trials: int, n: int):
+        """Yield ``trials`` sampled length-n prefixes: the draws of as many sample_prefix calls.
 
         choice maps each u of ``rng.random((trials, n))`` to ``cdf.searchsorted(u, side="right")``;
         drawing those uniforms a few whole rows at a time advances rng alike.
         """
         if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
             raise PreconditionError("IID sampling requires an IID catalog measure")
+        tokens = np.fromiter((tok for tok, _ in self.token_probs), dtype=object)
         cdf = np.array([float(p) for _, p in self.token_probs]).cumsum()
         cdf /= cdf[-1]
         rows = max(1, _CHUNK_DRAWS // max(n, 1))
-        return cdf, ((t, rng.random((min(rows, trials - t), n))) for t in range(0, trials, rows))
-
-    def sample_prefixes(self, rng, trials: int, n: int):
-        """Yield ``trials`` sampled length-n prefixes: the draws of as many sample_prefix calls."""
-        tokens = np.fromiter((tok for tok, _ in self.token_probs), dtype=object)
-        cdf, chunks = self._uniform_chunks(rng, trials, n)
-        for _, u in chunks:
+        for t in range(0, trials, rows):
+            u = rng.random((min(rows, trials - t), n))
             yield from map(tuple, tokens[cdf.searchsorted(u, side="right")])
 
     def sample_prefix(self, rng, n: int) -> tuple[Token, ...]:
@@ -243,13 +239,23 @@ class Measure:
         return next(self.sample_prefixes(rng, 1, n))
 
     def sample_count_block(self, rng, trials: int, n: int) -> np.ndarray:
-        """(trials, tokens) token counts of the draws of sample_prefixes(rng, trials, n)."""
-        cdf, chunks = self._uniform_chunks(rng, trials, n)
-        at_or_below = np.full((trials, len(cdf)), n, dtype=np.int64)
-        for t, u in chunks:
-            for j in range(len(cdf) - 1):  # u < cdf[j] exactly when u's token index is <= j
-                at_or_below[t : t + len(u), j] = np.count_nonzero(u < cdf[j], axis=1)
-        return np.diff(at_or_below, axis=1, prepend=0)
+        """(trials, tokens) multinomial token counts of ``trials`` IID length-n samples.
+
+        Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
+        undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.
+        A binary measure's one draw is rng.binomial(n, theta): mc-counts' stream.
+        """
+        if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
+            raise PreconditionError("IID sampling requires an IID catalog measure")
+        counts = np.zeros((trials, len(self.token_probs)), dtype=np.int64)
+        rest, mass = n, Fraction(1)
+        for j in range(len(self.token_probs) - 1, 0, -1):
+            p = self.token_probs[j][1]
+            if p:
+                counts[:, j] = rng.binomial(rest, float(p / mass), size=trials)
+                rest, mass = rest - counts[:, j], mass - p
+        counts[:, 0] = rest
+        return counts
 
     def sample_branch(self, master_seed: int, *key, branch_id: str) -> Branch:
         """Freeze one realized branch of this measure, derived from the seed key."""

@@ -16,7 +16,7 @@ from convlab.convergence import (
     _lock_stage_samples,
     _mc_block,
     _mc_counts,
-    _mc_generic,
+    _multinomial_exact,
     _plan,
 )
 
@@ -416,18 +416,30 @@ class TestMcSuccessProb:
     @pytest.mark.parametrize("crit", [cl.EXACT, cl.within(0.05)], ids=["exact", "within"])
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     @pytest.mark.parametrize("which", ["erm", "majority"])
-    def test_erm_block_and_generic_paths_give_the_same_flags(
+    def test_mc_block_flags_decide_on_the_drawn_counts_and_estimate_the_multinomial_sum(
         self, which, n, crit, toy_task, toy_classifiers, toy_erm_config
     ):
+        # On every toy world, each trial's flag is decide's on a sequence with
+        # that trial's counts, and the estimate lies within 5 standard errors
+        # (of the exact law) of the multinomial sum.
         prob = cl.binary_classification(_with_a_zero_entry(toy_task))
         if which == "erm":
             method = cl.erm_method(toy_erm_config)
         else:
             method = TestMultinomialExact._majority(toy_classifiers)
+        trials = 4000
         for w in prob.worlds:
-            block = _mc_block(prob, method, w, n, crit, 300, seeding.generator(2, w.id, n))
-            generic = _mc_generic(prob, method, w, n, crit, 300, seeding.generator(2, w.id, n))
-            assert block.tolist() == generic.tolist()
+            tokens = [tok for tok, _ in w.measure.token_probs]
+            counts = w.measure.sample_count_block(seeding.generator(2, w.id, n), trials, n).tolist()
+            flags = _mc_block(prob, method, w, n, crit, trials, seeding.generator(2, w.id, n))
+            met = convergence._success_test(prob, w, crit)
+            decided = {}
+            for row, flag in zip(map(tuple, counts), flags.tolist()):
+                if row not in decided:
+                    decided[row] = met(method.decide([tok for tok, c in zip(tokens, row) for _ in range(c)]))
+                assert flag == decided[row], (w.id, row)
+            exact = float(_multinomial_exact(prob, method, w, n, crit))
+            assert abs(flags.mean() - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
 
 
 def _with_a_zero_entry(task):
@@ -523,14 +535,22 @@ class TestMultinomialExact:
             for n in range(7)
         ]
         assert diffs == [n % 2 == 0 for n in range(7)]
-        # The Monte Carlo block path reads the same block: its flags part from
-        # the generic path's on the tied draws, which 300 trials hit at every even n.
-        mc_diffs = [
-            _mc_block(prob, liar, w, n, cl.within(0.05), 300, seeding.generator(2, w.id, n)).tolist()
-            != _mc_generic(prob, liar, w, n, cl.within(0.05), 300, seeding.generator(2, w.id, n)).tolist()
-            for n in range(7)
-        ]
-        assert mc_diffs == [n % 2 == 0 for n in range(7)]
+        # Monte Carlo reads the same block. On independent streams, the honest
+        # block's estimate lies within 5 standard errors se of decide's exact
+        # value, and the liar's is told apart from it (their difference, of
+        # standard error sqrt(2) se when the exact values agree, exceeds 5 of
+        # those) exactly at the even n, where a tie has positive probability.
+        trials, apart = 4000, []
+        for n in range(7):
+            exact = float(cl.exact_success_prob(prob, plodding, w, n, cl.within(0.05)))
+            se = math.sqrt(exact * (1 - exact) / trials)
+            est = [
+                _mc_block(prob, method, w, n, cl.within(0.05), trials, seeding.generator(key, w.id, n)).mean()
+                for key, method in ((2, honest), (3, liar))
+            ]
+            assert abs(est[0] - exact) <= 5 * se, n
+            apart.append(abs(est[1] - est[0]) > 5 * math.sqrt(2) * se)
+        assert apart == [n % 2 == 0 for n in range(7)]
 
 
 class TestSuccessCurve:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
@@ -118,7 +119,8 @@ def test_sampled_branch_is_frozen_and_index_stable():
 
 
 class TestIidSampler:
-    """The chunked IID sampler reproduces ``Generator.choice`` draw for draw."""
+    """The prefix sampler reproduces ``Generator.choice`` draw for draw; the
+    count sampler draws those prefixes' multinomial token counts directly."""
 
     LAWS = {
         "theta=0": Measure.iid_bernoulli(0),
@@ -131,25 +133,66 @@ class TestIidSampler:
     # (trials, n): no tokens, one trial, a trial count that is no multiple
     # of a chunk's rows, and one row longer than a chunk.
     SHAPES = [(5, 0), (1, 7), (2 * (_CHUNK_DRAWS // 100) + 3, 100), (2, _CHUNK_DRAWS + 5)]
+    # Count-sampler laws with zero-probability tokens first, in the middle and
+    # last, and with a single token.
+    COUNT_LAWS = {
+        **LAWS,
+        "zero-first": Measure.iid_examples({"a": "0", "b": "0.5", "c": "0.3", "d": "0.2"}),
+        "zeros-first": Measure.iid_examples({"a": "0", "b": "0", "c": "0.6", "d": "0.4"}),
+        "zero-last": Measure.iid_examples({"a": "0.5", "b": "0.3", "c": "0.2", "d": "0"}),
+        "zeros-around-one": Measure.iid_examples({"a": "0", "b": "1", "c": "0"}),
+        "one-token": Measure.iid_examples({"a": "1"}),
+    }
 
     @staticmethod
     def _choice(law, rng, size):
         probs = [float(p) for _, p in law.token_probs]
         return rng.choice(len(probs), size=size, p=probs)
 
-    @pytest.mark.parametrize("shape", SHAPES)
-    @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_count_block_counts_the_rows_of_choice(self, law, shape):
-        m = self.LAWS[law]
-        trials, n = shape
-        ours, theirs = seeding.generator(4, law), seeding.generator(4, law)
-        counts = m.sample_count_block(ours, trials, n)
-        idx = self._choice(m, theirs, shape)
-        want = np.stack([(idx == j).sum(axis=1) for j in range(len(m.token_probs))], axis=1)
-        assert counts.shape == want.shape and (counts == want).all()
+    @pytest.mark.parametrize("n", [0, 1, 50, 1000])
+    @pytest.mark.parametrize("theta", ["0", "1", "3/10", "1/2", "9/20", "1/10", "7/9"])
+    def test_binary_count_column_is_the_binomial_stream(self, theta, n):
+        # mc-counts reads column 1, so its draws are rng.binomial's, byte for byte.
+        th = Fraction(theta)
+        ours, theirs = seeding.generator(4, theta, n), seeding.generator(4, theta, n)
+        counts = Measure.iid_bernoulli(th).sample_count_block(ours, 500, n)
+        want = theirs.binomial(n, float(th), size=500)
+        assert counts.dtype == np.int64 and counts.shape == (500, 2)
+        assert (counts[:, 1] == want).all() and (counts[:, 0] == n - want).all()
         assert ours.random() == theirs.random()
 
-    @pytest.mark.parametrize("shape", SHAPES[:3])
+    @pytest.mark.parametrize("shape", [(5, 0), (1, 0), (1, 7), (400, 30)])
+    @pytest.mark.parametrize("law", sorted(COUNT_LAWS))
+    def test_count_rows_sum_to_n_and_zero_columns_stay_0(self, law, shape):
+        m = self.COUNT_LAWS[law]
+        trials, n = shape
+        counts = m.sample_count_block(seeding.generator(7, law), trials, n)
+        assert counts.dtype == np.int64 and counts.shape == (trials, len(m.token_probs))
+        assert (counts >= 0).all() and (counts.sum(axis=1) == n).all()
+        zero = np.array([p == 0 for _, p in m.token_probs])
+        assert not counts[:, zero].any()
+
+    def test_count_columns_have_the_multinomial_means_and_law(self):
+        probs = (Fraction(1, 2), Fraction(1, 4), Fraction(3, 20), Fraction(1, 10))
+        m = Measure.iid_examples(dict(zip("abcd", probs)))
+        trials = 20_000
+        # Each column's mean lies within 4 standard errors of n p_j.
+        for n in (1, 3, 40, 500):
+            counts = m.sample_count_block(seeding.generator(8, n), trials, n)
+            for j, p in enumerate(probs):
+                assert abs(counts[:, j].mean() - n * p) < 4 * math.sqrt(n * p * (1 - p) / trials), (n, j)
+        # At n = 3 each of the 20 count vectors' frequencies lies within 4 standard
+        # errors of its multinomial probability 3!/prod(c_j!) prod(p_j**c_j).
+        counts = m.sample_count_block(seeding.generator(8, "law"), trials, 3)
+        vectors, seen = np.unique(counts, axis=0, return_counts=True)
+        freq = dict(zip(map(tuple, vectors.tolist()), (seen / trials).tolist()))
+        for c in itertools.product(range(4), repeat=4):
+            if sum(c) == 3:
+                p = float(math.factorial(3) * math.prod(pj**cj / math.factorial(cj) for pj, cj in zip(probs, c)))
+                assert abs(freq.pop(c, 0.0) - p) < 4 * math.sqrt(p * (1 - p) / trials), c
+        assert not freq
+
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_prefixes_are_successive_single_prefixes(self, law, shape):
         m = self.LAWS[law]
