@@ -67,6 +67,7 @@ _KIND_NAMES = {
     bool: "true or false",
     str: "a string",
     dict: "an object",
+    list: "a list",
 }
 
 
@@ -87,7 +88,8 @@ def _classification(params: dict) -> EmpiricalProblem:
     task = classification_task(
         features=params.pop("features"),
         classifiers=[
-            Classifier.from_mapping(c["name"], c["labels"]) for c in params.pop("classifiers")
+            Classifier.from_mapping(c["name"], _typed(c["labels"], "classifiers.labels", dict))
+            for c in params.pop("classifiers")
         ],
         distributions=[{(x, y): p for x, y, p in table} for table in params.pop("distributions")],
     )
@@ -140,13 +142,12 @@ def build_method(name: str, params: dict, problem: EmpiricalProblem) -> Inferenc
             raise ConfigurationError("method.name: erm needs a classification problem")
         order_names = params.pop("hypothesis_order", None)
         if order_names is not None:
+            key = "method.params.hypothesis_order"
             by_name = {h.name: h for h in pool}
             try:
-                pool = tuple(by_name[n] for n in order_names)
+                pool = tuple(by_name[_typed(n, key, str)] for n in _typed(order_names, key, list))
             except KeyError as e:
-                raise ConfigurationError(
-                    f"method.params.hypothesis_order: unknown classifier {e.args[0]!r}"
-                ) from None
+                raise ConfigurationError(f"{key}: unknown classifier {e.args[0]!r}") from None
         method = erm_method(ErmConfig(pool))
     else:
         raise ConfigurationError(f"method.name: unknown method {name!r}")

@@ -3,10 +3,10 @@
 The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
-full enumeration of the evidence tree level, a binomial sum over the
-success counts of count-symmetric methods under IID-Bernoulli data, or a
-multinomial sum over the token-count vectors of exchangeable methods
-(``decide_count_block``) under any IID world -- and by seeded Monte Carlo
+full enumeration of the evidence tree level, or for an exchangeable method
+(read only through its count block, ``_count_block``) a binomial sum over
+the count of 1s under IID-Bernoulli data or a multinomial sum over the
+token-count vectors under any IID world -- and by seeded Monte Carlo
 otherwise; one planner (``_plan``) picks that path per (world, n).
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
@@ -20,6 +20,7 @@ import itertools
 import math
 import numbers
 import os
+import sys
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -41,7 +42,6 @@ from .core import (
     ResourceBudgetError,
     World,
     as_fraction,
-    binary_sequence,
     loss_of,
 )
 
@@ -148,6 +148,8 @@ class ModeParams:
         if self.mode == MODE_STOCHASTIC_APPROXIMATION:
             if self.epsilon is None or self.epsilon <= 0:
                 raise InputDomainError("mode III needs epsilon > 0")
+        if self.epsilon is not None and self.epsilon > sys.float_info.max:
+            raise InputDomainError("epsilon must not exceed the largest float")
         if self.stages is not None:
             if not self.stages or any(s < 1 or s > self.horizon for s in self.stages):
                 raise InputDomainError("stages must be nonempty and lie in [1, horizon]")
@@ -264,22 +266,44 @@ BINOMIAL_EXACT = "binomial-exact"
 ENUM_EXACT = "enum-exact"
 MULTINOMIAL_EXACT = "multinomial-exact"
 MC_BLOCK = "mc-block"
-MC_COUNTS = "mc-counts"
 MC_GENERIC = "mc-generic"
 GEOMETRIC_EXACT = "geometric-exact"
 MC = "mc"
 
 
+def _count_block(method):
+    """The method's count block: decide_count_block, else one derived from decide_counts, else None.
+
+    The derived block reads (n, k) off either order of the tokens 0 and 1, decides each distinct (n, k)
+    once, and raises as the derived decide does on a non-binary token with a positive count.  Derived
+    here, not stored, so that replace(method, decide_counts=None) leaves no block behind.
+    """
+    if method.decide_count_block is not None or method.decide_counts is None:
+        return method.decide_count_block
+
+    def block(tokens, counts):
+        for j, tok in enumerate(tokens):
+            if tok not in (0, 1) and counts[:, j].any():
+                raise InputDomainError(f"non-binary token {tok!r}")
+        n = counts.sum(axis=1)
+        k = counts[:, [j for j, tok in enumerate(tokens) if tok == 1]].sum(axis=1)
+        base = int(n.max(initial=0)) + 1
+        keys, index = np.unique(n * base + k, return_inverse=True)  # a 1-D key: far cheaper than unique rows
+        return [method.decide_counts(*divmod(key, base)) for key in keys.tolist()], index
+
+    return block
+
+
 def _plan(method, world, n, budget: Budget) -> str:
     """The evaluation path of the success probability at (world, n) under the budget.
 
-    Unless the strategy is "mc", an exact path wins where it fits its cap
-    (symmetric_exact_cap on n, exact_enum_cap on the tree level's leaves,
-    which also caps the multinomial sum that replaces enumeration for a
-    method declaring decide_count_block); past the caps "auto" samples and
-    "exact" raises.  Sampling decides Measure.sample_count_block's count vectors
-    for a block method, their column 1 for a counts method on IID-Bernoulli data,
-    and whole prefixes otherwise: one law, not one stream of draws.
+    Unless the strategy is "mc", an exact path wins where it fits its cap:
+    symmetric_exact_cap on n for a count-block method's binomial sum on
+    IID-Bernoulli data, then exact_enum_cap on the tree level's leaves, which
+    also caps the multinomial sum that stands in for enumeration; past the
+    caps "auto" samples and "exact" raises.  Sampling decides a count-block
+    method on Measure.sample_count_block's count vectors and any other on
+    whole prefixes: one law, not one stream of draws.
     """
     m = world.measure
     if m is None:
@@ -288,19 +312,17 @@ def _plan(method, world, n, budget: Budget) -> str:
         raise InputDomainError("sample size must be >= 0")
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
-    counts = method.decide_counts is not None and m.kind == KIND_IID_BERNOULLI
+    block = _count_block(method) is not None
     if budget.strategy != "mc":
-        if counts and n <= budget.symmetric_exact_cap:
+        if block and m.kind == KIND_IID_BERNOULLI and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
         if sum(pr > 0 for _, pr in m.token_probs) ** n <= budget.exact_enum_cap:
-            return ENUM_EXACT if method.decide_count_block is None else MULTINOMIAL_EXACT
+            return MULTINOMIAL_EXACT if block else ENUM_EXACT
         if budget.strategy == "exact":
             raise ResourceBudgetError(
                 f"exact strategy: no exact path for world {world.id!r} at n={n}"
             )
-    if method.decide_count_block is not None:
-        return MC_BLOCK
-    return MC_COUNTS if counts else MC_GENERIC
+    return MC_BLOCK if block else MC_GENERIC
 
 
 # Distinct output objects whose success one evaluation-path call remembers.
@@ -336,17 +358,10 @@ def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
     return Fraction(1) if met(method.decide(world.measure.point.prefix(n))) else Fraction(0)
 
 
-def _success_ranges(problem, method, world, n, crit, ks) -> list[range]:
-    """The success-count ranges at n: the declared window, else a scan of the increasing ks() it calls."""
-    ranges = None if method.laws is None else method.laws.window(problem, world, n, crit)
-    if ranges is None:  # no declared window vouches: decide each k, joining runs into ranges
-        met = _success_test(problem, world, crit)
-        ranges = []
-        for k in ks():
-            if met(method.decide_counts(n, k)):
-                start = ranges.pop().start if ranges and ranges[-1].stop == k else k
-                ranges.append(range(start, k + 1))
-    return ranges
+def _window(problem, method, world, n, crit) -> Optional[list[range]]:
+    """The success-count ranges at n of the declared CountLaws.window on an IID-Bernoulli world, or None."""
+    laws = method.laws if world.measure.kind == KIND_IID_BERNOULLI else None
+    return None if laws is None else laws.window(problem, world, n, crit)
 
 
 def _binomial_exact(problem, method, world, n, crit) -> Fraction:
@@ -355,7 +370,13 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
     r = q - p
     # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
     ks = range(n + 1) if p and r else (0 if p == 0 else n,)
-    ranges = _success_ranges(problem, method, world, n, crit, lambda: ks)
+    ranges = _window(problem, method, world, n, crit)
+    if ranges is None:  # no declared window vouches: decide the (n - k, k) rows in one block call
+        k = np.arange(ks[0], ks[-1] + 1)
+        flags = _count_block_flags(problem, method, world, crit, (0, 1), np.stack([n - k, k], axis=1))
+        # The edges of the zero-padded flags alternate between the starts and the stops of runs of hits.
+        edges = (np.flatnonzero(np.diff(flags, prepend=False, append=False)) + ks[0]).tolist()
+        ranges = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
     if len(ks) == 1:
         return Fraction(int(any(ks[0] in rg for rg in ranges)))
     num = 0
@@ -400,9 +421,9 @@ def _compositions(n: int, t: int) -> np.ndarray:
 def _count_block_flags(problem, method, world, crit, tokens, counts) -> np.ndarray:
     """Per row of token counts, whether the method's output on those counts meets the criterion.
 
-    Reads decide_count_block's (outputs, index) and tests each output some row picks once.
+    Reads the count block's (outputs, index) and tests each output some row picks once.
     """
-    outputs, index = method.decide_count_block(tokens, counts)
+    outputs, index = _count_block(method)(tokens, counts)
     met = _success_test(problem, world, crit)
     hits = np.zeros(len(outputs), dtype=bool)
     for i in np.flatnonzero(np.bincount(index, minlength=len(outputs))):
@@ -461,20 +482,18 @@ def _mc_estimate(flags: np.ndarray) -> Estimate:
 
 
 def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    # Multinomial count vectors of the positive-probability tokens: _mc_generic's law, not its draws.
+    # Multinomial count vectors: _mc_generic's law, not its draws.  A declared window flags column 1
+    # (the count of 1s) and decides nothing; otherwise the block decides the positive columns.
     probs = world.measure.token_probs
+    counts = world.measure.sample_count_block(rng, trials, n)
+    ranges = _window(problem, method, world, n, crit)
+    if ranges is not None:
+        hit = np.zeros(n + 1, dtype=bool)
+        for rg in ranges:
+            hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
+        return hit[counts[:, 1]]
     positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
-    counts = world.measure.sample_count_block(rng, trials, n)[:, positive]
-    return _count_block_flags(problem, method, world, crit, [probs[j][0] for j in positive], counts)
-
-
-def _mc_counts(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    # Flags each trial by the success ranges; a scan decides only the distinct sampled counts.
-    ks = world.measure.sample_count_block(rng, trials, n)[:, 1]
-    hit = np.zeros(n + 1, dtype=bool)
-    for rg in _success_ranges(problem, method, world, n, crit, lambda: np.unique(ks).tolist()):
-        hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
-    return hit[ks]
+    return _count_block_flags(problem, method, world, crit, [probs[j][0] for j in positive], counts[:, positive])
 
 
 def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
@@ -483,7 +502,7 @@ def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
     return np.array([met(method.decide(prefix)) for prefix in prefixes], dtype=bool)
 
 
-_MC_PATHS = {MC_BLOCK: _mc_block, MC_COUNTS: _mc_counts, MC_GENERIC: _mc_generic}
+_MC_PATHS = {MC_BLOCK: _mc_block, MC_GENERIC: _mc_generic}
 
 
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> Estimate:
@@ -594,13 +613,17 @@ def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list
     """Start of the trailing zero-loss run of outputs on prefix[:s], s = 0..len(prefix),
     or None when the last loss is positive; and every stage's loss.
 
-    A counts method is fed running (s, number of 1s) in one pass.
+    A count-block method is decided in one call on the running token counts, row s for prefix[:s].
     """
-    if method.decide_counts is not None:
-        ones = itertools.accumulate(binary_sequence(prefix), initial=0)
-        outs = [method.decide_counts(s, k) for s, k in enumerate(ones)]
-    else:
+    block = _count_block(method)
+    if block is None:
         outs = [method.decide(prefix[:s]) for s in range(len(prefix) + 1)]
+    else:
+        column = {tok: j for j, tok in enumerate(dict.fromkeys(prefix))}
+        steps = np.zeros((len(prefix) + 1, len(column)), dtype=np.int64)
+        steps[np.arange(1, len(prefix) + 1), [column[tok] for tok in prefix]] = 1
+        outputs, index = block(list(column), steps.cumsum(axis=0))
+        outs = [outputs[i] for i in index.tolist()]
     losses = [loss_of(problem, out, world) for out in outs]
     statuses = ["pass" if L == 0 else "fail" for L in losses]
     return _trailing_pass_start(range(len(losses)), statuses), losses
@@ -903,16 +926,13 @@ def underdetermination_witness(
 
 
 def _enumerate_outputs(method, depth: int):
-    if method.decide_counts is not None:
-        for n in range(depth + 1):
-            for k in range(n + 1):
-                yield method.decide_counts(n, k)
-        return
+    block = _count_block(method)
+    if block is not None:  # every binary input's counts: the (n - k, k) rows on tokens (0, 1)
+        outputs, index = block((0, 1), np.array([(n - k, k) for n in range(depth + 1) for k in range(n + 1)]))
+        return [outputs[i] for i in index.tolist()]
     if depth > 20:
         raise ResourceBudgetError("enumerating 2**(depth+1) inputs exceeds the budget")
-    for n in range(depth + 1):
-        for seq in itertools.product((0, 1), repeat=n):
-            yield method.decide(seq)
+    return (method.decide(seq) for n in range(depth + 1) for seq in itertools.product((0, 1), repeat=n))
 
 
 def _output_gap(method, depth: int):

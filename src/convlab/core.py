@@ -243,7 +243,7 @@ class Measure:
 
         Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
         undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.
-        A binary measure's one draw is rng.binomial(n, theta): mc-counts' stream.
+        A binary measure's one draw is rng.binomial(n, theta).
         """
         if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
             raise PreconditionError("IID sampling requires an IID catalog measure")
@@ -405,18 +405,17 @@ class InferenceMethod:
     """A deterministic map from finite data sequences to a hypothesis or SUSPEND.
 
     A method gives ``decide``, or ``decide_counts`` when it is count-symmetric:
-    on binary data its output depends only on (length, number of 1 tokens).
-    A counts method's ``decide`` is derived from ``decide_counts``, and the
-    engine reads the counts directly (binomial sums, per-stage scans).
-    ``laws`` declares a counts method's success windows and bound.
-    ``locks_at_first_zero`` marks methods whose output settles permanently at
-    the first 0 token.  ``decide_count_block(tokens, counts)`` declares an
-    exchangeable method on any finite alphabet: given the measure's
-    positive-probability tokens (in ``token_probs`` order) and an
-    (m, len(tokens)) int array of token counts, it returns ``(outputs,
-    index)``, row i's output being ``outputs[index[i]]`` -- the output
-    ``decide`` gives on any sequence with those counts.  The engine's
-    multinomial exact sum and its Monte Carlo block path both read it.
+    on binary data its output depends only on (length, number of 1 tokens),
+    and ``decide`` is derived from it.  ``decide_count_block(tokens, counts)``
+    declares an exchangeable method on any finite alphabet: given distinct
+    tokens and an (m, len(tokens)) int array of their counts, it returns
+    ``(outputs, index)``, row i's output being ``outputs[index[i]]`` -- the
+    output ``decide`` gives on any sequence with those counts.  A counts
+    method is the two-token case, whose block the engine derives from
+    ``decide_counts``: its exact sums, Monte Carlo and scans read every
+    exchangeable method through the block.  ``laws`` declares a counts
+    method's success windows and bound; ``locks_at_first_zero`` marks methods
+    whose output settles permanently at the first 0 token.
     """
 
     name: str

@@ -26,6 +26,24 @@ FGR_CONFIG = {
     "seed": 23,
 }
 
+ERM_CONFIG = {
+    "name": "erm-mode3",
+    "problem": {
+        "name": "binary-classification",
+        "params": {
+            "features": ["a", "b"],
+            "classifiers": [
+                {"name": "all-0", "labels": {"a": 0, "b": 0}},
+                {"name": "all-1", "labels": {"a": 1, "b": 1}},
+            ],
+            "distributions": [[["a", 1, 0.5], ["b", 0, 0.5]]],
+        },
+    },
+    "method": {"name": "erm", "params": {}},
+    "mode": {"mode": "III", "delta": 0.1, "epsilon": 0.05, "horizon": 4},
+    "seed": 1,
+}
+
 
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
@@ -284,6 +302,44 @@ class TestExitCodes:
         argv = ["witness", "--problem", problem, "--method", method, "--depth", depth]
         assert cli.main(argv) == 2
         assert err in capsys.readouterr().err
+
+    def test_erm_cardinality_witness_exits_2(self, tmp_path, capsys):
+        # ERM reads (feature, label) examples, not the witness's binary tokens.
+        path = write_config(tmp_path, ERM_CONFIG)
+        assert cli.main(["witness", "--config", str(path), "--depth", "3"]) == 2
+        assert "method 'erm'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "order", [5, [["all-0"]], "all-0", ["all-1", None]], ids=["number", "nested", "string", "null-entry"]
+    )
+    def test_malformed_hypothesis_order_exits_2(self, tmp_path, capsys, order):
+        doc = dict(ERM_CONFIG, method={"name": "erm", "params": {"hypothesis_order": order}})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "method.params.hypothesis_order: expected a" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("labels", [[["a", 0], ["b", 0]], "a0", 5, None], ids=["pairs", "string", "number", "null"])
+    def test_classifier_labels_that_are_not_an_object_exit_2(self, tmp_path, capsys, labels):
+        params = json.loads(json.dumps(ERM_CONFIG["problem"]["params"]))
+        params["classifiers"][0]["labels"] = labels
+        doc = dict(ERM_CONFIG, problem={"name": "binary-classification", "params": params})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "classifiers.labels: expected an object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps", ["1e999", 10**400], ids=["string", "integer"])
+    def test_an_epsilon_past_the_largest_float_exits_2_before_any_work(self, tmp_path, capsys, eps, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the curve ran")
+
+        monkeypatch.setattr(cl.convergence, "success_curve", no_work)
+        doc = dict(MODE_THREE_CONFIG, mode=dict(MODE_THREE_CONFIG["mode"], epsilon=eps))
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "epsilon must not exceed the largest float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_directory_exits_3(self, tmp_path, capsys):
         path = write_config(tmp_path, RAVEN_CONFIG)

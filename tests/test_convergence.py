@@ -15,7 +15,6 @@ from convlab.convergence import (
     _binomial_exact,
     _lock_stage_samples,
     _mc_block,
-    _mc_counts,
     _multinomial_exact,
     _plan,
 )
@@ -207,7 +206,7 @@ class TestSuccessMemo:
         assert 0 < len(loss_calls) <= 3
 
     def test_a_declared_window_evaluates_no_loss(self, loss_calls):
-        # Neither the binomial sum nor the Monte Carlo counts path decides a count.
+        # Neither the binomial sum nor the Monte Carlo block path decides a count.
         decided = []
 
         def counted(method):
@@ -225,7 +224,7 @@ class TestSuccessMemo:
         ]
         for problem, method, world, crit in cases:
             method = counted(method)
-            assert _plan(method, world, 200, Budget(strategy="mc")) == "mc-counts"
+            assert _plan(method, world, 200, Budget(strategy="mc")) == "mc-block"
             assert cl.exact_success_prob(problem, method, world, 200, crit) > 0
             assert cl.mc_success_prob(problem, method, world, 200, crit, 2000, seed=3).value > 0
         assert loss_calls == [] and decided == []
@@ -336,8 +335,8 @@ class TestCountLaws:
                 for crit in LAW_CRITS:
                     empty += not any(method.laws.window(problem, world, n, crit))
                     key = (11, world.id, n)
-                    declared = _mc_counts(problem, method, world, n, crit, 300, seeding.generator(*key))
-                    scanned = _mc_counts(problem, undeclared, world, n, crit, 300, seeding.generator(*key))
+                    declared = _mc_block(problem, method, world, n, crit, 300, seeding.generator(*key))
+                    scanned = _mc_block(problem, undeclared, world, n, crit, 300, seeding.generator(*key))
                     assert declared.tolist() == scanned.tolist(), (world.id, world.truth, n, crit)
         assert empty > 0
 
@@ -351,8 +350,8 @@ class TestCountLaws:
         )
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         w = fg.world("p=0.5")
-        declared = _mc_counts(fg, method, w, 10, cl.EXACT, 2000, seeding.generator(4))
-        scanned = _mc_counts(fg, replace(method, laws=None), w, 10, cl.EXACT, 2000, seeding.generator(4))
+        declared = _mc_block(fg, method, w, 10, cl.EXACT, 2000, seeding.generator(4))
+        scanned = _mc_block(fg, replace(method, laws=None), w, 10, cl.EXACT, 2000, seeding.generator(4))
         assert declared.tolist() == scanned.tolist()
 
     def test_bounds_come_from_the_laws_not_the_name(self):
@@ -648,8 +647,8 @@ class TestBudget:
 # n = 4, the enumeration cap at n = 6 for binary data and n = 3 for the four
 # example pairs of world D1.  The last entry is the case's sampling path.
 PLAN_TABLE = {
-    "bernoulli/block": ("multinomial-exact",) * 4 + ("mc-block",),
-    "bernoulli/counts": ("binomial-exact",) * 2 + ("enum-exact",) * 2 + ("mc-counts",),
+    "bernoulli/block": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-block",),
+    "bernoulli/counts": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-block",),
     "bernoulli/flagless": ("enum-exact",) * 4 + ("mc-generic",),
     "examples/block": ("multinomial-exact",) + ("mc-block",) * 4,
     "examples/flagless": ("enum-exact",) + ("mc-generic",) * 4,
@@ -729,6 +728,117 @@ class TestPlan:
         assert isinstance(p, Fraction) and cl.bernoulli_bound(n, crit.eps) <= p < 1
 
 
+class TestCountBlock:
+    """The engine reads every exchangeable method through one count block, derived for a counts method."""
+
+    @pytest.mark.parametrize("tokens", [(0,), (1,), (0, 1), (1, 0)])
+    @pytest.mark.parametrize(
+        "method", [cl.raven_rule, cl.fair_coin_test, cl.frequency_estimator],
+        ids=["raven-rule", "fair-coin-test", "frequency-estimator"],
+    )
+    def test_derived_block_gives_decide_on_a_sequence_per_row(self, method, tokens):
+        # Rows of every n up to 9, each twice and in no sorted order, in one call.
+        rows = np.concatenate([convergence._compositions(n, len(tokens)) for n in range(10)])
+        rows = np.concatenate([rows, rows])[np.random.default_rng(5).permutation(2 * len(rows))]
+        decided = []
+
+        def decide_counts(n, k):
+            decided.append((n, k))
+            return method.decide_counts(n, k)
+
+        outputs, index = convergence._count_block(replace(method, decide_counts=decide_counts))(tokens, rows)
+        assert len(index) == len(rows)
+        for row, i in zip(rows.tolist(), index.tolist()):
+            seq = [tok for tok, c in zip(tokens, row) for _ in range(c)]
+            assert outputs[i] == method.decide(seq), (tokens, row)
+        assert sorted(decided) == sorted(set(decided)) and len(decided) == len(outputs)
+        assert all(type(n) is int and type(k) is int for n, k in decided)
+
+    def test_derived_block_rejects_a_non_binary_token_only_where_it_is_counted(self):
+        block = convergence._count_block(cl.frequency_estimator)
+        outputs, index = block((0, "x", 1), np.array([[3, 0, 1], [0, 0, 2], [0, 0, 0]]))
+        assert [outputs[i] for i in index.tolist()] == [Fraction(1, 4), Fraction(1), cl.SUSPEND]
+        for tokens, rows in [((0, "x", 1), [[3, 0, 1], [0, 1, 2]]), ((2,), [[1]]), ((1, 0.5), [[1, 1]])]:
+            with pytest.raises(cl.InputDomainError, match="non-binary token"):
+                block(tokens, np.array(rows))
+        with pytest.raises(cl.InputDomainError, match="non-binary token"):
+            cl.frequency_estimator.decide([0, "x", 1])
+
+    def test_the_derived_block_is_not_stored_on_the_method(self):
+        # A stored block would survive replace and put slow references on the fast path.
+        assert cl.raven_rule.decide_count_block is None
+        assert convergence._count_block(cl.raven_rule) is not None
+        assert convergence._count_block(replace(cl.raven_rule, decide_counts=None)) is None
+
+    def test_erm_scans_make_one_block_call_per_world_and_no_decide_call(self, toy_task, toy_erm_config):
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        calls = []
+
+        def block(tokens, counts):
+            calls.append(counts.shape[0])
+            return erm.decide_count_block(tokens, counts)
+
+        def decide(seq):
+            raise AssertionError("the scan called decide")
+
+        spy = replace(erm, decide=decide, decide_count_block=block)
+        plodding = replace(erm, decide_count_block=None)
+        horizon = 300
+        verdict = cl.check_mode(prob, spy, cl.mode_params("I", horizon))
+        assert calls == [horizon + 1] * len(prob.worlds)
+        assert verdict == cl.check_mode(prob, plodding, cl.mode_params("I", horizon))
+        assert {wv.status for wv in verdict.worlds} == {"supported"}
+        calls.clear()
+        for w in prob.worlds:
+            for h in (1, 7, horizon):
+                assert cl.lock_time(prob, spy, w, h) == cl.lock_time(prob, plodding, w, h), (w.id, h)
+        assert calls == [1 + 1, 7 + 1, horizon + 1] * len(prob.worlds)
+
+    def test_counts_method_scans_agree_with_decide_on_every_prefix(self):
+        # Mode I, lock times and the generic lock sampler, on branches that start with a 1 or a 0.
+        thetas = [Fraction(1, 2), Fraction(7, 10)]
+        for problem, method in (
+            (cl.easy_raven(max_first_zero=6), cl.raven_rule),
+            (cl.fair_coin(thetas), cl.fair_coin_test),
+            (cl.coin_bias(thetas), cl.frequency_estimator),
+        ):
+            plodding = replace(method, decide_counts=None, locks_at_first_zero=False, laws=None)
+            params = cl.mode_params("I", 40)
+            assert cl.check_mode(problem, method, params) == cl.check_mode(problem, plodding, params)
+            for w in problem.worlds:
+                assert cl.lock_time(problem, method, w, 40) == cl.lock_time(problem, plodding, w, 40)
+        fg = cl.fine_grained_raven([Fraction(3, 10)])
+        w = fg.world("p=0.3")
+        first_zero_free = replace(cl.raven_rule, locks_at_first_zero=False)
+        locks = _lock_stage_samples(fg, first_zero_free, w, 30, 200, 9)
+        slow = _lock_stage_samples(fg, replace(first_zero_free, decide_counts=None), w, 30, 200, 9)
+        assert locks.tolist() == slow.tolist()
+
+    def test_a_block_only_method_on_a_coin_takes_the_binomial_sum(self):
+        cb = cl.coin_bias([Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)])
+        method = replace(cl.frequency_estimator, decide_counts=None, laws=None, decide_count_block=_frequency_block)
+        plodding = replace(method, decide_count_block=None)
+        for w in (w for w in cb.worlds if "/" not in w.id):
+            for crit in (cl.EXACT, cl.within(Fraction(1, 4))):
+                for n in range(11):
+                    assert _plan(method, w, n, Budget()) == "binomial-exact"
+                    assert _plan(plodding, w, n, Budget()) == "enum-exact"
+                    want = cl.exact_success_prob(cb, plodding, w, n, crit)
+                    assert cl.exact_success_prob(cb, method, w, n, crit) == want, (w.id, crit, n)
+
+    def test_a_scanned_binomial_sum_joins_hits_into_runs(self):
+        # Success on k in {0, 2, 3, 7..n}: three runs, one of them a single k, summed exactly.
+        hits = lambda n, k: cl.YES if k in (0, 2, 3) or 7 <= k <= n else cl.NO  # noqa: E731
+        method = cl.InferenceMethod("runs", decide_counts=hits)
+        fg = cl.fine_grained_raven([Fraction(2, 5)])
+        w = replace(fg.world("p=0.4"), truth=cl.YES)
+        th = Fraction(2, 5)
+        for n in (0, 1, 5, 12):
+            want = sum(math.comb(n, k) * th**k * (1 - th) ** (n - k) for k in range(n + 1) if hits(n, k) == cl.YES)
+            assert _binomial_exact(fg, method, w, n, cl.EXACT) == want
+
+
 class TestCheckMode:
     def test_identification_supported_with_per_world_stages(self):
         er = cl.easy_raven(max_first_zero=10)
@@ -800,6 +910,14 @@ class TestCheckMode:
             cl.mode_params("II", 0, delta=0.1)
         with pytest.raises(cl.InputDomainError):
             cl.mode_params("II", 10, delta=0.1, stages=(5, 20))
+
+    @pytest.mark.parametrize("mode", ["II", "III"])
+    def test_mode_params_rejects_an_epsilon_past_the_largest_float(self, mode):
+        for eps in ("1e999", 10**309, Fraction(2**1024)):
+            with pytest.raises(cl.InputDomainError, match="largest float"):
+                cl.mode_params(mode, 10, delta=0.1, epsilon=eps)
+        params = cl.mode_params(mode, 10, delta=0.1, epsilon="1e308")
+        assert cl.within(params.epsilon).label == "within:1e+308"
 
     @pytest.mark.parametrize(
         "horizon,stages", [(10.9, None), (True, None), ("10", None), (10.0, None), (10, [1.9, 3]), (10, [True, 3])]

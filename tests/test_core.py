@@ -152,7 +152,7 @@ class TestIidSampler:
     @pytest.mark.parametrize("n", [0, 1, 50, 1000])
     @pytest.mark.parametrize("theta", ["0", "1", "3/10", "1/2", "9/20", "1/10", "7/9"])
     def test_binary_count_column_is_the_binomial_stream(self, theta, n):
-        # mc-counts reads column 1, so its draws are rng.binomial's, byte for byte.
+        # The one draw of a binary measure is rng.binomial's, byte for byte.
         th = Fraction(theta)
         ours, theirs = seeding.generator(4, theta, n), seeding.generator(4, theta, n)
         counts = Measure.iid_bernoulli(th).sample_count_block(ours, 500, n)
