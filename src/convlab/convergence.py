@@ -3,7 +3,8 @@
 The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
-full enumeration of the evidence tree level, or for an exchangeable method
+enumeration of the evidence tree level as an integer sum of its succeeding
+leaves' weights over q**n (``_integer_law``), or for an exchangeable method
 (read only through its count block, ``_count_block``) a binomial sum over
 the count of 1s under IID-Bernoulli data or a multinomial sum over the
 token-count vectors under any IID world -- and by seeded Monte Carlo
@@ -67,6 +68,8 @@ class SuccessCriterion:
             raise InputDomainError(f"unknown criterion kind {self.kind!r}")
         if self.kind == "within" and (self.eps is None or self.eps <= 0):
             raise InputDomainError("within-criterion needs eps > 0")
+        if self.kind == "within" and (self.eps > sys.float_info.max or float(self.eps) == 0):
+            raise InputDomainError("within-criterion eps must neither exceed the largest float nor round to 0.0")
 
     def met(self, loss) -> bool:
         if self.kind == "exact":
@@ -150,6 +153,8 @@ class ModeParams:
                 raise InputDomainError("mode III needs epsilon > 0")
         if self.epsilon is not None and self.epsilon > sys.float_info.max:
             raise InputDomainError("epsilon must not exceed the largest float")
+        if self.epsilon is not None and self.epsilon > 0 and float(self.epsilon) == 0:
+            raise InputDomainError("epsilon must not round to 0.0 as a float")
         if self.stages is not None:
             if not self.stages or any(s < 1 or s > self.horizon for s in self.stages):
                 raise InputDomainError("stages must be nonempty and lie in [1, horizon]")
@@ -389,22 +394,19 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
     return Fraction(num, q**n)
 
 
+def _integer_law(measure) -> tuple[list, list[int], int]:
+    """The positive-probability tokens in token_probs order, and nums and q: token j has chance nums[j] / q."""
+    support = [(tok, pr) for tok, pr in measure.token_probs if pr > 0]
+    q = math.lcm(*(pr.denominator for _, pr in support))
+    return [tok for tok, _ in support], [pr.numerator * q // pr.denominator for _, pr in support], q
+
+
 def _enum_exact(problem, method, world, n, crit) -> Fraction:
+    # In lexicographic order, each leaf of the level weighs the product of its tokens' nums over q**n.
     met = _success_test(problem, world, crit)
-    support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
-    total = Fraction(0)
-
-    def walk(prefix, weight):
-        nonlocal total
-        if len(prefix) == n:
-            if met(method.decide(prefix)):
-                total += weight
-            return
-        for tok, pr in support:
-            walk(prefix + (tok,), weight * pr)
-
-    walk((), Fraction(1))
-    return total
+    tokens, nums, q = _integer_law(world.measure)
+    leaves = zip(itertools.product(tokens, repeat=n), itertools.product(nums, repeat=n))
+    return Fraction(sum(math.prod(weights) for seq, weights in leaves if met(method.decide(seq))), q**n)
 
 
 def _compositions(n: int, t: int) -> np.ndarray:
@@ -434,12 +436,10 @@ def _count_block_flags(problem, method, world, crit, tokens, counts) -> np.ndarr
 def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
     # An exchangeable method's output depends only on the token counts c, whose
     # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
-    support = [(tok, pr) for tok, pr in world.measure.token_probs if pr > 0]
-    q = math.lcm(*(pr.denominator for _, pr in support))
-    nums = [pr.numerator * (q // pr.denominator) for _, pr in support]
+    tokens, nums, q = _integer_law(world.measure)
     fact = [math.factorial(c) for c in range(n + 1)]
-    counts = _compositions(n, len(support))
-    flags = _count_block_flags(problem, method, world, crit, [tok for tok, _ in support], counts)
+    counts = _compositions(n, len(tokens))
+    flags = _count_block_flags(problem, method, world, crit, tokens, counts)
     num = 0
     for cs in counts[flags].tolist():
         weight = fact[n]
@@ -817,8 +817,8 @@ def _set_estimates(problem, method, world, stages, horizon, trials, seed, strate
     """Lock-by-stage-n probability per stage, along the world's planned path."""
     path = _set_plan(problem, method, world, strategy)
     if path == GEOMETRIC_EXACT:
-        theta = world.measure.theta
-        return [Estimate(1 - theta**n, 0.0, True) for n in stages]
+        theta = world.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
+        return [Estimate(1 - theta**n + (theta == 1), 0.0, True) for n in stages]
     if path == POINT_MASS:
         lock = _point_mass_lock(problem, method, world, horizon)
         hits = [lock is not None and lock <= n for n in stages]
@@ -844,9 +844,9 @@ def success_set_prob(
 
     Exact under every strategy in a point-mass world: 1 when the lock
     happens on its branch by stage n, else 0.  Exact closed form for
-    first-zero-locking methods under IID-Bernoulli(p): 1 - p**n (the chance
-    a 0 has shown up by stage n).  Monte Carlo with an explicit horizon
-    otherwise, and in every IID world under strategy="mc".
+    first-zero-locking methods under IID-Bernoulli(p): 1 - p**n + [p = 1]
+    (a 0 by stage n, or the all-1s branch at p = 1).  Monte Carlo with an
+    explicit horizon otherwise, and in every IID world under strategy="mc".
     """
     if n < 0:
         raise InputDomainError("n must be >= 0")
@@ -926,13 +926,15 @@ def underdetermination_witness(
 
 
 def _enumerate_outputs(method, depth: int):
+    yield method.decide(())  # first: a method whose outputs are not reals is refused before any block call
     block = _count_block(method)
     if block is not None:  # every binary input's counts: the (n - k, k) rows on tokens (0, 1)
         outputs, index = block((0, 1), np.array([(n - k, k) for n in range(depth + 1) for k in range(n + 1)]))
-        return [outputs[i] for i in index.tolist()]
-    if depth > 20:
+        yield from (outputs[i] for i in index.tolist())
+    elif depth > 20:
         raise ResourceBudgetError("enumerating 2**(depth+1) inputs exceeds the budget")
-    return (method.decide(seq) for n in range(depth + 1) for seq in itertools.product((0, 1), repeat=n))
+    else:
+        yield from (method.decide(seq) for n in range(depth + 1) for seq in itertools.product((0, 1), repeat=n))
 
 
 def _output_gap(method, depth: int):
@@ -949,11 +951,8 @@ def _output_gap(method, depth: int):
             raise InputDomainError(f"output {out!r} outside [0, 1]")
         values.add(v)
     points = sorted(values | {Fraction(0), Fraction(1)})
-    best_lo, best_hi = points[0], points[1]
-    for lo, hi in zip(points, points[1:]):
-        if hi - lo > best_hi - best_lo:  # strict: ties keep the lowest interval
-            best_lo, best_hi = lo, hi
-    return best_lo, best_hi, values
+    lo, hi = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])  # max keeps the first: the lowest
+    return lo, hi, values
 
 
 def cardinality_witness(method: InferenceMethod, depth: int = 15) -> Fraction:

@@ -307,7 +307,8 @@ class TestExitCodes:
         # ERM reads (feature, label) examples, not the witness's binary tokens.
         path = write_config(tmp_path, ERM_CONFIG)
         assert cli.main(["witness", "--config", str(path), "--depth", "3"]) == 2
-        assert "method 'erm'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "method 'erm': cardinality witness needs real-valued outputs, got Classifier" in err
 
     @pytest.mark.parametrize(
         "order", [5, [["all-0"]], "all-0", ["all-1", None]], ids=["number", "nested", "string", "null-entry"]
@@ -339,6 +340,18 @@ class TestExitCodes:
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "epsilon must not exceed the largest float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eps", ["1e-400", "1e-999"])
+    def test_an_epsilon_that_rounds_to_0_exits_2_before_any_work(self, tmp_path, capsys, eps, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the curve ran")
+
+        monkeypatch.setattr(cl.convergence, "success_curve", no_work)
+        doc = dict(MODE_THREE_CONFIG, mode=dict(MODE_THREE_CONFIG["mode"], epsilon=eps))
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "epsilon must not round to 0.0 as a float" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_output_directory_exits_3(self, tmp_path, capsys):
@@ -503,6 +516,28 @@ class TestOtherSubcommands:
     def test_verify_ok_problem_exits_0(self, capsys):
         assert cli.main(["verify", "--problem", "easy-raven"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_verify_catalog_config_exits_0(self, tmp_path, capsys):
+        path = write_config(tmp_path, RAVEN_CONFIG)
+        assert cli.main(["verify", "--config", str(path)]) == 0
+        assert "easy-raven: all checks passed" in capsys.readouterr().out
+
+    def test_verify_tied_minimizers_exit_1(self, tmp_path, capsys):
+        # all-0 and identity each mislabel a quarter of the examples: two hypotheses at zero excess risk.
+        params = {
+            "features": ["a", "b"],
+            "classifiers": [
+                {"name": "all-0", "labels": {"a": 0, "b": 0}},
+                {"name": "identity", "labels": {"a": 1, "b": 0}},
+            ],
+            "distributions": [[["a", 0, 0.25], ["a", 1, 0.25], ["b", 0, 0.5]]],
+        }
+        doc = dict(ERM_CONFIG, problem={"name": "binary-classification", "params": params})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "binary-classification/D0: second-zero-loss-hypothesis=" in out
+        assert "binary-classification: violations found" in out
 
     def test_verify_needs_a_target(self):
         assert cli.main(["verify"]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +14,7 @@ from convlab import cli, convergence, seeding
 from convlab.convergence import (
     Budget,
     _binomial_exact,
+    _integer_law,
     _lock_stage_samples,
     _mc_block,
     _multinomial_exact,
@@ -312,6 +314,17 @@ class TestCountLaws:
             )
         if crit is not cl.EXACT:
             assert cl.exact_success_prob(squared, fe, w, 40, crit) != cl.exact_success_prob(cb, fe, w, 40, crit)
+        # The raven rule's and the fair-coin test's windows know the identification loss by identity only:
+        # an equal loss under another object gets the scan, whose sums equal the windowed ones.
+        fg = cl.fine_grained_raven([Fraction(3, 5)])
+        for problem, method in ((fg, cl.raven_rule), (cl.fair_coin(), cl.fair_coin_test)):
+            zero_one = replace(problem, loss=cl.LossFunction("zero-one", lambda h, w: 0 if h == w.truth else 1))
+            for world in zero_one.worlds[:3]:
+                for n in (1, 7, 40):
+                    assert method.laws.window(zero_one, world, n, crit) is None
+                    assert cl.exact_success_prob(zero_one, method, world, n, crit) == cl.exact_success_prob(
+                        problem, method, world, n, crit
+                    )
         # A space missing outputs: the scan's InputDomainError.
         narrow = replace(cb, hypothesis_space=cl.IntervalHypothesisSpace(Fraction(0), Fraction(1, 2)))
         assert cl.exact_success_prob(narrow, fe, w, 0, crit) == 0  # SUSPEND only
@@ -445,6 +458,47 @@ def _with_a_zero_entry(task):
     """The task plus a law whose table lists a (feature, label) pair at probability 0."""
     law = ((("a", 1), Fraction(1, 2)), (("a", 0), Fraction(0)), (("b", 0), Fraction(1, 2)))
     return replace(task, distribution_grid=task.distribution_grid + (law,))
+
+
+class TestEnumExact:
+    def test_integer_law_holds_each_positive_token_over_one_denominator(self, toy_task):
+        laws = [cl.Measure.iid_bernoulli(th) for th in (0, Fraction(3, 10), 1)]
+        laws.append(cl.binary_classification(_with_a_zero_entry(toy_task)).world("D3").measure)
+        laws.append(cl.Measure.iid_examples({"x": "1/3", "z": 0, "y": "1/4", "v": "1/4", "w": "1/6"}))  # q = 12, not 6
+        got = [_integer_law(m) for m in laws]
+        assert got == [
+            ([0], [1], 1),
+            ([0, 1], [7, 3], 10),
+            ([1], [1], 1),
+            ([("a", 1), ("b", 0)], [1, 1], 2),
+            (["x", "y", "v", "w"], [4, 3, 3, 2], 12),
+        ]
+        for m, (tokens, nums, q) in zip(laws, got):
+            positive = [(tok, pr) for tok, pr in m.token_probs if pr != 0]
+            assert list(zip(tokens, (Fraction(a, q) for a in nums))) == positive
+
+    def test_enumeration_sums_prefix_prob_over_the_success_set(self, toy_task, toy_erm_config):
+        # The reference reads every token the law lists, zero-probability ones included (they weigh 0).
+        cb = cl.coin_bias([0, Fraction(3, 10)])
+        fg = cl.fine_grained_raven([Fraction(3, 5)])
+        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
+        cases = [
+            (cb, replace(cl.frequency_estimator, decide_counts=None), cb.worlds[:2], cl.within(Fraction(1, 5))),
+            (fg, replace(cl.raven_rule, decide_counts=None), fg.worlds, cl.EXACT),
+            (prob, replace(cl.erm_method(toy_erm_config), decide_count_block=None), prob.worlds, cl.within(0.05)),
+        ]
+        for problem, method, worlds, crit in cases:
+            for w in worlds:
+                alphabet = [tok for tok, _ in w.measure.token_probs]
+                for n in range(7):
+                    assert _plan(method, w, n, Budget()) == "enum-exact"
+                    hits = (
+                        seq
+                        for seq in itertools.product(alphabet, repeat=n)
+                        if crit.met(cl.loss_of(problem, method.decide(seq), w))
+                    )
+                    want = sum((w.measure.prefix_prob(seq) for seq in hits), Fraction(0))
+                    assert cl.exact_success_prob(problem, method, w, n, crit) == want, (w.id, n)
 
 
 class TestMultinomialExact:
@@ -916,8 +970,22 @@ class TestCheckMode:
         for eps in ("1e999", 10**309, Fraction(2**1024)):
             with pytest.raises(cl.InputDomainError, match="largest float"):
                 cl.mode_params(mode, 10, delta=0.1, epsilon=eps)
+            with pytest.raises(cl.InputDomainError, match="largest float"):
+                cl.within(eps)
         params = cl.mode_params(mode, 10, delta=0.1, epsilon="1e308")
         assert cl.within(params.epsilon).label == "within:1e+308"
+
+    @pytest.mark.parametrize("eps", ["1e-400", "1e-999", "2.4e-324", Fraction(1, 10**400)])
+    def test_an_epsilon_that_rounds_to_0_is_rejected(self, eps):
+        with pytest.raises(cl.InputDomainError, match="round to 0.0"):
+            cl.within(eps)
+        with pytest.raises(cl.InputDomainError, match="round to 0.0"):
+            cl.mode_params("III", 5, delta=0.1, epsilon=eps)
+
+    def test_the_smallest_float_epsilon_is_kept(self):
+        for eps in ("5e-324", "2.5e-324"):  # the second rounds up to the smallest subnormal
+            params = cl.mode_params("III", 5, delta=0.1, epsilon=eps)
+            assert cl.within(params.epsilon).label == "within:5e-324"
 
     @pytest.mark.parametrize(
         "horizon,stages", [(10.9, None), (True, None), ("10", None), (10.0, None), (10, [1.9, 3]), (10, [True, 3])]
@@ -1003,6 +1071,16 @@ class TestSuccessSets:
             assert est == (1, 0.0, True)
         curve = cl.success_set_curve(fg, cl.raven_rule, fg.worlds, [5], horizon=5, trials=200, strategy="mc")
         assert [pt.exact for pt in curve.points] == [False, False, True]  # p = 0.3, 0.5, 1
+
+    def test_a_sure_bias_locks_at_stage_0_on_every_path(self):
+        # A user-built IID world at p = 1: the branch is all 1s, truth Yes, locked from stage 0.
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = replace(fg.worlds[0], measure=cl.Measure.iid_bernoulli(1))
+        scan = replace(cl.raven_rule, locks_at_first_zero=False)
+        for n in (0, 1, 5):
+            assert cl.success_set_prob(fg, cl.raven_rule, w, n) == (1, 0.0, True)
+            assert cl.success_set_prob(fg, cl.raven_rule, w, n, trials=200, strategy="mc").value == 1.0
+            assert cl.success_set_prob(fg, scan, w, n, horizon=5, trials=200, strategy="mc").value == 1.0
 
     def test_monte_carlo_agrees_with_the_closed_form(self):
         fg = cl.fine_grained_raven([0.3, 0.9])
@@ -1112,6 +1190,21 @@ class TestCardinalityWitness:
         assert cl.cardinality_witness(cl.frequency_estimator, 4) == Fraction(1, 8)
         constant = cl.InferenceMethod("always-half", lambda seq: Fraction(1, 2))
         assert cl.cardinality_witness(constant, 3) == Fraction(1, 4)
+        tenth = cl.InferenceMethod("always-tenth", lambda seq: Fraction(1, 10))
+        assert cl.cardinality_witness(tenth, 3) == Fraction(11, 20)  # the widest gap, (1/10, 1)
+
+    def test_a_block_method_with_non_real_outputs_is_refused_before_its_block_runs(self, toy_erm_config):
+        erm = cl.erm_method(toy_erm_config)
+        calls = []
+
+        def block(tokens, counts):
+            calls.append(tokens)
+            return erm.decide_count_block(tokens, counts)
+
+        spy = replace(erm, decide_count_block=block)
+        with pytest.raises(TypeError, match="needs real-valued outputs, got Classifier"):
+            cl.cardinality_witness(spy, 3)
+        assert calls == []
 
     @given(depth=st.integers(0, 8))
     @settings(max_examples=9, deadline=None)
