@@ -330,32 +330,36 @@ def _plan(method, world, n, budget: Budget) -> str:
     return MC_BLOCK if block else MC_GENERIC
 
 
-# Distinct output objects whose success one evaluation-path call remembers.
+# Distinct outputs whose function one evaluation-path call remembers.
 _SUCCESS_MEMO_CAP = 256
 
 
-def _success_test(problem, world, crit):
-    """Whether a method output meets the criterion in the world, memoised per output object.
-
-    Catalog methods return a few shared objects (FAIR/UNFAIR, YES/NO, the
-    pool's classifiers), so each one's loss is evaluated once per call.  The
-    memo is keyed by identity and holds each keyed object, so its id cannot
-    be reused while the memo lives; it stops growing at _SUCCESS_MEMO_CAP
-    objects, so a method that builds a fresh output per input does not pin
-    them all.
-    """
+def _output_memo(fn):
+    """fn of a method output, remembered per (type(out), out) for the first _SUCCESS_MEMO_CAP outputs."""
     memo = {}
 
-    def met(out) -> bool:
-        entry = memo.get(id(out))
-        if entry is not None:
-            return entry[1]
-        hit = crit.met(loss_of(problem, out, world))
-        if len(memo) < _SUCCESS_MEMO_CAP:
-            memo[id(out)] = (out, hit)
-        return hit
+    def of(out):
+        key = (type(out), out)
+        try:  # one hash per lookup: a Fraction's hash is not cached
+            entry = memo.get(key)
+        except TypeError:  # unhashable: keyed per object, which the entry holds so its id is not reused
+            entry = memo.get(key := id(out))
+        if entry is None:
+            entry = (out, fn(out))
+            if len(memo) < _SUCCESS_MEMO_CAP:
+                memo[key] = entry
+        return entry[1]
 
-    return met
+    return of
+
+
+def _success_test(problem, world, crit):
+    """Whether a method output meets the criterion in the world.
+
+    Each distinct output's loss is evaluated once per call, keyed by type and value, so a loss must
+    give equal outputs of one type equal losses; unhashable outputs are keyed per object.
+    """
+    return _output_memo(lambda out: crit.met(loss_of(problem, out, world)))
 
 
 def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
@@ -526,6 +530,8 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> 
 
 def resolve_workers(requested: Optional[int]) -> int:
     """Worker count after applying the CONVLAB_THREADS environment cap."""
+    if isinstance(requested, bool) or not isinstance(requested, (numbers.Integral, type(None))):
+        raise InputDomainError(f"workers must be an integer, got {requested!r}")
     w = 1 if requested is None else max(1, int(requested))
     env = os.environ.get("CONVLAB_THREADS")
     if env:
@@ -624,7 +630,7 @@ def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list
         steps[np.arange(1, len(prefix) + 1), [column[tok] for tok in prefix]] = 1
         outputs, index = block(list(column), steps.cumsum(axis=0))
         outs = [outputs[i] for i in index.tolist()]
-    losses = [loss_of(problem, out, world) for out in outs]
+    losses = list(map(_output_memo(lambda out: loss_of(problem, out, world)), outs))
     statuses = ["pass" if L == 0 else "fail" for L in losses]
     return _trailing_pass_start(range(len(losses)), statuses), losses
 
@@ -757,8 +763,6 @@ def _set_plan(problem, method, world, strategy: str) -> str:
     every strategy.  Otherwise, unless the strategy is "mc", a closed form
     wins where one exists; lock stages are sampled, or "exact" raises.
     """
-    if strategy not in ("auto", "exact", "mc"):
-        raise InputDomainError(f"unknown strategy {strategy!r}")
     m = world.measure
     if m is None:
         raise PreconditionError(f"world {world.id!r} carries no measure")
@@ -815,6 +819,7 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.nda
 
 def _set_estimates(problem, method, world, stages, horizon, trials, seed, strategy) -> list:
     """Lock-by-stage-n probability per stage, along the world's planned path."""
+    Budget(strategy=strategy, trials=trials)  # checks both on every path, those that draw no trial included
     path = _set_plan(problem, method, world, strategy)
     if path == GEOMETRIC_EXACT:
         theta = world.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
@@ -941,15 +946,19 @@ def _output_gap(method, depth: int):
     if depth < 0:
         raise InputDomainError("depth must be >= 0")
     values = set()
-    for out in _enumerate_outputs(method, depth):
-        if out is SUSPEND:
-            continue
+
+    @_output_memo  # each distinct output is validated once
+    def add(out):
         if isinstance(out, bool) or not isinstance(out, (int, float, Fraction)):
             raise TypeError(f"cardinality witness needs real-valued outputs, got {out!r}")
         v = Fraction(out)
         if not 0 <= v <= 1:
             raise InputDomainError(f"output {out!r} outside [0, 1]")
         values.add(v)
+
+    for out in _enumerate_outputs(method, depth):
+        if out is not SUSPEND:
+            add(out)
     points = sorted(values | {Fraction(0), Fraction(1)})
     lo, hi = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])  # max keeps the first: the lowest
     return lo, hi, values

@@ -98,9 +98,10 @@ def binary_sequence(seq) -> tuple[int, ...]:
             raise InputDomainError(f"non-binary character in {seq!r}")
         return tuple(int(c) for c in seq)
     items = tuple(seq)
-    for t in items:
-        if t not in (0, 1):
-            raise InputDomainError(f"non-binary token {t!r}")
+    if items.count(0) + items.count(1) != len(items):  # a pass in C; the loop names the bad token
+        for t in items:
+            if t not in (0, 1):
+                raise InputDomainError(f"non-binary token {t!r}")
     return items
 
 

@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convlab as cl
@@ -580,3 +581,16 @@ class TestWorkerCap:
         monkeypatch.delenv("CONVLAB_THREADS")
         assert cl.resolve_workers(8) == 8
         assert cl.resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("requested", ["x", "2", 2.7, 2.0, True, False])
+    def test_a_bool_or_non_integral_request_is_rejected(self, monkeypatch, requested):
+        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
+        with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
+            cl.resolve_workers(requested)
+        fc = cl.fair_coin()
+        with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
+            cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=requested)
+
+    def test_integral_requests_keep_their_meaning(self, monkeypatch):
+        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
+        assert [cl.resolve_workers(w) for w in (None, 0, -3, 1, np.int64(3))] == [1, 1, 1, 1, 3]

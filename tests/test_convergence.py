@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -170,7 +171,11 @@ class TestExactSuccessProb:
 
 
 class TestSuccessMemo:
-    """Each distinct output object's loss is evaluated once per success-probability call."""
+    """Each distinct output's loss is evaluated once per call, keyed by type and value.
+
+    So a loss must give equal outputs of one type equal losses: 0.5 and
+    Fraction(1, 2) are two keys.  Unhashable outputs are keyed per object.
+    """
 
     @pytest.fixture
     def loss_calls(self, monkeypatch):
@@ -245,6 +250,129 @@ class TestSuccessMemo:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+    @staticmethod
+    def _user_frequency():
+        # No count block and no laws: every leaf or trial builds a fresh Fraction.
+        return cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide)
+
+    def test_enum_exact_evaluates_each_distinct_fresh_output_once(self, loss_calls):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.world("theta=0.3")
+        want = cl.exact_success_prob(cb, cl.frequency_estimator, w, 14, cl.within(0.1))  # the declared window
+        assert loss_calls == []
+        user = self._user_frequency()
+        assert _plan(user, w, 14, Budget()) == "enum-exact"
+        assert cl.exact_success_prob(cb, user, w, 14, cl.within(0.1)) == want
+        assert sorted(loss_calls) == [Fraction(k, 14) for k in range(15)]  # 15 values over 2**14 leaves
+
+    def test_mc_generic_evaluates_each_distinct_fresh_output_once(self, loss_calls):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.world("theta=0.3")
+        user = self._user_frequency()
+        assert _plan(user, w, 100, Budget(strategy="mc")) == "mc-generic"
+        est = cl.mc_success_prob(cb, user, w, 100, cl.within(0.05), 2000, seed=3)
+        prefixes = w.measure.sample_prefixes(seeding.generator(3, "mc", w.id, 100), 2000, 100)
+        outputs = [Fraction(sum(seq), 100) for seq in prefixes]
+        assert sorted(loss_calls) == sorted(set(outputs))
+        assert est.value == sum(abs(h - Fraction(3, 10)) < Fraction(1, 20) for h in outputs) / 2000
+
+    @pytest.mark.parametrize("decided", ["per-prefix", "count-block"])
+    def test_the_lock_scans_evaluate_each_distinct_output_once_per_scan(self, loss_calls, decided):
+        method = cl.raven_rule
+        if decided == "per-prefix":
+            method = cl.InferenceMethod("user-raven", cl.raven_rule.decide)
+        er = cl.easy_raven(max_first_zero=3)
+        for w in er.worlds:
+            del loss_calls[:]
+            assert cl.lock_time(er, method, w, 40) == (0 if w.truth == cl.YES else int(w.id[-1]))
+            assert sorted(loss_calls, key=str) == sorted({cl.YES, w.truth}, key=str)
+        # The generic success-set sampler scans each of its 50 branches once: at most YES and NO per scan.
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        del loss_calls[:]
+        _lock_stage_samples(fg, replace(method, locks_at_first_zero=False), fg.worlds[0], 40, 50, seed=2)
+        assert 50 <= len(loss_calls) <= 2 * 50
+
+    def test_equal_values_of_two_types_are_two_keys(self, monkeypatch):
+        # A loss that tells a float from a Fraction: each is evaluated, and each keeps its own verdict.
+        seen = []
+
+        def typed_loss(problem, out, world):
+            seen.append(out)
+            return 0 if isinstance(out, float) else 1
+
+        monkeypatch.setattr(convergence, "loss_of", typed_loss)
+        cb = cl.coin_bias([Fraction(1, 2)])
+        met = convergence._success_test(cb, cb.worlds[0], cl.EXACT)
+        outs = [0.5, Fraction(1, 2), 0.5, Fraction(1, 2), 1, True, 1.0, True]
+        assert [met(out) for out in outs] == [True, False, True, False, False, False, True, False]
+        keys = [(float, 0.5), (Fraction, Fraction(1, 2)), (int, 1), (bool, True), (float, 1.0)]
+        assert [(type(out), out) for out in seen] == keys
+
+    @staticmethod
+    def _list_problem():
+        # Hypotheses are lists, which cannot be hashed; the method builds a fresh one per input.
+        loss = cl.LossFunction("list-identification", lambda h, w: 0 if h == w.truth else 1)
+        measure = cl.Measure.iid_bernoulli(Fraction(3, 10))
+        world = cl.World("theta=0.3", cl.constant_branch(0), [0], measure)
+        space = cl.FiniteHypothesisSpace(([0], [1]))
+        problem = cl.EmpiricalProblem("list-majority", space, (0, 1), (world,), loss)
+        method = cl.InferenceMethod("list-majority", lambda seq: [1] if 2 * sum(seq) > len(seq) else [0])
+        return problem, method, world
+
+    def test_fresh_unhashable_outputs_keep_the_memo_small(self):
+        # Keyed per object, 2**14 fresh lists would all be held without the cap.
+        problem, method, w = self._list_problem()
+        assert _plan(method, w, 14, Budget()) == "enum-exact"
+        tracemalloc.start()
+        try:
+            cl.exact_success_prob(problem, method, w, 14, cl.EXACT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_unhashable_outputs_give_the_unmemoised_values(self, loss_calls):
+        problem, method, w = self._list_problem()
+        met = lambda seq: problem.loss.eval(method.decide(seq), w) == 0  # noqa: E731
+        leaves = itertools.product((0, 1), repeat=8)
+        assert cl.exact_success_prob(problem, method, w, 8, cl.EXACT) == sum(
+            w.measure.prefix_prob(seq) for seq in leaves if met(seq)
+        )
+        assert len(loss_calls) == 2**8  # a fresh list per leaf: no hits, but no wrong ones either
+        prefixes = w.measure.sample_prefixes(seeding.generator(5, "mc", w.id, 30), 500, 30)
+        est = cl.mc_success_prob(problem, method, w, 30, cl.EXACT, 500, seed=5)
+        assert est.value == sum(map(met, prefixes)) / 500
+        prefix = (1, 1, 0, 0, 0, 1, 0, 0)  # a majority of 1s at stages 1 to 3 only
+        _, losses = convergence._zero_loss_scan(problem, method, w, prefix)
+        reference = [problem.loss.eval(method.decide(prefix[:s]), w) for s in range(9)]
+        assert losses == reference == [0, 1, 1, 1, 0, 0, 0, 0, 0]
+
+    def test_the_witness_validates_each_distinct_output_once(self):
+        ratios = []
+
+        class Counted(float):  # Fraction(out) reads a float through as_integer_ratio
+            def as_integer_ratio(self):
+                ratios.append(float(self))
+                return super().as_integer_ratio()
+
+        def decide(seq):
+            return Counted(sum(seq) / len(seq)) if seq else cl.SUSPEND
+
+        report = cl.cardinality_witness_report(cl.InferenceMethod("float-frequency", decide), 8)
+        distinct = {k / n for n in range(1, 9) for k in range(n + 1)}
+        assert sorted(ratios) == sorted(distinct) and report["distinct_outputs"] == len(distinct)
+
+    @pytest.mark.parametrize("bad", ["x", [0.5]], ids=["hashable", "unhashable"])
+    def test_the_witness_still_raises_on_the_first_non_real_output(self, bad):
+        def decide(seq):
+            if len(seq) == 3:
+                return bad if seq == (0, 0, 0) else "later"
+            return Fraction(sum(seq), max(len(seq), 1))
+
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r}")):
+            cl.cardinality_witness(cl.InferenceMethod("late-non-real", decide), 4)
 
 
 LAW_THETAS = [Fraction(0), Fraction(1, 10), Fraction(7, 20), Fraction(1, 2), Fraction(13, 20), Fraction(1)]
@@ -1144,6 +1272,27 @@ class TestSuccessSets:
         )
         gaps = self._lock_law_deviations(second_zero, Fraction(3, 5), (1, 4, 12))
         assert any(gap > 10 * se for gap, se in gaps)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True], ids=["0", "-1", "2.5", "True"])
+    def test_trials_are_checked_on_every_path(self, trials):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.worlds[0]
+        generic = cl.InferenceMethod("user-raven", cl.raven_rule.decide)
+        cases = [(generic, "auto", "mc"), (cl.raven_rule, "mc", "mc"), (cl.raven_rule, "auto", "geometric-exact")]
+        for method, strategy, path in cases:  # the generic scan, the geometric sampler, the closed form
+            assert convergence._set_plan(fg, method, w, strategy) == path
+            with pytest.raises(cl.InputDomainError, match="trials"):
+                cl.success_set_prob(fg, method, w, 5, horizon=5, trials=trials, strategy=strategy)
+            with pytest.raises(cl.InputDomainError, match="trials"):
+                cl.success_set_curve(fg, method, [w], [5], horizon=5, trials=trials, strategy=strategy)
+
+    def test_integral_trials_and_a_known_strategy_are_kept(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.worlds[0]
+        est = cl.success_set_prob(fg, cl.raven_rule, w, 5, trials=np.int64(200), strategy="mc")
+        assert est.value == cl.success_set_prob(fg, cl.raven_rule, w, 5, trials=200, strategy="mc").value
+        with pytest.raises(cl.InputDomainError, match="unknown strategy"):
+            cl.success_set_prob(fg, cl.raven_rule, w, 5, strategy="exactly")
 
     def test_requires_branch_unique_problem_and_measure(self):
         fc = cl.fair_coin()

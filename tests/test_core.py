@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -37,6 +38,43 @@ def test_binary_sequence_accepts_strings_and_iterables():
     with pytest.raises(cl.InputDomainError):
         binary_sequence([1, 2])
 
+
+def test_binary_sequence_returns_binary_tokens_unchanged():
+    tokens = (True, 1.0, np.int64(0), Fraction(1))
+    got = binary_sequence(tokens)
+    assert got == tokens and all(a is b for a, b in zip(got, tokens))
+    assert binary_sequence(list(tokens)) == tokens
+    assert binary_sequence("0101") == (0, 1, 0, 1) and all(type(t) is int for t in binary_sequence("0101"))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, None, "1", [1], math.nan], ids=repr)
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_binary_sequence_names_the_first_bad_token(bad, at):
+    items = [1, 0] * 500
+    items[at] = bad
+    if at < 999:
+        items[999] = 7  # a later bad token is not the one named
+    with pytest.raises(cl.InputDomainError, match=re.escape(f"non-binary token {bad!r}")):
+        binary_sequence(items)
+
+
+def test_binary_sequence_keeps_a_token_equal_to_both_0_and_1():
+    class Both:
+        def __eq__(self, other):
+            return other in (0, 1)
+
+    both = Both()
+    assert binary_sequence((0, both, 1))[1] is both  # counted twice by the C-level check, cleared by the loop
+
+
+@given(st.lists(st.sampled_from([0, 1, True, False, 1.0, 0.0, np.int64(1), 2, -1, 0.5, None, "1", math.nan])))
+def test_binary_sequence_matches_the_per_token_check(items):
+    bad = [t for t in items if t not in (0, 1)]
+    if not bad:
+        assert binary_sequence(items) == tuple(items)
+    else:
+        with pytest.raises(cl.InputDomainError, match=re.escape(f"non-binary token {bad[0]!r}")):
+            binary_sequence(items)
 
 def test_as_fraction_reads_floats_as_their_decimal():
     assert as_fraction(0.1) == Fraction(1, 10)
