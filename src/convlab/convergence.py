@@ -273,6 +273,7 @@ MULTINOMIAL_EXACT = "multinomial-exact"
 MC_BLOCK = "mc-block"
 MC_GENERIC = "mc-generic"
 GEOMETRIC_EXACT = "geometric-exact"
+GEOMETRIC_MC = "geometric-mc"
 MC = "mc"
 
 
@@ -761,7 +762,8 @@ def _set_plan(problem, method, world, strategy: str) -> str:
 
     A point-mass world has one branch, so its lock stage is exact under
     every strategy.  Otherwise, unless the strategy is "mc", a closed form
-    wins where one exists; lock stages are sampled, or "exact" raises.
+    wins where one exists, or "exact" raises; lock stages are sampled, from
+    the geometric first-zero law where the method declares it, else by a prefix scan.
     """
     m = world.measure
     if m is None:
@@ -772,33 +774,27 @@ def _set_plan(problem, method, world, strategy: str) -> str:
         )
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
+    geometric = method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI
     if strategy != "mc":
-        if method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI:
+        if geometric:
             return GEOMETRIC_EXACT
         if strategy == "exact":
             raise ResourceBudgetError("no exact success-set path for this method/measure")
-    return MC
+    return GEOMETRIC_MC if geometric else MC
 
 
-def _point_mass_lock(problem, method, world, horizon) -> Optional[int]:
-    # Judged against the truth the point-mass branch itself determines (coherence).
-    truth = problem.truth_of_prefix(world.measure.point.prefix(horizon))
-    return lock_time(problem, method, replace(world, truth=truth), horizon)
-
-
-def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.ndarray:
+def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str) -> np.ndarray:
     """Per sampled branch of an IID world: the stage at which the method locks onto the truth.
 
-    Samples the geometric first-zero law where the method declares it;
-    otherwise the start of the trailing zero-loss run through the horizon,
+    On the planned path GEOMETRIC_MC, samples the geometric first-zero law;
+    on MC, the start of the trailing zero-loss run through the horizon,
     with horizon+1 where none exists.  The sample is derived from
     (seed, world id, horizon) only, so all stages n share it and the
-    estimated lock probability is nondecreasing in n.  Point-mass worlds
-    never sample: their lock stage is exact.
+    estimated lock probability is nondecreasing in n.
     """
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
-    if _set_plan(problem, method, world, "auto") == GEOMETRIC_EXACT:
+    if path == GEOMETRIC_MC:
         # The lock stage is the first-zero position, whose law is geometric
         # with hit chance 1 - theta.  Sampling it directly is horizon-free
         # and avoids the truncation bias of scanning a finite prefix (a
@@ -817,23 +813,6 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed) -> np.nda
     return locks
 
 
-def _set_estimates(problem, method, world, stages, horizon, trials, seed, strategy) -> list:
-    """Lock-by-stage-n probability per stage, along the world's planned path."""
-    Budget(strategy=strategy, trials=trials)  # checks both on every path, those that draw no trial included
-    path = _set_plan(problem, method, world, strategy)
-    if path == GEOMETRIC_EXACT:
-        theta = world.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
-        return [Estimate(1 - theta**n + (theta == 1), 0.0, True) for n in stages]
-    if path == POINT_MASS:
-        lock = _point_mass_lock(problem, method, world, horizon)
-        hits = [lock is not None and lock <= n for n in stages]
-        return [Estimate(Fraction(1 if hit else 0), 0.0, True) for hit in hits]
-    if any(n > horizon for n in stages):
-        raise PreconditionError("horizon must be >= n")
-    locks = _lock_stage_samples(problem, method, world, horizon, trials, seed)
-    return [_mc_estimate(locks <= n) for n in stages]
-
-
 def success_set_prob(
     problem,
     method,
@@ -847,16 +826,14 @@ def success_set_prob(
 ) -> Estimate:
     """Probability that the method has locked onto the truth by stage n.
 
-    Exact under every strategy in a point-mass world: 1 when the lock
-    happens on its branch by stage n, else 0.  Exact closed form for
-    first-zero-locking methods under IID-Bernoulli(p): 1 - p**n + [p = 1]
-    (a 0 by stage n, or the all-1s branch at p = 1).  Monte Carlo with an
-    explicit horizon otherwise, and in every IID world under strategy="mc".
+    The one point of success_set_curve at (world, n), with horizon
+    defaulting to max(n, 1): inputs are checked as the curve checks them,
+    and a stage past the horizon is rejected on every path.
     """
-    if n < 0:
-        raise InputDomainError("n must be >= 0")
     T = horizon if horizon is not None else max(n, 1)
-    return _set_estimates(problem, method, world, (n,), T, trials, seed, strategy)[0]
+    curve = success_set_curve(problem, method, [world], [n], horizon=T, trials=trials, seed=seed, strategy=strategy)
+    (pt,) = curve.points
+    return Estimate(pt.estimate, pt.stderr, pt.exact)
 
 
 def success_set_curve(
@@ -871,21 +848,37 @@ def success_set_curve(
     workers: int = 1,
     strategy: str = "auto",
 ) -> SuccessCurve:
-    """Lock-probability curve per (world, n); exact where a closed form exists.
+    """Lock-by-stage-n probability per (world, n), along each world's one planned path.
 
-    All stages of one world share the branch sample derived from
-    (seed, world id, horizon), so the curve is nondecreasing by construction
-    on the Monte Carlo path as well.
+    Exact in a point-mass world under every strategy, and by the closed form 1 - p**n + [p = 1] for
+    first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc"; sampled otherwise.  All
+    stages of one world share the branch sample derived from (seed, world id, horizon), so the sampled
+    curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer stages (in [0, horizon]) are
+    checked once per call.
     """
+    Budget(strategy=strategy, trials=trials)
     worlds = tuple(worlds)
     stage_list = tuple(stages)
-    if any(s < 0 or s > horizon for s in stage_list):
-        raise InputDomainError("stages must lie in [0, horizon]")
+    bad = [v for v in (horizon, *stage_list) if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    if bad:
+        raise InputDomainError(f"horizon and stages must be integers, got {bad[0]!r}")
+    if horizon < 1 or any(s < 0 or s > horizon for s in stage_list):
+        raise InputDomainError("horizon must be >= 1 and stages must lie in [0, horizon]")
     workers = resolve_workers(workers)
 
     def evaluate(wi):
         w = worlds[wi]
-        ests = _set_estimates(problem, method, w, stage_list, horizon, trials, seed, strategy)
+        path = _set_plan(problem, method, w, strategy)
+        if path == GEOMETRIC_EXACT:
+            theta = w.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
+            ests = [Estimate(1 - theta**n + (theta == 1), 0.0, True) for n in stage_list]
+        elif path == POINT_MASS:  # judged against the truth the branch itself determines (coherence)
+            truth = problem.truth_of_prefix(w.measure.point.prefix(horizon))
+            lock = lock_time(problem, method, replace(w, truth=truth), horizon)
+            ests = [Estimate(Fraction(int(lock is not None and lock <= n)), 0.0, True) for n in stage_list]
+        else:
+            locks = _lock_stage_samples(problem, method, w, horizon, trials, seed, path)
+            ests = [_mc_estimate(locks <= n) for n in stage_list]
         return [CurvePoint(w.id, n, e.value, e.stderr, e.exact, None) for n, e in zip(stage_list, ests)]
 
     results = _map_items(evaluate, list(range(len(worlds))), workers)

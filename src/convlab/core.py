@@ -15,7 +15,7 @@ import numbers
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -293,10 +293,6 @@ class Classifier:
                 return y
         raise InputDomainError(f"feature {x!r} outside the classifier's domain")
 
-    @property
-    def features(self) -> tuple:
-        return tuple(f for f, _ in self.labels)
-
 
 @dataclass(frozen=True)
 class FiniteHypothesisSpace:
@@ -496,31 +492,24 @@ class ValidationReport:
         return all(c.ok for c in self.checks)
 
 
-def validate_problem(
-    problem: EmpiricalProblem,
-    witness_worlds: Optional[Iterable[World]] = None,
-    probe_hypotheses: Optional[Iterable] = None,
-    prefix_len: int = 32,
-) -> ValidationReport:
+def validate_problem(problem: EmpiricalProblem) -> ValidationReport:
     """Desk-scale sanity checks; violations are reported, never raised.
 
     Per world: does the designated truth attain loss 0, does any other probe
-    hypothesis also attain 0 (uniqueness spot check), and do the first
-    ``prefix_len`` branch tokens lie in the alphabet.
+    hypothesis also attain 0 (uniqueness spot check), and do the first 32
+    branch tokens lie in the alphabet.
     """
-    worlds = tuple(witness_worlds) if witness_worlds is not None else problem.worlds
-    probes = tuple(probe_hypotheses) if probe_hypotheses is not None else problem.probe_hypotheses
     checks = []
     alphabet = set(problem.alphabet)
-    for w in worlds:
+    for w in problem.worlds:
         truth_zero = problem.loss.eval(w.truth, w) == 0
         rival = None
-        for h in probes:
+        for h in problem.probe_hypotheses:
             if h == w.truth:
                 continue
             if problem.loss.eval(h, w) == 0:
                 rival = h
                 break
-        tokens_ok = all(t in alphabet for t in w.branch.prefix(prefix_len))
+        tokens_ok = all(t in alphabet for t in w.branch.prefix(32))
         checks.append(WorldCheck(w.id, truth_zero, rival, tokens_ok))
     return ValidationReport(problem.name, tuple(checks))

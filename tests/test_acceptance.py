@@ -226,7 +226,8 @@ def test_c09_erm_consistency_at_desk_scale(toy_task, toy_erm_config):
 def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
     t0 = time.perf_counter()
     fc = cl.fair_coin([0.5, 0.9])
-    fg = cl.fine_grained_raven([0.3, 0.5, 0.9])
+    fg = cl.fine_grained_raven([0.3, 0.5, 0.9, 1])  # p = 1 is a point-mass world: exact rows
+    scan_raven = cl.InferenceMethod("user-raven", cl.raven_rule.decide)  # decide only: the prefix scan
 
     def c3_curve(workers):
         return cl.success_curve(
@@ -241,20 +242,23 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
             workers=workers,
         )
 
-    def c7_curve(workers):
+    def c7_curve(workers, method=cl.raven_rule, trials=100_000):
         return cl.success_set_curve(
             fg,
-            cl.raven_rule,
+            method,
             fg.worlds,
             tuple(range(1, 31)),
             horizon=30,
-            trials=100_000,
+            trials=trials,
             seed=31,
             workers=workers,
             strategy="mc",
         )
 
-    for label, build in (("c3", c3_curve), ("c7", c7_curve)):
+    def c7_scan_curve(workers):
+        return c7_curve(workers, scan_raven, 2000)
+
+    for label, build in (("c3", c3_curve), ("c7", c7_curve), ("c7-scan", c7_scan_curve)):
         assert cli.curve_csv(build(1)) == cli.curve_csv(build(8)), label
     v1 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1)
     v8 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=8)

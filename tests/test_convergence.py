@@ -291,7 +291,7 @@ class TestSuccessMemo:
         # The generic success-set sampler scans each of its 50 branches once: at most YES and NO per scan.
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         del loss_calls[:]
-        _lock_stage_samples(fg, replace(method, locks_at_first_zero=False), fg.worlds[0], 40, 50, seed=2)
+        _lock_stage_samples(fg, replace(method, locks_at_first_zero=False), fg.worlds[0], 40, 50, 2, "mc")
         assert 50 <= len(loss_calls) <= 2 * 50
 
     def test_equal_values_of_two_types_are_two_keys(self, monkeypatch):
@@ -993,8 +993,8 @@ class TestCountBlock:
         fg = cl.fine_grained_raven([Fraction(3, 10)])
         w = fg.world("p=0.3")
         first_zero_free = replace(cl.raven_rule, locks_at_first_zero=False)
-        locks = _lock_stage_samples(fg, first_zero_free, w, 30, 200, 9)
-        slow = _lock_stage_samples(fg, replace(first_zero_free, decide_counts=None), w, 30, 200, 9)
+        locks = _lock_stage_samples(fg, first_zero_free, w, 30, 200, 9, "mc")
+        slow = _lock_stage_samples(fg, replace(first_zero_free, decide_counts=None), w, 30, 200, 9, "mc")
         assert locks.tolist() == slow.tolist()
 
     def test_a_block_only_method_on_a_coin_takes_the_binomial_sum(self):
@@ -1278,13 +1278,90 @@ class TestSuccessSets:
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         w = fg.worlds[0]
         generic = cl.InferenceMethod("user-raven", cl.raven_rule.decide)
-        cases = [(generic, "auto", "mc"), (cl.raven_rule, "mc", "mc"), (cl.raven_rule, "auto", "geometric-exact")]
-        for method, strategy, path in cases:  # the generic scan, the geometric sampler, the closed form
+        cases = [  # the generic scan, the geometric sampler, the closed form
+            (generic, "auto", "mc"),
+            (cl.raven_rule, "mc", "geometric-mc"),
+            (cl.raven_rule, "auto", "geometric-exact"),
+        ]
+        for method, strategy, path in cases:
             assert convergence._set_plan(fg, method, w, strategy) == path
             with pytest.raises(cl.InputDomainError, match="trials"):
                 cl.success_set_prob(fg, method, w, 5, horizon=5, trials=trials, strategy=strategy)
             with pytest.raises(cl.InputDomainError, match="trials"):
                 cl.success_set_curve(fg, method, [w], [5], horizon=5, trials=trials, strategy=strategy)
+
+    def test_an_empty_world_list_still_checks_strategy_and_trials(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        with pytest.raises(cl.InputDomainError, match="trials"):
+            cl.success_set_curve(fg, cl.raven_rule, [], [5], horizon=5, trials=0)
+        with pytest.raises(cl.InputDomainError, match="unknown strategy"):
+            cl.success_set_curve(fg, cl.raven_rule, [], [5], horizon=5, strategy="bogus")
+        assert cl.success_set_curve(fg, cl.raven_rule, [], [5], horizon=5).points == ()
+
+    # One world per success-set path: (method, world id, strategy, planned path).
+    _PATHS = [
+        ("raven", "p=1", "auto", "point-mass"),
+        ("raven", "p=0.5", "auto", "geometric-exact"),
+        ("raven", "p=0.5", "mc", "geometric-mc"),
+        ("user-raven", "p=0.5", "auto", "mc"),
+    ]
+
+    @staticmethod
+    def _path_case(method_name, wid):
+        fg = cl.fine_grained_raven([Fraction(1, 2), 1])
+        method = cl.raven_rule if method_name == "raven" else cl.InferenceMethod("user-raven", cl.raven_rule.decide)
+        return fg, method, fg.world(wid)
+
+    @pytest.mark.parametrize("method_name, wid, strategy, path", _PATHS, ids=[c[-1] for c in _PATHS])
+    def test_a_stage_past_the_horizon_is_rejected_on_every_path(self, method_name, wid, strategy, path):
+        fg, method, w = self._path_case(method_name, wid)
+        assert convergence._set_plan(fg, method, w, strategy) == path
+        with pytest.raises(cl.InputDomainError, match=r"\[0, horizon\]"):
+            cl.success_set_prob(fg, method, w, 12, horizon=5, trials=200, strategy=strategy)
+        for stage in (-1, 6):
+            with pytest.raises(cl.InputDomainError, match=r"\[0, horizon\]"):
+                cl.success_set_curve(fg, method, [w], [stage], horizon=5, trials=200, strategy=strategy)
+
+    @pytest.mark.parametrize("method_name, wid, strategy, path", _PATHS, ids=[c[-1] for c in _PATHS])
+    def test_a_zero_horizon_or_a_non_integer_stage_is_rejected_on_every_path(self, method_name, wid, strategy, path):
+        fg, method, w = self._path_case(method_name, wid)
+        with pytest.raises(cl.InputDomainError, match="horizon must be >= 1"):
+            cl.success_set_curve(fg, method, [w], [0], horizon=0, trials=200, strategy=strategy)
+        for horizon, stages in ((5, [2.5]), (5, [True]), (5.5, [3])):
+            with pytest.raises(cl.InputDomainError, match="must be integers"):
+                cl.success_set_curve(fg, method, [w], stages, horizon=horizon, trials=200, strategy=strategy)
+
+    @pytest.mark.parametrize("method_name, wid, strategy, path", _PATHS, ids=[c[-1] for c in _PATHS])
+    def test_each_world_is_planned_once(self, monkeypatch, method_name, wid, strategy, path):
+        fg, method, w = self._path_case(method_name, wid)
+        plans = []
+
+        def spy(problem, method, world, strategy):
+            plans.append(world.id)
+            return set_plan(problem, method, world, strategy)
+
+        set_plan = convergence._set_plan
+        monkeypatch.setattr(convergence, "_set_plan", spy)
+        cl.success_set_curve(fg, method, [w, w], [0, 3, 5], horizon=5, trials=200, strategy=strategy)
+        assert plans == [w.id, w.id]
+        del plans[:]
+        assert cl.success_set_prob(fg, method, w, 3, horizon=5, trials=200, strategy=strategy).exact == (
+            path in ("point-mass", "geometric-exact")
+        )
+        assert plans == [w.id]
+        if path in ("geometric-mc", "mc"):  # the sampler takes the planned path and plans nothing itself
+            del plans[:]
+            _lock_stage_samples(fg, method, w, 5, 200, 0, path)
+            assert plans == []
+
+    def test_the_exact_strategy_refuses_a_method_with_no_closed_form(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.worlds[0]
+        generic = cl.InferenceMethod("user-raven", cl.raven_rule.decide)
+        with pytest.raises(cl.ResourceBudgetError, match="no exact success-set path"):
+            cl.success_set_prob(fg, generic, w, 5, strategy="exact")
+        with pytest.raises(cl.ResourceBudgetError, match="no exact success-set path"):
+            cl.success_set_curve(fg, generic, [w], [5], horizon=5, strategy="exact")
 
     def test_integral_trials_and_a_known_strategy_are_kept(self):
         fg = cl.fine_grained_raven([Fraction(1, 2)])
@@ -1394,6 +1471,6 @@ def test_hierarchy_mode_one_implies_the_stochastic_modes():
 def test_lock_samples_share_across_stages():
     fg = cl.fine_grained_raven([0.5])
     w = fg.world("p=0.5")
-    a = _lock_stage_samples(fg, cl.raven_rule, w, 20, 500, seed=8)
-    b = _lock_stage_samples(fg, cl.raven_rule, w, 20, 500, seed=8)
+    a = _lock_stage_samples(fg, cl.raven_rule, w, 20, 500, 8, "geometric-mc")
+    b = _lock_stage_samples(fg, cl.raven_rule, w, 20, 500, 8, "geometric-mc")
     assert (a == b).all()
