@@ -8,7 +8,8 @@ leaves' weights over q**n (``_integer_law``), or for an exchangeable method
 (read only through its count block, ``_count_block``) a binomial sum over
 the count of 1s under IID-Bernoulli data or a multinomial sum over the
 token-count vectors under any IID world -- and by seeded Monte Carlo
-otherwise; one planner (``_plan``) picks that path per (world, n).
+otherwise; one planner (``_plan``) picks that path per (measure, n), and
+Monte Carlo judges every world on a measure on one draw per n.
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -301,7 +302,7 @@ def _count_block(method):
 
 
 def _plan(method, world, n, budget: Budget) -> str:
-    """The evaluation path of the success probability at (world, n) under the budget.
+    """The evaluation path of the success probability at (world, n) under the budget; it reads only the measure.
 
     Unless the strategy is "mc", an exact path wins where it fits its cap:
     symmetric_exact_cap on n for a count-block method's binomial sum on
@@ -383,7 +384,8 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
     ranges = _window(problem, method, world, n, crit)
     if ranges is None:  # no declared window vouches: decide the (n - k, k) rows in one block call
         k = np.arange(ks[0], ks[-1] + 1)
-        flags = _count_block_flags(problem, method, world, crit, (0, 1), np.stack([n - k, k], axis=1))
+        decided = _count_block(method)((0, 1), np.stack([n - k, k], axis=1))
+        flags = _count_block_flags(problem, world, crit, decided)
         # The edges of the zero-padded flags alternate between the starts and the stops of runs of hits.
         edges = (np.flatnonzero(np.diff(flags, prepend=False, append=False)) + ks[0]).tolist()
         ranges = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
@@ -425,12 +427,12 @@ def _compositions(n: int, t: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def _count_block_flags(problem, method, world, crit, tokens, counts) -> np.ndarray:
-    """Per row of token counts, whether the method's output on those counts meets the criterion.
+def _count_block_flags(problem, world, crit, decided) -> np.ndarray:
+    """Per row of a count block's (outputs, index), whether its output meets the criterion in the world.
 
-    Reads the count block's (outputs, index) and tests each output some row picks once.
+    Tests each output some row picks once.
     """
-    outputs, index = _count_block(method)(tokens, counts)
+    outputs, index = decided
     met = _success_test(problem, world, crit)
     hits = np.zeros(len(outputs), dtype=bool)
     for i in np.flatnonzero(np.bincount(index, minlength=len(outputs))):
@@ -444,7 +446,7 @@ def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
     tokens, nums, q = _integer_law(world.measure)
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(tokens))
-    flags = _count_block_flags(problem, method, world, crit, tokens, counts)
+    flags = _count_block_flags(problem, world, crit, _count_block(method)(tokens, counts))
     num = 0
     for cs in counts[flags].tolist():
         weight = fact[n]
@@ -481,48 +483,65 @@ def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget]
 # Monte Carlo success probabilities
 
 
-def _mc_estimate(flags: np.ndarray) -> Estimate:
-    p_hat = float(flags.mean())
-    return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / flags.size), False)
+def _mc_estimate(hits: int, trials: int) -> Estimate:
+    p_hat = float(hits / trials)  # a Python float for a numpy trials count too
+    return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _mc_block(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    # Multinomial count vectors: _mc_generic's law, not its draws.  A declared window flags column 1
-    # (the count of 1s) and decides nothing; otherwise the block decides the positive columns.
-    probs = world.measure.token_probs
-    counts = world.measure.sample_count_block(rng, trials, n)
-    ranges = _window(problem, method, world, n, crit)
-    if ranges is not None:
-        hit = np.zeros(n + 1, dtype=bool)
-        for rg in ranges:
-            hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
-        return hit[counts[:, 1]]
-    positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
-    return _count_block_flags(problem, method, world, crit, [probs[j][0] for j in positive], counts[:, positive])
+def _mc_block(problem, method, worlds, n, crit, trials, rng) -> list[np.ndarray]:
+    # Multinomial count vectors: _mc_generic's law, not its draws.  Per world, a declared window flags
+    # column 1 (the count of 1s) and decides nothing; otherwise the block decides the positive columns,
+    # once for all the worlds.
+    probs = worlds[0].measure.token_probs
+    counts = worlds[0].measure.sample_count_block(rng, trials, n)
+    decided, flags = None, []
+    for world in worlds:
+        ranges = _window(problem, method, world, n, crit)
+        if ranges is not None:
+            hit = np.zeros(n + 1, dtype=bool)
+            for rg in ranges:
+                hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
+            flags.append(hit[counts[:, 1]])
+            continue
+        if decided is None:
+            positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
+            decided = _count_block(method)([probs[j][0] for j in positive], counts[:, positive])
+        flags.append(_count_block_flags(problem, world, crit, decided))
+    return flags
 
 
-def _mc_generic(problem, method, world, n, crit, trials, rng) -> np.ndarray:
-    met = _success_test(problem, world, crit)
-    prefixes = world.measure.sample_prefixes(rng, trials, n)
-    return np.array([met(method.decide(prefix)) for prefix in prefixes], dtype=bool)
+def _mc_generic(problem, method, worlds, n, crit, trials, rng) -> list[np.ndarray]:
+    # Each sampled prefix is decided once; each world tests the outputs against its own truth.
+    outputs = [method.decide(prefix) for prefix in worlds[0].measure.sample_prefixes(rng, trials, n)]
+    return [np.fromiter(map(_success_test(problem, w, crit), outputs), dtype=bool, count=trials) for w in worlds]
 
 
 _MC_PATHS = {MC_BLOCK: _mc_block, MC_GENERIC: _mc_generic}
 
 
+def _mc_estimates(problem, method, worlds, n, crit, path: str, trials: int, seed: int) -> list[Estimate]:
+    """Per world, its estimate on one draw from the worlds' one measure, keyed by its law alone:
+    (seed, "mc", the probabilities in token_probs order, n), whichever other worlds share the draw."""
+    probs = (pr for _, pr in worlds[0].measure.token_probs)
+    rng = seeding.generator(seed, "mc", *probs, n)
+    flags = _MC_PATHS[path](problem, method, worlds, n, crit, trials, rng)
+    return [_mc_estimate(int(np.count_nonzero(f)), trials) for f in flags]
+
+
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> Estimate:
     """Seeded Monte Carlo estimate of the success probability at sample size n.
 
-    The generator is derived from (seed, world id, n), so the estimate is
-    reproducible for fixed arguments no matter which worker evaluates it or
-    in which order the (world, n) work items run.  Point-mass worlds report
-    their deterministic indicator.
+    The generator is derived from (seed, the measure's probabilities, n),
+    the key success_curve draws every world on that measure from, so the
+    estimate equals the curve's point at (world, n) and is reproducible
+    for fixed arguments whichever worker evaluates it, in whichever order.
+    Point-mass worlds report their deterministic indicator.
     """
     path = _plan(method, world, n, Budget(strategy="mc", trials=trials))
     if path == POINT_MASS:
         return Estimate(float(_point_mass_exact(problem, method, world, n, crit)), 0.0, True)
-    rng = seeding.generator(seed, "mc", world.id, n)
-    return _mc_estimate(_MC_PATHS[path](problem, method, world, n, crit, trials, rng))
+    (est,) = _mc_estimates(problem, method, [world], n, crit, path, trials, seed)
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +572,20 @@ def _map_items(fn, keys, workers: int) -> dict:
         return {key: fut.result() for key, fut in futures.items()}
 
 
+def _stage_list(horizon, stages, first: int) -> tuple[int, tuple[int, ...]]:
+    """The horizon and the stages (first..horizon when None) as ints, or InputDomainError unless all are
+    integers (numpy's too, bools not), the horizon is >= 1 and every stage lies in [first, horizon]."""
+    stage_list = None if stages is None else tuple(stages)
+    bad = [v for v in (horizon, *(stage_list or ())) if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    if bad:
+        raise InputDomainError(f"horizon and stages must be integers, got {bad[0]!r}")
+    horizon = int(horizon)
+    stage_list = tuple(range(first, horizon + 1)) if stage_list is None else tuple(map(int, stage_list))
+    if horizon < 1 or any(s < first or s > horizon for s in stage_list):
+        raise InputDomainError(f"horizon must be >= 1 and stages must lie in [{first}, horizon]")
+    return horizon, stage_list
+
+
 def success_curve(
     problem: EmpiricalProblem,
     method: InferenceMethod,
@@ -567,37 +600,37 @@ def success_curve(
 ) -> SuccessCurve:
     """Success-probability estimates per (world, n), exact where affordable.
 
-    Rows carry the analytic lower bound when one applies.  Identical
+    One work item per (measure, n) plans once, and on a Monte Carlo path
+    judges each world on that measure on mc_success_prob's one draw.  Rows
+    carry the analytic lower bound when one applies.  Identical
     (arguments, seed) produce identical curves at any worker count.
     """
     budget = budget or Budget()
-    if horizon < 1:
-        raise InputDomainError("horizon must be >= 1")
-    stage_list = tuple(stages) if stages is not None else tuple(range(1, horizon + 1))
-    if any(s < 1 or s > horizon for s in stage_list):
-        raise InputDomainError("stages must lie in [1, horizon]")
+    horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
+    groups: dict = {}  # measure -> the indices of the worlds on it, in grid order
+    for wi, w in enumerate(worlds):
+        groups.setdefault(w.measure, []).append(wi)
+    members = list(groups.values())
 
     def evaluate(key):
-        wi, n = key
-        w = worlds[wi]
-        if _plan(method, w, n, budget) in _EXACT_PATHS:
-            est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
+        gi, n = key
+        group = [worlds[wi] for wi in members[gi]]
+        path = _plan(method, group[0], n, budget)
+        if path in _EXACT_PATHS:
+            ests = [Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True) for w in group]
         else:
-            est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed)
-        return CurvePoint(
-            world_id=w.id,
-            n=n,
-            estimate=est.value,
-            stderr=est.stderr,
-            exact=est.exact,
-            bound=analytic_bound(problem, method, w, n, crit),
-        )
+            ests = _mc_estimates(problem, method, group, n, crit, path, budget.trials, seed)
+        return [
+            CurvePoint(w.id, n, est.value, est.stderr, est.exact, analytic_bound(problem, method, w, n, crit))
+            for w, est in zip(group, ests)
+        ]
 
-    keys = [(wi, n) for wi in range(len(worlds)) for n in stage_list]
+    keys = [(gi, n) for gi in range(len(members)) for n in stage_list]
     results = _map_items(evaluate, keys, workers)
-    points = tuple(results[k] for k in keys)
+    at = {(wi, pt.n): pt for (gi, _), pts in results.items() for wi, pt in zip(members[gi], pts)}
+    points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
     return SuccessCurve(problem.name, method.name, crit.label, points)
 
 
@@ -858,12 +891,7 @@ def success_set_curve(
     """
     Budget(strategy=strategy, trials=trials)
     worlds = tuple(worlds)
-    stage_list = tuple(stages)
-    bad = [v for v in (horizon, *stage_list) if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
-    if bad:
-        raise InputDomainError(f"horizon and stages must be integers, got {bad[0]!r}")
-    if horizon < 1 or any(s < 0 or s > horizon for s in stage_list):
-        raise InputDomainError("horizon must be >= 1 and stages must lie in [0, horizon]")
+    horizon, stage_list = _stage_list(horizon, stages, 0)
     workers = resolve_workers(workers)
 
     def evaluate(wi):
@@ -878,7 +906,9 @@ def success_set_curve(
             ests = [Estimate(Fraction(int(lock is not None and lock <= n)), 0.0, True) for n in stage_list]
         else:
             locks = _lock_stage_samples(problem, method, w, horizon, trials, seed, path)
-            ests = [_mc_estimate(locks <= n) for n in stage_list]
+            # locked[n]: the branches locked by stage n, one cumulative count for every stage.
+            locked = np.bincount(np.minimum(locks, horizon + 1), minlength=horizon + 2).cumsum().tolist()
+            ests = [_mc_estimate(locked[n], trials) for n in stage_list]
         return [CurvePoint(w.id, n, e.value, e.stderr, e.exact, None) for n, e in zip(stage_list, ests)]
 
     results = _map_items(evaluate, list(range(len(worlds))), workers)

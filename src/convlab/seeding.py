@@ -1,9 +1,11 @@
 """Counter-based seed derivation for schedule-independent sampling.
 
 Every stochastic computation in this package draws from a generator derived
-from (master seed, *key parts) rather than from shared global state.  Work
-items keyed by (world id, stage) therefore produce identical streams no
-matter how many workers evaluate them or in which order.
+from (master seed, *key parts) rather than from shared global state, so a
+stream never depends on how many workers run or in which order.  Success
+probabilities draw from (seed, "mc", the measure's token probabilities, stage),
+one stream per law and stage that every world on that measure shares;
+success sets from (seed, "success-set", world id, horizon).
 """
 
 from __future__ import annotations

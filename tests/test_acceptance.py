@@ -242,6 +242,19 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
             workers=workers,
         )
 
+    def c3_grid_curve(workers):  # five worlds on two measures: each draw is shared
+        return cl.success_curve(
+            fc,
+            cl.fair_coin_test,
+            fc.worlds,
+            cl.EXACT,
+            400,
+            budget=Budget(strategy="mc", trials=20_000),
+            seed=20260809,
+            stages=(1, 10, 100, 400),
+            workers=workers,
+        )
+
     def c7_curve(workers, method=cl.raven_rule, trials=100_000):
         return cl.success_set_curve(
             fg,
@@ -258,7 +271,8 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
     def c7_scan_curve(workers):
         return c7_curve(workers, scan_raven, 2000)
 
-    for label, build in (("c3", c3_curve), ("c7", c7_curve), ("c7-scan", c7_scan_curve)):
+    curves = (("c3", c3_curve), ("c3-grid", c3_grid_curve), ("c7", c7_curve), ("c7-scan", c7_scan_curve))
+    for label, build in curves:
         assert cli.curve_csv(build(1)) == cli.curve_csv(build(8)), label
     v1 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1)
     v8 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=8)

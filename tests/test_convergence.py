@@ -200,7 +200,7 @@ class TestSuccessMemo:
         w = prob.world("D2")
         if path == "mc-block":
             assert _plan(erm, w, 6, Budget(strategy="mc")) == path
-            _mc_block(prob, erm, w, 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
+            _mc_block(prob, erm, [w], 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
         else:
             assert _plan(erm, w, 6, Budget()) == path
             cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
@@ -273,7 +273,8 @@ class TestSuccessMemo:
         user = self._user_frequency()
         assert _plan(user, w, 100, Budget(strategy="mc")) == "mc-generic"
         est = cl.mc_success_prob(cb, user, w, 100, cl.within(0.05), 2000, seed=3)
-        prefixes = w.measure.sample_prefixes(seeding.generator(3, "mc", w.id, 100), 2000, 100)
+        rng = seeding.generator(3, "mc", Fraction(7, 10), Fraction(3, 10), 100)  # the measure's law, not w.id
+        prefixes = w.measure.sample_prefixes(rng, 2000, 100)
         outputs = [Fraction(sum(seq), 100) for seq in prefixes]
         assert sorted(loss_calls) == sorted(set(outputs))
         assert est.value == sum(abs(h - Fraction(3, 10)) < Fraction(1, 20) for h in outputs) / 2000
@@ -341,7 +342,8 @@ class TestSuccessMemo:
             w.measure.prefix_prob(seq) for seq in leaves if met(seq)
         )
         assert len(loss_calls) == 2**8  # a fresh list per leaf: no hits, but no wrong ones either
-        prefixes = w.measure.sample_prefixes(seeding.generator(5, "mc", w.id, 30), 500, 30)
+        rng = seeding.generator(5, "mc", Fraction(7, 10), Fraction(3, 10), 30)
+        prefixes = w.measure.sample_prefixes(rng, 500, 30)
         est = cl.mc_success_prob(problem, method, w, 30, cl.EXACT, 500, seed=5)
         assert est.value == sum(map(met, prefixes)) / 500
         prefix = (1, 1, 0, 0, 0, 1, 0, 0)  # a majority of 1s at stages 1 to 3 only
@@ -476,8 +478,8 @@ class TestCountLaws:
                 for crit in LAW_CRITS:
                     empty += not any(method.laws.window(problem, world, n, crit))
                     key = (11, world.id, n)
-                    declared = _mc_block(problem, method, world, n, crit, 300, seeding.generator(*key))
-                    scanned = _mc_block(problem, undeclared, world, n, crit, 300, seeding.generator(*key))
+                    (declared,) = _mc_block(problem, method, [world], n, crit, 300, seeding.generator(*key))
+                    (scanned,) = _mc_block(problem, undeclared, [world], n, crit, 300, seeding.generator(*key))
                     assert declared.tolist() == scanned.tolist(), (world.id, world.truth, n, crit)
         assert empty > 0
 
@@ -491,8 +493,8 @@ class TestCountLaws:
         )
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         w = fg.world("p=0.5")
-        declared = _mc_block(fg, method, w, 10, cl.EXACT, 2000, seeding.generator(4))
-        scanned = _mc_block(fg, replace(method, laws=None), w, 10, cl.EXACT, 2000, seeding.generator(4))
+        (declared,) = _mc_block(fg, method, [w], 10, cl.EXACT, 2000, seeding.generator(4))
+        (scanned,) = _mc_block(fg, replace(method, laws=None), [w], 10, cl.EXACT, 2000, seeding.generator(4))
         assert declared.tolist() == scanned.tolist()
 
     def test_bounds_come_from_the_laws_not_the_name(self):
@@ -571,7 +573,7 @@ class TestMcSuccessProb:
         for w in prob.worlds:
             tokens = [tok for tok, _ in w.measure.token_probs]
             counts = w.measure.sample_count_block(seeding.generator(2, w.id, n), trials, n).tolist()
-            flags = _mc_block(prob, method, w, n, crit, trials, seeding.generator(2, w.id, n))
+            (flags,) = _mc_block(prob, method, [w], n, crit, trials, seeding.generator(2, w.id, n))
             met = convergence._success_test(prob, w, crit)
             decided = {}
             for row, flag in zip(map(tuple, counts), flags.tolist()):
@@ -658,7 +660,7 @@ class TestMultinomialExact:
 
         spy = replace(erm, decide_count_block=block)
         assert cl.exact_success_prob(prob, spy, prob.world("D3"), 3, cl.EXACT) == Fraction(3, 4)
-        _mc_block(prob, spy, prob.world("D3"), 3, cl.EXACT, 50, seeding.generator(0))
+        _mc_block(prob, spy, [prob.world("D3")], 3, cl.EXACT, 50, seeding.generator(0))
         assert seen == [([("a", 1), ("b", 0)], (4, 2)), ([("a", 1), ("b", 0)], (50, 2))]
 
     def test_compositions_are_every_count_vector_once(self):
@@ -726,7 +728,7 @@ class TestMultinomialExact:
             exact = float(cl.exact_success_prob(prob, plodding, w, n, cl.within(0.05)))
             se = math.sqrt(exact * (1 - exact) / trials)
             est = [
-                _mc_block(prob, method, w, n, cl.within(0.05), trials, seeding.generator(key, w.id, n)).mean()
+                _mc_block(prob, method, [w], n, cl.within(0.05), trials, seeding.generator(key, w.id, n))[0].mean()
                 for key, method in ((2, honest), (3, liar))
             ]
             assert abs(est[0] - exact) <= 5 * se, n
@@ -794,6 +796,119 @@ class TestSuccessCurve:
                 budget=Budget(strategy="exact"),
                 stages=(40,),
             )
+
+    @staticmethod
+    def _mc_curve(problem, method, worlds, crit=cl.EXACT, stages=(3, 8, 20), trials=300, seed=9):
+        budget = Budget(strategy="mc", trials=trials)
+        return cl.success_curve(problem, method, worlds, crit, 20, budget=budget, seed=seed, stages=stages)
+
+    def test_worlds_on_one_measure_get_one_draw(self):
+        fc = cl.fair_coin([0.5, 0.9])
+        curve = self._mc_curve(fc, cl.fair_coin_test, fc.worlds)
+        by_world = {}
+        for pt in curve.points:
+            by_world.setdefault(pt.world_id, []).append((pt.estimate, pt.stderr))
+        assert by_world["theta=0.9"] == by_world["theta=0.9/alternating"]
+        assert any(est not in (0.0, 1.0) for est, _ in by_world["theta=0.9"])
+
+    def test_one_count_block_draw_per_measure_and_stage(self, monkeypatch):
+        draws = []
+        sample = cl.Measure.sample_count_block
+
+        def spy(measure, rng, trials, n):
+            draws.append((measure.theta, n))
+            return sample(measure, rng, trials, n)
+
+        monkeypatch.setattr(cl.Measure, "sample_count_block", spy)
+        fc = cl.fair_coin([0.5, 0.9])  # five worlds on two measures
+        self._mc_curve(fc, cl.fair_coin_test, fc.worlds, stages=(3, 8, 20))
+        assert sorted(draws) == sorted((th, n) for th in (Fraction(1, 2), Fraction(9, 10)) for n in (3, 8, 20))
+
+    def test_a_flagless_method_decides_each_sample_once_per_measure_and_stage(self):
+        decided = []
+
+        def decide(seq):
+            decided.append(len(seq))
+            return cl.fair_coin_test.decide(seq)
+
+        fc = cl.fair_coin([0.5, 0.9])
+        user = cl.InferenceMethod("user-fair-coin-test", decide)
+        assert _plan(user, fc.worlds[0], 8, Budget(strategy="mc")) == "mc-generic"
+        self._mc_curve(fc, user, fc.worlds, stages=(4, 9), trials=300)
+        assert sorted(decided) == [4] * 600 + [9] * 600  # 2 measures x 300 trials per stage, not 5 worlds
+
+    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
+    def test_every_point_equals_the_library_call(self, flagless):
+        fc = cl.fair_coin([0.5, 0.9])
+        method = cl.InferenceMethod("user", cl.fair_coin_test.decide) if flagless else cl.fair_coin_test
+        curve = self._mc_curve(fc, method, fc.worlds, stages=(1, 6, 20))
+        for pt in curve.points:
+            w = fc.world(pt.world_id)
+            assert _plan(method, w, pt.n, Budget(strategy="mc")) == ("mc-generic" if flagless else "mc-block")
+            est = cl.mc_success_prob(fc, method, w, pt.n, cl.EXACT, 300, seed=9)
+            assert (pt.estimate, pt.stderr, pt.exact) == tuple(est), (pt.world_id, pt.n)
+
+    def test_a_world_ids_subset_gives_the_full_grid_rows(self):
+        fc = cl.fair_coin()
+        kwargs = dict(budget=Budget(strategy="mc", trials=300), seed=9)
+        ids = ["theta=0.9/alternating", "theta=0.5/all-ones", "theta=0.3"]
+        params = [cl.mode_params("II", 20, 0.1, stages=(3, 8, 20), world_ids=w) for w in (None, ids)]
+        full, subset = (cl.check_mode(fc, cl.fair_coin_test, p, **kwargs) for p in params)
+        rows = {(pt.world_id, pt.n): pt for pt in full.curve.points}
+        assert [pt.world_id for pt in subset.curve.points] == [i for i in ids for _ in range(3)]
+        assert all(pt == rows[pt.world_id, pt.n] for pt in subset.curve.points)
+
+    @pytest.mark.parametrize("path", ["window", "count-block", "mc-generic"])
+    def test_worlds_on_one_measure_with_different_truths_keep_their_own_flags(self, path):
+        # Truths 0.3 and 0.5 on one IID(0.3) measure: no estimate lies within 0.1 of both, so on one
+        # draw the two worlds' flags are never both set, and each equals its own single-world call.
+        cb = cl.coin_bias([Fraction(3, 10)])
+        low = cb.world("theta=0.3")
+        high = replace(low, id="theta=0.3/truth=0.5", truth=Fraction(1, 2))
+        method = {
+            "window": cl.frequency_estimator,
+            "count-block": replace(cl.frequency_estimator, laws=None),
+            "mc-generic": cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide),
+        }[path]
+        crit, n, key = cl.within(0.1), 12, (4, "shared", 12)
+        mc = convergence._mc_block if path != "mc-generic" else convergence._mc_generic
+        both = mc(cb, method, [low, high], n, crit, 2000, seeding.generator(*key))
+        alone = [mc(cb, method, [w], n, crit, 2000, seeding.generator(*key))[0] for w in (low, high)]
+        assert [f.tolist() for f in both] == [f.tolist() for f in alone]
+        assert not (both[0] & both[1]).any() and both[0].any() and both[1].any()
+        curve = self._mc_curve(cb, method, [low, high], crit=crit, stages=(n,), trials=2000)
+        ests = [(pt.estimate, pt.stderr) for pt in curve.points]
+        assert ests[0] != ests[1]
+        assert ests == [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, seed=9))[:2] for w in (low, high)]
+
+    @pytest.mark.parametrize(
+        "horizon, stages, match",
+        [
+            (5, [True], "must be integers"),
+            (5, [2.5], "must be integers"),
+            (5.0, None, "must be integers"),
+            (True, None, "must be integers"),
+            (0, None, "horizon must be >= 1"),
+            (5, [0], r"\[1, horizon\]"),
+            (5, [6], r"\[1, horizon\]"),
+        ],
+    )
+    def test_bad_stages_and_horizons_raise_input_domain_error(self, horizon, stages, match):
+        fc = cl.fair_coin([0.5, 0.9])
+        for budget in (Budget(), Budget(strategy="mc", trials=50)):
+            with pytest.raises(cl.InputDomainError, match=match):
+                cl.success_curve(fc, cl.fair_coin_test, fc.worlds[:1], cl.EXACT, horizon, budget=budget,
+                                 stages=stages)
+
+    def test_numpy_integer_stages_are_kept_as_ints(self):
+        fc = cl.fair_coin([0.5, 0.9])
+        for budget in (Budget(), Budget(strategy="mc", trials=50)):
+            kwargs = dict(budget=budget, seed=2)
+            worlds = fc.worlds[:2]
+            stages = np.array([1, 5])
+            curve = cl.success_curve(fc, cl.fair_coin_test, worlds, cl.EXACT, np.int64(5), stages=stages, **kwargs)
+            assert [type(pt.n) for pt in curve.points] == [int] * 4
+            assert curve == cl.success_curve(fc, cl.fair_coin_test, worlds, cl.EXACT, 5, stages=[1, 5], **kwargs)
 
 
 class TestBudget:
@@ -1353,6 +1468,35 @@ class TestSuccessSets:
             del plans[:]
             _lock_stage_samples(fg, method, w, 5, 200, 0, path)
             assert plans == []
+
+    def test_numpy_integer_stages_and_horizon_are_kept_as_ints(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.worlds[0]
+        for strategy in ("auto", "mc"):
+            kwargs = dict(trials=200, seed=3, strategy=strategy)
+            curve = cl.success_set_curve(fg, cl.raven_rule, [w], np.arange(4), horizon=np.int64(3), **kwargs)
+            assert [type(pt.n) for pt in curve.points] == [int] * 4
+            assert curve == cl.success_set_curve(fg, cl.raven_rule, [w], [0, 1, 2, 3], horizon=3, **kwargs)
+
+    @pytest.mark.parametrize("path", ["geometric-mc", "mc"])
+    def test_the_cumulative_read_equals_the_per_stage_mean(self, path):
+        # Stage 0 and n = horizon included; geometric locks run far past the horizon at p = 0.95, and the
+        # scan of a method that never says No leaves every branch with a 0 unlocked (horizon + 1).
+        p, horizon, trials, seed = Fraction(19, 20), 6, 3000, 5
+        fg = cl.fine_grained_raven([p])
+        w = fg.worlds[0]
+        method = cl.raven_rule if path == "geometric-mc" else cl.InferenceMethod("always-yes", lambda seq: cl.YES)
+        assert convergence._set_plan(fg, method, w, "mc") == path
+        locks = _lock_stage_samples(fg, method, w, horizon, trials, seed, path)
+        assert (locks > horizon + 1).any() if path == "geometric-mc" else (locks == horizon + 1).any()
+        stages = list(range(horizon + 1))
+        kwargs = dict(horizon=horizon, trials=trials, seed=seed, strategy="mc")
+        curve = cl.success_set_curve(fg, method, [w], stages, **kwargs)
+        for pt in curve.points:
+            flags = locks <= pt.n
+            p_hat = float(flags.mean())
+            assert (pt.estimate, pt.stderr) == (p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / flags.size))
+        assert 0 < curve.points[-1].estimate < 1
 
     def test_the_exact_strategy_refuses_a_method_with_no_closed_form(self):
         fg = cl.fine_grained_raven([Fraction(1, 2)])
