@@ -488,60 +488,57 @@ def _mc_estimate(hits: int, trials: int) -> Estimate:
     return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _mc_block(problem, method, worlds, n, crit, trials, rng) -> list[np.ndarray]:
-    # Multinomial count vectors: _mc_generic's law, not its draws.  Per world, a declared window flags
-    # column 1 (the count of 1s) and decides nothing; otherwise the block decides the positive columns,
-    # once for all the worlds.
-    probs = worlds[0].measure.token_probs
-    counts = worlds[0].measure.sample_count_block(rng, trials, n)
-    decided, flags = None, []
-    for world in worlds:
-        ranges = _window(problem, method, world, n, crit)
-        if ranges is not None:
-            hit = np.zeros(n + 1, dtype=bool)
-            for rg in ranges:
-                hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
-            flags.append(hit[counts[:, 1]])
-            continue
-        if decided is None:
-            positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
-            decided = _count_block(method)([probs[j][0] for j in positive], counts[:, positive])
-        flags.append(_count_block_flags(problem, world, crit, decided))
-    return flags
+def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
+    """The trials at (measure, n) that every world on the measure is judged on.
+
+    A count-block path draws multinomial count vectors (the law of the sampled prefixes' counts, not
+    their draws) and decides them on first need; a generic path decides each sampled prefix once.
+    """
+    if path == MC_BLOCK:
+        return {"counts": measure.sample_count_block(rng, trials, n)}
+    return {"outputs": [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]}
 
 
-def _mc_generic(problem, method, worlds, n, crit, trials, rng) -> list[np.ndarray]:
-    # Each sampled prefix is decided once; each world tests the outputs against its own truth.
-    outputs = [method.decide(prefix) for prefix in worlds[0].measure.sample_prefixes(rng, trials, n)]
-    return [np.fromiter(map(_success_test(problem, w, crit), outputs), dtype=bool, count=trials) for w in worlds]
+def _mc_flags(problem, method, world, n, crit, draw: dict) -> np.ndarray:
+    """Per trial of the draw, whether the method's output meets the criterion in the world."""
+    if "outputs" in draw:
+        outputs = draw["outputs"]
+        return np.fromiter(map(_success_test(problem, world, crit), outputs), dtype=bool, count=len(outputs))
+    counts = draw["counts"]
+    ranges = _window(problem, method, world, n, crit)
+    if ranges is not None:  # a declared window flags column 1 (the count of 1s) and decides nothing
+        hit = np.zeros(n + 1, dtype=bool)
+        for rg in ranges:
+            hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
+        return hit[counts[:, 1]]
+    if "decided" not in draw:  # the block decides the positive columns, once for every world on the draw
+        probs = world.measure.token_probs
+        positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
+        draw["decided"] = _count_block(method)([probs[j][0] for j in positive], counts[:, positive])
+    return _count_block_flags(problem, world, crit, draw["decided"])
 
 
-_MC_PATHS = {MC_BLOCK: _mc_block, MC_GENERIC: _mc_generic}
-
-
-def _mc_estimates(problem, method, worlds, n, crit, path: str, trials: int, seed: int) -> list[Estimate]:
-    """Per world, its estimate on one draw from the worlds' one measure, keyed by its law alone:
-    (seed, "mc", the probabilities in token_probs order, n), whichever other worlds share the draw."""
-    probs = (pr for _, pr in worlds[0].measure.token_probs)
-    rng = seeding.generator(seed, "mc", *probs, n)
-    flags = _MC_PATHS[path](problem, method, worlds, n, crit, trials, rng)
-    return [_mc_estimate(int(np.count_nonzero(f)), trials) for f in flags]
-
-
-def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int) -> Estimate:
+def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, draws=None) -> Estimate:
     """Seeded Monte Carlo estimate of the success probability at sample size n.
 
-    The generator is derived from (seed, the measure's probabilities, n),
-    the key success_curve draws every world on that measure from, so the
-    estimate equals the curve's point at (world, n) and is reproducible
-    for fixed arguments whichever worker evaluates it, in whichever order.
-    Point-mass worlds report their deterministic indicator.
+    The generator is derived from the world's law alone -- (seed, "mc", the
+    measure's probabilities in token_probs order, n) -- so the estimate is
+    reproducible for fixed arguments whichever worker evaluates it, in
+    whichever order.  A ``draws`` dict shared by calls for one method keeps
+    each (measure, n, trials, seed) draw, so every world on a measure is
+    judged on the same trials (common random numbers), each against its own
+    truth; success_curve passes one per work item.  Sharing it changes no
+    estimate.  Point-mass worlds report their deterministic indicator.
     """
     path = _plan(method, world, n, Budget(strategy="mc", trials=trials))
     if path == POINT_MASS:
         return Estimate(float(_point_mass_exact(problem, method, world, n, crit)), 0.0, True)
-    (est,) = _mc_estimates(problem, method, [world], n, crit, path, trials, seed)
-    return est
+    draws = {} if draws is None else draws
+    key = (world.measure, n, trials, seed)
+    if key not in draws:
+        rng = seeding.generator(seed, "mc", *(pr for _, pr in world.measure.token_probs), n)
+        draws[key] = _mc_draw(method, world.measure, n, path, trials, rng)
+    return _mc_estimate(int(np.count_nonzero(_mc_flags(problem, method, world, n, crit, draws[key]))), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -600,36 +597,44 @@ def success_curve(
 ) -> SuccessCurve:
     """Success-probability estimates per (world, n), exact where affordable.
 
-    One work item per (measure, n) plans once, and on a Monte Carlo path
-    judges each world on that measure on mc_success_prob's one draw.  Rows
-    carry the analytic lower bound when one applies.  Identical
-    (arguments, seed) produce identical curves at any worker count.
+    The path is planned once per (measure, n).  An exact point is one work
+    item; a Monte Carlo item holds every world on the measure at n, judged
+    on mc_success_prob's one shared draw, so each point equals that call
+    whichever other worlds are in the grid.  Rows carry the analytic lower
+    bound when one applies.  Identical (arguments, seed) produce identical
+    curves at any worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
-    groups: dict = {}  # measure -> the indices of the worlds on it, in grid order
+    groups = {}  # measure -> the indices of the worlds on it, in grid order
     for wi, w in enumerate(worlds):
         groups.setdefault(w.measure, []).append(wi)
-    members = list(groups.values())
+    keys = []  # per work item: (world indices, n, exact), one plan per (measure, n)
+    for wis in map(tuple, groups.values()):
+        for n in stage_list:
+            if _plan(method, worlds[wis[0]], n, budget) in _EXACT_PATHS:
+                keys.extend(((wi,), n, True) for wi in wis)
+            else:
+                keys.append((wis, n, False))
 
     def evaluate(key):
-        gi, n = key
-        group = [worlds[wi] for wi in members[gi]]
-        path = _plan(method, group[0], n, budget)
-        if path in _EXACT_PATHS:
-            ests = [Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True) for w in group]
-        else:
-            ests = _mc_estimates(problem, method, group, n, crit, path, budget.trials, seed)
-        return [
-            CurvePoint(w.id, n, est.value, est.stderr, est.exact, analytic_bound(problem, method, w, n, crit))
-            for w, est in zip(group, ests)
-        ]
+        wis, n, exact = key
+        draws = {}  # the worlds of a Monte Carlo item share one draw
+        out = []
+        for wi in wis:
+            w = worlds[wi]
+            if exact:
+                est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
+            else:
+                est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
+            bound = analytic_bound(problem, method, w, n, crit)
+            out.append(CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound))
+        return out
 
-    keys = [(gi, n) for gi in range(len(members)) for n in stage_list]
     results = _map_items(evaluate, keys, workers)
-    at = {(wi, pt.n): pt for (gi, _), pts in results.items() for wi, pt in zip(members[gi], pts)}
+    at = {(wi, n): pt for (wis, n, _), pts in results.items() for wi, pt in zip(wis, pts)}
     points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
     return SuccessCurve(problem.name, method.name, crit.label, points)
 

@@ -17,10 +17,17 @@ from convlab.convergence import (
     _binomial_exact,
     _integer_law,
     _lock_stage_samples,
-    _mc_block,
+    _mc_draw,
+    _mc_flags,
     _multinomial_exact,
     _plan,
 )
+
+
+def _shared_flags(problem, method, worlds, n, crit, trials, rng, path="mc-block"):
+    """Each world's per-trial flags on one draw from the first world's measure, as success_curve shares it."""
+    draw = _mc_draw(method, worlds[0].measure, n, path, trials, rng)
+    return [_mc_flags(problem, method, w, n, crit, draw) for w in worlds]
 
 
 def rationals(max_den=40):
@@ -200,7 +207,7 @@ class TestSuccessMemo:
         w = prob.world("D2")
         if path == "mc-block":
             assert _plan(erm, w, 6, Budget(strategy="mc")) == path
-            _mc_block(prob, erm, [w], 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
+            _shared_flags(prob, erm, [w], 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
         else:
             assert _plan(erm, w, 6, Budget()) == path
             cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
@@ -478,8 +485,8 @@ class TestCountLaws:
                 for crit in LAW_CRITS:
                     empty += not any(method.laws.window(problem, world, n, crit))
                     key = (11, world.id, n)
-                    (declared,) = _mc_block(problem, method, [world], n, crit, 300, seeding.generator(*key))
-                    (scanned,) = _mc_block(problem, undeclared, [world], n, crit, 300, seeding.generator(*key))
+                    (declared,) = _shared_flags(problem, method, [world], n, crit, 300, seeding.generator(*key))
+                    (scanned,) = _shared_flags(problem, undeclared, [world], n, crit, 300, seeding.generator(*key))
                     assert declared.tolist() == scanned.tolist(), (world.id, world.truth, n, crit)
         assert empty > 0
 
@@ -493,8 +500,8 @@ class TestCountLaws:
         )
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         w = fg.world("p=0.5")
-        (declared,) = _mc_block(fg, method, [w], 10, cl.EXACT, 2000, seeding.generator(4))
-        (scanned,) = _mc_block(fg, replace(method, laws=None), [w], 10, cl.EXACT, 2000, seeding.generator(4))
+        (declared,) = _shared_flags(fg, method, [w], 10, cl.EXACT, 2000, seeding.generator(4))
+        (scanned,) = _shared_flags(fg, replace(method, laws=None), [w], 10, cl.EXACT, 2000, seeding.generator(4))
         assert declared.tolist() == scanned.tolist()
 
     def test_bounds_come_from_the_laws_not_the_name(self):
@@ -573,7 +580,7 @@ class TestMcSuccessProb:
         for w in prob.worlds:
             tokens = [tok for tok, _ in w.measure.token_probs]
             counts = w.measure.sample_count_block(seeding.generator(2, w.id, n), trials, n).tolist()
-            (flags,) = _mc_block(prob, method, [w], n, crit, trials, seeding.generator(2, w.id, n))
+            (flags,) = _shared_flags(prob, method, [w], n, crit, trials, seeding.generator(2, w.id, n))
             met = convergence._success_test(prob, w, crit)
             decided = {}
             for row, flag in zip(map(tuple, counts), flags.tolist()):
@@ -660,7 +667,7 @@ class TestMultinomialExact:
 
         spy = replace(erm, decide_count_block=block)
         assert cl.exact_success_prob(prob, spy, prob.world("D3"), 3, cl.EXACT) == Fraction(3, 4)
-        _mc_block(prob, spy, [prob.world("D3")], 3, cl.EXACT, 50, seeding.generator(0))
+        _shared_flags(prob, spy, [prob.world("D3")], 3, cl.EXACT, 50, seeding.generator(0))
         assert seen == [([("a", 1), ("b", 0)], (4, 2)), ([("a", 1), ("b", 0)], (50, 2))]
 
     def test_compositions_are_every_count_vector_once(self):
@@ -728,7 +735,7 @@ class TestMultinomialExact:
             exact = float(cl.exact_success_prob(prob, plodding, w, n, cl.within(0.05)))
             se = math.sqrt(exact * (1 - exact) / trials)
             est = [
-                _mc_block(prob, method, [w], n, cl.within(0.05), trials, seeding.generator(key, w.id, n))[0].mean()
+                _shared_flags(prob, method, [w], n, cl.within(0.05), trials, seeding.generator(key, w.id, n))[0].mean()
                 for key, method in ((2, honest), (3, liar))
             ]
             assert abs(est[0] - exact) <= 5 * se, n
@@ -871,15 +878,20 @@ class TestSuccessCurve:
             "mc-generic": cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide),
         }[path]
         crit, n, key = cl.within(0.1), 12, (4, "shared", 12)
-        mc = convergence._mc_block if path != "mc-generic" else convergence._mc_generic
-        both = mc(cb, method, [low, high], n, crit, 2000, seeding.generator(*key))
-        alone = [mc(cb, method, [w], n, crit, 2000, seeding.generator(*key))[0] for w in (low, high)]
+        mc_path = "mc-generic" if path == "mc-generic" else "mc-block"
+        both = _shared_flags(cb, method, [low, high], n, crit, 2000, seeding.generator(*key), mc_path)
+        alone = [
+            _shared_flags(cb, method, [w], n, crit, 2000, seeding.generator(*key), mc_path)[0] for w in (low, high)
+        ]
         assert [f.tolist() for f in both] == [f.tolist() for f in alone]
         assert not (both[0] & both[1]).any() and both[0].any() and both[1].any()
         curve = self._mc_curve(cb, method, [low, high], crit=crit, stages=(n,), trials=2000)
         ests = [(pt.estimate, pt.stderr) for pt in curve.points]
         assert ests[0] != ests[1]
         assert ests == [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, seed=9))[:2] for w in (low, high)]
+        draws = {}  # one dict shared by both calls holds the one draw they are judged on
+        shared = [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, seed=9, draws=draws))[:2] for w in (low, high)]
+        assert shared == ests and len(draws) == 1
 
     @pytest.mark.parametrize(
         "horizon, stages, match",
