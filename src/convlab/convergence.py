@@ -9,7 +9,9 @@ leaves' weights over q**n (``_integer_law``), or for an exchangeable method
 the count of 1s under IID-Bernoulli data or a multinomial sum over the
 token-count vectors under any IID world -- and by seeded Monte Carlo
 otherwise; one planner (``_plan``) picks that path per (measure, n), and
-Monte Carlo judges every world on a measure on one draw per n.
+Monte Carlo judges every world on a measure on one draw per n: a histogram
+over the count vectors where they number at most the trials, else sampled
+rows, the only draws that the worker pool runs.
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -315,8 +317,8 @@ def _plan(method, world, n, budget: Budget) -> str:
     m = world.measure
     if m is None:
         raise PreconditionError(f"world {world.id!r} carries no measure")
-    if n < 0:
-        raise InputDomainError("sample size must be >= 0")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise InputDomainError(f"sample size must be an integer >= 0, got {n!r}")
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
     block = _count_block(method) is not None
@@ -418,6 +420,9 @@ def _enum_exact(problem, method, world, n, crit) -> Fraction:
 
 def _compositions(n: int, t: int) -> np.ndarray:
     """All C(n+t-1, t-1) count vectors of t nonnegative ints summing to n, one per row."""
+    if t == 2:  # directly: itertools takes 150 us at n = 1000
+        k = np.arange(n + 1)
+        return np.stack([k, n - k], axis=1)
     # Stars and bars: the t-1 bar positions among n+t-1 slots fix the gaps between them.
     m = math.comb(n + t - 1, t - 1)
     bars = itertools.chain.from_iterable(itertools.combinations(range(n + t - 1), t - 1))
@@ -471,7 +476,7 @@ def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget]
     binomial sum over success counts, the multinomial sum over token-count
     vectors, or enumeration of the tree level.
     """
-    path = _plan(method, world, n, budget or Budget())
+    path, n = _plan(method, world, n, budget or Budget()), int(n)  # numpy's integers too
     if path not in _EXACT_PATHS:
         raise ResourceBudgetError(
             f"no exact path for world {world.id!r} at n={n} within the budget; use mc_success_prob"
@@ -488,34 +493,58 @@ def _mc_estimate(hits: int, trials: int) -> Estimate:
     return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
-    """The trials at (measure, n) that every world on the measure is judged on.
+def _samples_rows(measure, n: int, trials: int) -> bool:
+    """Whether a count-block draw at (measure, n) samples rows: C(n+t-1, t-1) > trials vectors on t tokens."""
+    t = sum(float(pr) > 0 for _, pr in measure.token_probs)
+    return math.comb(n + t - 1, t - 1) > trials
 
-    A count-block path draws multinomial count vectors (the law of the sampled prefixes' counts, not
-    their draws) and decides them on first need; a generic path decides each sampled prefix once.
+
+def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
+    """The trials at (measure, n) that every world on the measure is judged on, with their weights.
+
+    A generic path decides each sampled prefix once, weight 1.  A count-block path draws token-count rows,
+    the law of the sampled prefixes' counts: where _samples_rows, Measure.sample_count_block's trials rows
+    of weight 1; else the trials' histogram, one rng.multinomial(trials, P) over every count vector c with
+    P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.
     """
-    if path == MC_BLOCK:
-        return {"counts": measure.sample_count_block(rng, trials, n)}
-    return {"outputs": [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]}
+    if path == MC_GENERIC:
+        outputs = [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]
+        return {"outputs": outputs, "weights": np.ones(trials, dtype=np.int64)}
+    if _samples_rows(measure, n, trials):
+        return {"rows": measure.sample_count_block(rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
+    p = np.array([float(pr) for _, pr in measure.token_probs])
+    cols = np.flatnonzero(p > 0)
+    vectors = _compositions(n, len(cols))
+    log_fact = np.concatenate(([0.0], np.log(np.arange(1, n + 1)).cumsum()))  # log c! for c = 0..n
+    log_pmf = vectors @ np.log(p[cols]) - log_fact[vectors].sum(axis=1)  # less the constant log n!
+    pmf = np.exp(log_pmf - log_pmf.max())
+    weights = rng.multinomial(trials, pmf / pmf.sum())
+    rows = np.zeros((len(vectors), len(p)), dtype=np.int64)
+    rows[:, cols] = vectors  # a zero-probability token's column stays 0
+    return {"rows": rows[weights > 0], "weights": weights[weights > 0]}
 
 
 def _mc_flags(problem, method, world, n, crit, draw: dict) -> np.ndarray:
-    """Per trial of the draw, whether the method's output meets the criterion in the world."""
+    """Per trial (row) of the draw, whether the method's output meets the criterion in the world."""
     if "outputs" in draw:
         outputs = draw["outputs"]
         return np.fromiter(map(_success_test(problem, world, crit), outputs), dtype=bool, count=len(outputs))
-    counts = draw["counts"]
+    rows = draw["rows"]
     ranges = _window(problem, method, world, n, crit)
     if ranges is not None:  # a declared window flags column 1 (the count of 1s) and decides nothing
         hit = np.zeros(n + 1, dtype=bool)
         for rg in ranges:
             hit[max(rg.start, 0) : max(rg.stop, 0)] = True  # a negative bound would count from the end
-        return hit[counts[:, 1]]
+        return hit[rows[:, 1]]
     if "decided" not in draw:  # the block decides the positive columns, once for every world on the draw
         probs = world.measure.token_probs
         positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
-        draw["decided"] = _count_block(method)([probs[j][0] for j in positive], counts[:, positive])
+        draw["decided"] = _count_block(method)([probs[j][0] for j in positive], rows[:, positive])
     return _count_block_flags(problem, world, crit, draw["decided"])
+
+
+def _mc_rng(measure, n: int, seed: int):
+    return seeding.generator(seed, "mc", *(pr for _, pr in measure.token_probs), n)
 
 
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, draws=None) -> Estimate:
@@ -524,21 +553,21 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
     The generator is derived from the world's law alone -- (seed, "mc", the
     measure's probabilities in token_probs order, n) -- so the estimate is
     reproducible for fixed arguments whichever worker evaluates it, in
-    whichever order.  A ``draws`` dict shared by calls for one method keeps
-    each (measure, n, trials, seed) draw, so every world on a measure is
-    judged on the same trials (common random numbers), each against its own
-    truth; success_curve passes one per work item.  Sharing it changes no
-    estimate.  Point-mass worlds report their deterministic indicator.
+    whichever order: the weight of the draw's (_mc_draw) hits over trials.
+    A ``draws`` dict shared by calls for one method keeps each (measure, n,
+    trials, seed) draw, so every world on a measure is judged on the same
+    trials, each against its own truth; sharing it changes no estimate.
+    Point-mass worlds report their deterministic indicator.
     """
-    path = _plan(method, world, n, Budget(strategy="mc", trials=trials))
+    path, n = _plan(method, world, n, Budget(strategy="mc", trials=trials)), int(n)  # numpy's integers too
     if path == POINT_MASS:
         return Estimate(float(_point_mass_exact(problem, method, world, n, crit)), 0.0, True)
     draws = {} if draws is None else draws
     key = (world.measure, n, trials, seed)
     if key not in draws:
-        rng = seeding.generator(seed, "mc", *(pr for _, pr in world.measure.token_probs), n)
-        draws[key] = _mc_draw(method, world.measure, n, path, trials, rng)
-    return _mc_estimate(int(np.count_nonzero(_mc_flags(problem, method, world, n, crit, draws[key]))), trials)
+        draws[key] = _mc_draw(method, world.measure, n, path, trials, _mc_rng(world.measure, n, seed))
+    draw = draws[key]
+    return _mc_estimate(int(draw["weights"][_mc_flags(problem, method, world, n, crit, draw)].sum()), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -597,46 +626,37 @@ def success_curve(
 ) -> SuccessCurve:
     """Success-probability estimates per (world, n), exact where affordable.
 
-    The path is planned once per (measure, n).  An exact point is one work
-    item; a Monte Carlo item holds every world on the measure at n, judged
-    on mc_success_prob's one shared draw, so each point equals that call
-    whichever other worlds are in the grid.  Rows carry the analytic lower
-    bound when one applies.  Identical (arguments, seed) produce identical
-    curves at any worker count.
+    The path is planned once per (measure, n).  Only the draws that sample
+    rows (_samples_rows) go to the worker pool, as numpy's binomials release
+    the GIL; 260 fair-coin histogram draws took 37-57 ms on one thread and
+    142-145 ms on two (2-vCPU host).  Each point is judged in the calling
+    thread by exact_success_prob or by mc_success_prob on the draw per
+    (measure, n) its measure's worlds share, so it equals that call whatever
+    the grid; rows carry the analytic bound where one applies.  Identical
+    (arguments, seed) give identical curves at any worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
-    groups = {}  # measure -> the indices of the worlds on it, in grid order
-    for wi, w in enumerate(worlds):
-        groups.setdefault(w.measure, []).append(wi)
-    keys = []  # per work item: (world indices, n, exact), one plan per (measure, n)
-    for wis in map(tuple, groups.values()):
-        for n in stage_list:
-            if _plan(method, worlds[wis[0]], n, budget) in _EXACT_PATHS:
-                keys.extend(((wi,), n, True) for wi in wis)
-            else:
-                keys.append((wis, n, False))
-
-    def evaluate(key):
-        wis, n, exact = key
-        draws = {}  # the worlds of a Monte Carlo item share one draw
-        out = []
-        for wi in wis:
-            w = worlds[wi]
-            if exact:
+    trials = budget.trials
+    firsts = {}  # measure -> the index of its first world
+    first = [firsts.setdefault(w.measure, wi) for wi, w in enumerate(worlds)]
+    paths = {fi: [_plan(method, worlds[fi], n, budget) for n in stage_list] for fi in firsts.values()}
+    sampled = [(worlds[fi].measure, n) for fi, ps in paths.items() for n, path in zip(stage_list, ps)
+               if path == MC_BLOCK and _samples_rows(worlds[fi].measure, n, trials)]
+    drawn = _map_items(lambda key: _mc_draw(method, *key, MC_BLOCK, trials, _mc_rng(*key, seed)), sampled, workers)
+    draws = {(m, n, trials, seed): draw for (m, n), draw in drawn.items()}
+    points = []
+    for w, fi in zip(worlds, first):
+        for n, path in zip(stage_list, paths[fi]):
+            if path in _EXACT_PATHS:
                 est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
             else:
-                est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
+                est = mc_success_prob(problem, method, w, n, crit, trials, seed, draws=draws)
             bound = analytic_bound(problem, method, w, n, crit)
-            out.append(CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound))
-        return out
-
-    results = _map_items(evaluate, keys, workers)
-    at = {(wi, n): pt for (wis, n, _), pts in results.items() for wi, pt in zip(wis, pts)}
-    points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
-    return SuccessCurve(problem.name, method.name, crit.label, points)
+            points.append(CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound))
+    return SuccessCurve(problem.name, method.name, crit.label, tuple(points))
 
 
 # ---------------------------------------------------------------------------

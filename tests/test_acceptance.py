@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import convlab as cl
-from convlab import cli
+from convlab import cli, convergence
 from convlab.convergence import Budget
 
 
@@ -223,8 +223,11 @@ def test_c09_erm_consistency_at_desk_scale(toy_task, toy_erm_config):
     _report(9, time.perf_counter() - t0, 120, f"supported with N per world {stages}")
 
 
-def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
+def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config, monkeypatch):
     t0 = time.perf_counter()
+    submitted = []  # per work-item map: the items it was given
+    map_items = convergence._map_items
+    monkeypatch.setattr(convergence, "_map_items", lambda fn, keys, w: submitted.append(keys) or map_items(fn, keys, w))
     fc = cl.fair_coin([0.5, 0.9])
     fg = cl.fine_grained_raven([0.3, 0.5, 0.9, 1])  # p = 1 is a point-mass world: exact rows
     scan_raven = cl.InferenceMethod("user-raven", cl.raven_rule.decide)  # decide only: the prefix scan
@@ -255,6 +258,21 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
             workers=workers,
         )
 
+    erm_problem = cl.binary_classification(toy_task)
+
+    def erm_curve(workers):  # on the two four-token laws, n = 40 and 120 sample rows; n = 10 is a histogram
+        return cl.success_curve(
+            erm_problem,
+            cl.erm_method(toy_erm_config),
+            erm_problem.worlds,
+            cl.within(0.05),
+            120,
+            budget=Budget(strategy="mc", trials=2000),
+            seed=20260809,
+            stages=(10, 40, 120),
+            workers=workers,
+        )
+
     def c7_curve(workers, method=cl.raven_rule, trials=100_000):
         return cl.success_set_curve(
             fg,
@@ -271,11 +289,20 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config):
     def c7_scan_curve(workers):
         return c7_curve(workers, scan_raven, 2000)
 
-    curves = (("c3", c3_curve), ("c3-grid", c3_grid_curve), ("c7", c7_curve), ("c7-scan", c7_scan_curve))
+    curves = (
+        ("c3", c3_curve), ("c3-grid", c3_grid_curve), ("erm", erm_curve), ("c7", c7_curve), ("c7-scan", c7_scan_curve)
+    )
     for label, build in curves:
+        submitted.clear()
         assert cli.curve_csv(build(1)) == cli.curve_csv(build(8)), label
+        if label.startswith("c3"):  # a binary measure's draws are histograms: the pool gets no work
+            assert submitted == [[], []], label
+        elif label == "erm":  # 8 workers share the four row-sampling draws
+            assert [[n for _, n in keys] for keys in submitted] == [[40, 120, 40, 120]] * 2
     v1 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1)
+    submitted.clear()
     v8 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=8)
+    assert len(submitted[0]) == 10  # n = 50 through 500 on the two four-token laws
     assert cli.curve_csv(v1.curve) == cli.curve_csv(v8.curve)
     assert v1 == v8
     _report(10, time.perf_counter() - t0, 300, "byte-identical curve CSVs under 1 and 8 workers")

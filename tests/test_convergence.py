@@ -25,9 +25,12 @@ from convlab.convergence import (
 
 
 def _shared_flags(problem, method, worlds, n, crit, trials, rng, path="mc-block"):
-    """Each world's per-trial flags on one draw from the first world's measure, as success_curve shares it."""
+    """Each world's per-trial flags on one draw from the first world's measure, as success_curve shares it.
+
+    A drawn row's flag is repeated by its weight, so the flags' mean is mc_success_prob's estimate.
+    """
     draw = _mc_draw(method, worlds[0].measure, n, path, trials, rng)
-    return [_mc_flags(problem, method, w, n, crit, draw) for w in worlds]
+    return [np.repeat(_mc_flags(problem, method, w, n, crit, draw), draw["weights"]) for w in worlds]
 
 
 def rationals(max_den=40):
@@ -88,6 +91,17 @@ class TestExactSuccessProb:
         assert cl.exact_success_prob(fc, cl.fair_coin_test, wf, 16, cl.EXACT) == 1 - Fraction(
             1, 2**15
         )
+
+    @pytest.mark.parametrize("flagless", [False, True], ids=["binomial-exact", "enum-exact"])
+    def test_a_numpy_integer_n_is_its_int_and_bools_and_non_integers_raise(self, flagless):
+        fc = cl.fair_coin([0.5, 0.9])
+        method = cl.InferenceMethod("user", cl.fair_coin_test.decide) if flagless else cl.fair_coin_test
+        w = fc.world("theta=0.9")
+        value = cl.exact_success_prob(fc, method, w, np.int64(5), cl.EXACT)
+        assert value == cl.exact_success_prob(fc, method, w, 5, cl.EXACT) and isinstance(value, Fraction)
+        for n in (2.5, 5.0, True, Fraction(5), "5"):
+            with pytest.raises(cl.InputDomainError, match="sample size"):
+                cl.exact_success_prob(fc, method, w, n, cl.EXACT)
 
     @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(3, 10)])
     @pytest.mark.parametrize(
@@ -568,9 +582,9 @@ class TestMcSuccessProb:
     def test_mc_block_flags_decide_on_the_drawn_counts_and_estimate_the_multinomial_sum(
         self, which, n, crit, toy_task, toy_classifiers, toy_erm_config
     ):
-        # On every toy world, each trial's flag is decide's on a sequence with
-        # that trial's counts, and the estimate lies within 5 standard errors
-        # (of the exact law) of the multinomial sum.
+        # On every toy world, each drawn row's flag is decide's on a sequence
+        # with that row's counts, and the weighted estimate lies within 5
+        # standard errors (of the exact law) of the multinomial sum.
         prob = cl.binary_classification(_with_a_zero_entry(toy_task))
         if which == "erm":
             method = cl.erm_method(toy_erm_config)
@@ -579,16 +593,72 @@ class TestMcSuccessProb:
         trials = 4000
         for w in prob.worlds:
             tokens = [tok for tok, _ in w.measure.token_probs]
-            counts = w.measure.sample_count_block(seeding.generator(2, w.id, n), trials, n).tolist()
-            (flags,) = _shared_flags(prob, method, [w], n, crit, trials, seeding.generator(2, w.id, n))
+            draw = _mc_draw(method, w.measure, n, "mc-block", trials, seeding.generator(2, w.id, n))
+            flags = _mc_flags(prob, method, w, n, crit, draw)
             met = convergence._success_test(prob, w, crit)
-            decided = {}
-            for row, flag in zip(map(tuple, counts), flags.tolist()):
-                if row not in decided:
-                    decided[row] = met(method.decide([tok for tok, c in zip(tokens, row) for _ in range(c)]))
-                assert flag == decided[row], (w.id, row)
+            for row, flag in zip(draw["rows"].tolist(), flags.tolist()):
+                assert flag == met(method.decide([tok for tok, c in zip(tokens, row) for _ in range(c)])), (w.id, row)
+            estimate = draw["weights"][flags].sum() / trials
             exact = float(_multinomial_exact(prob, method, w, n, crit))
-            assert abs(flags.mean() - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
+            assert abs(estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
+
+    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
+    def test_a_numpy_integer_n_is_its_int_and_bools_and_non_integers_raise(self, flagless):
+        fc = cl.fair_coin([0.5, 0.9])
+        method = cl.InferenceMethod("user", cl.fair_coin_test.decide) if flagless else cl.fair_coin_test
+        w = fc.world("theta=0.9")
+        est = cl.mc_success_prob(fc, method, w, np.int64(5), cl.EXACT, 100, 1)
+        assert est == cl.mc_success_prob(fc, method, w, 5, cl.EXACT, 100, 1)
+        for n in (2.5, 5.0, True, Fraction(5), "5"):
+            with pytest.raises(cl.InputDomainError, match="sample size"):
+                cl.mc_success_prob(fc, method, w, n, cl.EXACT, 100, 1)
+
+
+class TestHistogramDraw:
+    """The count-block draw where the count vectors number at most trials: one multinomial over them."""
+
+    @staticmethod
+    def _draw(measure, n, trials):
+        assert not convergence._samples_rows(measure, n, trials)
+        draw = _mc_draw(None, measure, n, "mc-block", trials, seeding.generator(5, "histogram", n))
+        return draw["rows"], draw["weights"]
+
+    def test_each_drawn_count_vector_once_with_weights_summing_to_trials(self, toy_task):
+        laws = [w.measure for w in cl.binary_classification(_with_a_zero_entry(toy_task)).worlds]
+        for m in laws + [cl.Measure.iid_bernoulli(Fraction(3, 10))]:
+            zero = [j for j, (_, pr) in enumerate(m.token_probs) if pr == 0]
+            for n in (1, 4, 9, 25):
+                rows, weights = self._draw(m, n, 5000)
+                assert weights.sum() == 5000 and (weights > 0).all()
+                assert len(set(map(tuple, rows.tolist()))) == len(rows)
+                assert (rows >= 0).all() and (rows.sum(axis=1) == n).all()
+                assert not rows[:, zero].any(), (m, n)  # a zero-probability token's column stays 0
+
+    @pytest.mark.parametrize("theta, n", [(0, 7), (1, 7), (Fraction(1, 2), 0)])
+    def test_a_single_count_vector_takes_every_trial(self, theta, n):
+        rows, weights = self._draw(cl.Measure.iid_bernoulli(theta), n, 300)
+        k = n if theta == 1 else 0
+        assert rows.tolist() == [[n - k, k]] and weights.tolist() == [300]
+
+    def test_binary_estimates_agree_with_the_binomial_sum(self):
+        cb = cl.coin_bias([Fraction(3, 10), Fraction(1, 2)])
+        method = replace(cl.frequency_estimator, laws=None)  # flagged through the block, not a window
+        for w in cb.worlds:
+            for n in (3, 40, 300, 4999):
+                self._draw(w.measure, n, 5000)
+                exact = float(_binomial_exact(cb, method, w, n, cl.within(0.1)))
+                est = cl.mc_success_prob(cb, method, w, n, cl.within(0.1), 5000, seed=13)
+                assert abs(est.value - exact) <= 5 * math.sqrt(exact * (1 - exact) / 5000), (w.id, n)
+
+    def test_four_token_estimates_agree_with_the_multinomial_sum(self, toy_task, toy_erm_config):
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        for w in prob.worlds[1:]:  # the two four-token laws
+            for n in (3, 8, 20):  # C(n + 3, 3) <= 4000 count vectors
+                self._draw(w.measure, n, 4000)
+                exact = float(_multinomial_exact(prob, erm, w, n, cl.within(0.05)))
+                est = cl.mc_success_prob(prob, erm, w, n, cl.within(0.05), 4000, seed=13)
+                assert abs(est.value - exact) <= 5 * math.sqrt(exact * (1 - exact) / 4000), (w.id, n)
 
 
 def _with_a_zero_entry(task):
@@ -667,8 +737,10 @@ class TestMultinomialExact:
 
         spy = replace(erm, decide_count_block=block)
         assert cl.exact_success_prob(prob, spy, prob.world("D3"), 3, cl.EXACT) == Fraction(3, 4)
-        _shared_flags(prob, spy, [prob.world("D3")], 3, cl.EXACT, 50, seeding.generator(0))
-        assert seen == [([("a", 1), ("b", 0)], (4, 2)), ([("a", 1), ("b", 0)], (50, 2))]
+        # 50 trials: the histogram of the 4 count vectors, all drawn; 3 trials: 3 sampled rows.
+        for trials in (50, 3):
+            _shared_flags(prob, spy, [prob.world("D3")], 3, cl.EXACT, trials, seeding.generator(0))
+        assert seen == [([("a", 1), ("b", 0)], (4, 2))] * 2 + [([("a", 1), ("b", 0)], (3, 2))]
 
     def test_compositions_are_every_count_vector_once(self):
         for n, t in [(0, 1), (0, 3), (5, 1), (6, 4), (3, 2)]:
@@ -820,13 +892,13 @@ class TestSuccessCurve:
 
     def test_one_count_block_draw_per_measure_and_stage(self, monkeypatch):
         draws = []
-        sample = cl.Measure.sample_count_block
+        draw = convergence._mc_draw
 
-        def spy(measure, rng, trials, n):
+        def spy(method, measure, n, path, trials, rng):
             draws.append((measure.theta, n))
-            return sample(measure, rng, trials, n)
+            return draw(method, measure, n, path, trials, rng)
 
-        monkeypatch.setattr(cl.Measure, "sample_count_block", spy)
+        monkeypatch.setattr(convergence, "_mc_draw", spy)
         fc = cl.fair_coin([0.5, 0.9])  # five worlds on two measures
         self._mc_curve(fc, cl.fair_coin_test, fc.worlds, stages=(3, 8, 20))
         assert sorted(draws) == sorted((th, n) for th in (Fraction(1, 2), Fraction(9, 10)) for n in (3, 8, 20))
