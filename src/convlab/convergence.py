@@ -11,7 +11,7 @@ token-count vectors under any IID world -- and by seeded Monte Carlo
 otherwise; one planner (``_plan``) picks that path per (measure, n), and
 Monte Carlo judges every world on a measure on one draw per n: a histogram
 over the count vectors where they number at most the trials, else sampled
-rows, the only draws that the worker pool runs.
+rows, the only (measure, n) that the worker pool draws and judges.
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -543,10 +543,6 @@ def _mc_flags(problem, method, world, n, crit, draw: dict) -> np.ndarray:
     return _count_block_flags(problem, world, crit, draw["decided"])
 
 
-def _mc_rng(measure, n: int, seed: int):
-    return seeding.generator(seed, "mc", *(pr for _, pr in measure.token_probs), n)
-
-
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, draws=None) -> Estimate:
     """Seeded Monte Carlo estimate of the success probability at sample size n.
 
@@ -565,7 +561,8 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
     draws = {} if draws is None else draws
     key = (world.measure, n, trials, seed)
     if key not in draws:
-        draws[key] = _mc_draw(method, world.measure, n, path, trials, _mc_rng(world.measure, n, seed))
+        rng = seeding.generator(seed, "mc", *(pr for _, pr in world.measure.token_probs), n)
+        draws[key] = _mc_draw(method, world.measure, n, path, trials, rng)
     draw = draws[key]
     return _mc_estimate(int(draw["weights"][_mc_flags(problem, method, world, n, crit, draw)].sum()), trials)
 
@@ -590,8 +587,8 @@ def resolve_workers(requested: Optional[int]) -> int:
 
 def _map_items(fn, keys, workers: int) -> dict:
     # Results land in a dict keyed by work item, so assembly order never
-    # depends on the execution schedule.
-    if workers <= 1:
+    # depends on the execution schedule.  One item or none needs no pool.
+    if workers <= 1 or len(keys) <= 1:
         return {key: fn(key) for key in keys}
     with ThreadPoolExecutor(max_workers=workers) as ex:
         futures = {key: ex.submit(fn, key) for key in keys}
@@ -626,37 +623,45 @@ def success_curve(
 ) -> SuccessCurve:
     """Success-probability estimates per (world, n), exact where affordable.
 
-    The path is planned once per (measure, n).  Only the draws that sample
-    rows (_samples_rows) go to the worker pool, as numpy's binomials release
-    the GIL; 260 fair-coin histogram draws took 37-57 ms on one thread and
-    142-145 ms on two (2-vCPU host).  Each point is judged in the calling
-    thread by exact_success_prob or by mc_success_prob on the draw per
-    (measure, n) its measure's worlds share, so it equals that call whatever
-    the grid; rows carry the analytic bound where one applies.  Identical
-    (arguments, seed) give identical curves at any worker count.
+    The path is planned once per (measure, n), and the worlds on a measure
+    are judged together at n: exact_success_prob per world, or
+    mc_success_prob on the one draw they share, so each point equals that
+    call whatever the grid.  Only the (measure, n) whose draw samples rows
+    (_samples_rows) go to the worker pool, whose threads each hold one draw
+    at a time, as numpy's binomials release the GIL; the rest are judged in
+    the calling thread, as 260 fair-coin histogram draws took 37-57 ms on
+    one thread and 142-145 ms on two (2-vCPU host).  Rows carry the analytic
+    bound where one applies.  Identical (arguments, seed) give identical
+    curves at any worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
-    trials = budget.trials
-    firsts = {}  # measure -> the index of its first world
-    first = [firsts.setdefault(w.measure, wi) for wi, w in enumerate(worlds)]
-    paths = {fi: [_plan(method, worlds[fi], n, budget) for n in stage_list] for fi in firsts.values()}
-    sampled = [(worlds[fi].measure, n) for fi, ps in paths.items() for n, path in zip(stage_list, ps)
-               if path == MC_BLOCK and _samples_rows(worlds[fi].measure, n, trials)]
-    drawn = _map_items(lambda key: _mc_draw(method, *key, MC_BLOCK, trials, _mc_rng(*key, seed)), sampled, workers)
-    draws = {(m, n, trials, seed): draw for (m, n), draw in drawn.items()}
-    points = []
-    for w, fi in zip(worlds, first):
-        for n, path in zip(stage_list, paths[fi]):
-            if path in _EXACT_PATHS:
+    groups = {}  # measure -> the (index, world) pairs on it, in grid order
+    for wi, w in enumerate(worlds):
+        groups.setdefault(w.measure, []).append((wi, w))
+    paths = {(m, n): _plan(method, ws[0][1], n, budget) for m, ws in groups.items() for n in stage_list}
+
+    def judge(key):  # every world on the measure at n, as ((world index, n), point) pairs
+        m, n = key
+        draws = {}  # the worlds at (m, n) share one draw, dropped on return
+        out = []
+        for wi, w in groups[m]:
+            if paths[key] in _EXACT_PATHS:
                 est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
             else:
-                est = mc_success_prob(problem, method, w, n, crit, trials, seed, draws=draws)
+                est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
             bound = analytic_bound(problem, method, w, n, crit)
-            points.append(CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound))
-    return SuccessCurve(problem.name, method.name, crit.label, tuple(points))
+            out.append(((wi, n), CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound)))
+        return out
+
+    pooled = [key for key, path in paths.items() if path == MC_BLOCK and _samples_rows(*key, budget.trials)]
+    results = _map_items(judge, pooled, workers)
+    results.update((key, judge(key)) for key in paths if key not in results)
+    at = dict(pair for pairs in results.values() for pair in pairs)
+    points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
+    return SuccessCurve(problem.name, method.name, crit.label, points)
 
 
 # ---------------------------------------------------------------------------
@@ -763,15 +768,7 @@ def check_mode(
         )
     crit = EXACT if params.mode == MODE_STOCHASTIC_IDENTIFICATION else within(params.epsilon)
     curve = success_curve(
-        problem,
-        method,
-        worlds,
-        crit,
-        params.horizon,
-        budget=budget,
-        seed=seed,
-        stages=params.stages,
-        workers=workers,
+        problem, method, worlds, crit, params.horizon, budget=budget, seed=seed, stages=params.stages, workers=workers
     )
     threshold = 1 - params.delta
     by_world: dict[str, list[CurvePoint]] = {w.id: [] for w in worlds}

@@ -877,9 +877,9 @@ class TestSuccessCurve:
             )
 
     @staticmethod
-    def _mc_curve(problem, method, worlds, crit=cl.EXACT, stages=(3, 8, 20), trials=300, seed=9):
+    def _mc_curve(problem, method, worlds, crit=cl.EXACT, stages=(3, 8, 20), trials=300, seed=9, horizon=20):
         budget = Budget(strategy="mc", trials=trials)
-        return cl.success_curve(problem, method, worlds, crit, 20, budget=budget, seed=seed, stages=stages)
+        return cl.success_curve(problem, method, worlds, crit, horizon, budget=budget, seed=seed, stages=stages)
 
     def test_worlds_on_one_measure_get_one_draw(self):
         fc = cl.fair_coin([0.5, 0.9])
@@ -916,16 +916,41 @@ class TestSuccessCurve:
         self._mc_curve(fc, user, fc.worlds, stages=(4, 9), trials=300)
         assert sorted(decided) == [4] * 600 + [9] * 600  # 2 measures x 300 trials per stage, not 5 worlds
 
-    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
-    def test_every_point_equals_the_library_call(self, flagless):
+    def _library_call_curve(self, flagless, stages, trials):
         fc = cl.fair_coin([0.5, 0.9])
         method = cl.InferenceMethod("user", cl.fair_coin_test.decide) if flagless else cl.fair_coin_test
-        curve = self._mc_curve(fc, method, fc.worlds, stages=(1, 6, 20))
+        curve = self._mc_curve(fc, method, fc.worlds, stages=stages, trials=trials, horizon=stages[-1])
         for pt in curve.points:
             w = fc.world(pt.world_id)
             assert _plan(method, w, pt.n, Budget(strategy="mc")) == ("mc-generic" if flagless else "mc-block")
-            est = cl.mc_success_prob(fc, method, w, pt.n, cl.EXACT, 300, seed=9)
+            est = cl.mc_success_prob(fc, method, w, pt.n, cl.EXACT, trials, seed=9)
             assert (pt.estimate, pt.stderr, pt.exact) == tuple(est), (pt.world_id, pt.n)
+        return curve
+
+    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
+    def test_every_point_equals_the_library_call(self, flagless):
+        self._library_call_curve(flagless, (1, 6, 20), 300)
+
+    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
+    def test_a_pooled_point_equals_the_library_call(self, flagless):
+        # At 30 trials, n = 40 has 41 > 30 count vectors: a count-block draw samples rows, in the worker pool.
+        assert convergence._samples_rows(cl.fair_coin([0.5, 0.9]).worlds[0].measure, 40, 30)
+        curve = self._library_call_curve(flagless, (40,), 30)
+        assert any(0 < pt.estimate < 1 for pt in curve.points)
+
+    def test_a_many_stage_curve_drops_each_draw_once_judged(self, toy_task, toy_erm_config):
+        # Stages 1..150 on the toy ERM's two four-token laws: about 140 of them sample 2000 rows each
+        # (64 KB, plus the decided index).  Held until the curve returns they would take over 10 MB.
+        prob = cl.binary_classification(toy_task)
+        budget = Budget(strategy="mc", trials=2000)
+        tracemalloc.start()
+        try:
+            cl.success_curve(prob, cl.erm_method(toy_erm_config), prob.worlds, cl.within(0.05), 150,
+                             budget=budget, seed=3, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 1024 * 1024
 
     def test_a_world_ids_subset_gives_the_full_grid_rows(self):
         fc = cl.fair_coin()
