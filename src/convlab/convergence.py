@@ -641,14 +641,16 @@ def success_curve(
     groups = {}  # measure -> the (index, world) pairs on it, in grid order
     for wi, w in enumerate(worlds):
         groups.setdefault(w.measure, []).append((wi, w))
-    paths = {(m, n): _plan(method, ws[0][1], n, budget) for m, ws in groups.items() for n in stage_list}
+    groups = list(groups.items())  # keyed by position below: hashing a measure hashes its Fractions
+    paths = {(g, n): _plan(method, ws[0][1], n, budget) for g, (_, ws) in enumerate(groups) for n in stage_list}
 
-    def judge(key):  # every world on the measure at n, as ((world index, n), point) pairs
-        m, n = key
-        draws = {}  # the worlds at (m, n) share one draw, dropped on return
+    def judge(key):  # every world of group g at n, as ((world index, n), point) pairs
+        g, n = key
+        path = paths[key]
+        draws = {}  # the worlds at (g, n) share one draw, dropped on return
         out = []
-        for wi, w in groups[m]:
-            if paths[key] in _EXACT_PATHS:
+        for wi, w in groups[g][1]:
+            if path in _EXACT_PATHS:
                 est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
             else:
                 est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
@@ -656,7 +658,7 @@ def success_curve(
             out.append(((wi, n), CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound)))
         return out
 
-    pooled = [key for key, path in paths.items() if path == MC_BLOCK and _samples_rows(*key, budget.trials)]
+    pooled = [(g, n) for (g, n), p in paths.items() if p == MC_BLOCK and _samples_rows(groups[g][0], n, budget.trials)]
     results = _map_items(judge, pooled, workers)
     results.update((key, judge(key)) for key in paths if key not in results)
     at = dict(pair for pairs in results.values() for pair in pairs)
