@@ -457,7 +457,6 @@ def _cmd_curve(args) -> int:
             horizon=mode.horizon,
             trials=config.budget.trials,
             seed=config.seed,
-            workers=config.workers,
             strategy=config.budget.strategy,
         )
     elif mode.mode == MODE_IDENTIFICATION:
@@ -548,14 +547,16 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="override the config seed")
-    common.add_argument("--horizon", type=int, default=None, help="override the mode horizon")
-    common.add_argument("--trials", type=int, default=None, help="override Monte Carlo trials")
-    common.add_argument("--workers", type=int, default=None, help="worker thread count")
-    common.add_argument("--out", default=".", help="output directory (or file where noted)")
+_FLAGS = {  # each subcommand takes only those of these flags it reads
+    "--seed": dict(type=int, help="override the config seed"),
+    "--horizon": dict(type=int, help="override the mode horizon"),
+    "--trials": dict(type=int, help="override Monte Carlo trials"),
+    "--workers": dict(type=int, help="worker thread count"),
+    "--out": dict(default=".", help="output directory (or file where noted)"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convlab",
         description="Convergence-mode experiments for inductive inference methods.",
@@ -563,33 +564,35 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"convlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", parents=[common], help="run a configured experiment")
-    p_run.add_argument("--config", required=True)
-    p_run.set_defaults(handler=_cmd_run)
+    def subcommand(name, handler, help, flags=()):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p_curve = sub.add_parser("curve", parents=[common], help="emit a success curve CSV")
+    p_run = subcommand("run", _cmd_run, "run a configured experiment", _FLAGS)
+    p_run.add_argument("--config", required=True)
+
+    p_curve = subcommand("curve", _cmd_curve, "emit a success curve CSV", _FLAGS)
     p_curve.add_argument("--config", required=True)
     p_curve.add_argument("--kind", choices=["success", "success-set"], default="success")
-    p_curve.set_defaults(handler=_cmd_curve)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="validate a problem's worlds")
+    p_verify = subcommand("verify", _cmd_verify, "validate a problem's worlds")
     p_verify.add_argument("--config")
     p_verify.add_argument("--problem")
-    p_verify.set_defaults(handler=_cmd_verify)
 
-    p_wit = sub.add_parser("witness", parents=[common], help="emit an unachievability witness")
+    p_wit = subcommand("witness", _cmd_witness, "emit an unachievability witness", ("--horizon", "--out"))
     p_wit.add_argument("--config")
     p_wit.add_argument("--problem")
     p_wit.add_argument("--method")
     p_wit.add_argument("--depth", type=int, default=None)
-    p_wit.set_defaults(handler=_cmd_witness)
 
-    p_bound = sub.add_parser("bound", parents=[common], help="tabulate the analytic bound")
+    p_bound = subcommand("bound", _cmd_bound, "tabulate the analytic bound", ("--out",))
     p_bound.add_argument("--eps", required=True, help="comma-separated eps values")
     p_bound.add_argument("--n-min", type=int, default=1)
     p_bound.add_argument("--n-max", type=int, required=True)
     p_bound.add_argument("--n-step", type=int, default=1)
-    p_bound.set_defaults(handler=_cmd_bound)
     return parser
 
 

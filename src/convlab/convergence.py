@@ -8,10 +8,10 @@ leaves' weights over q**n (``_integer_law``), or for an exchangeable method
 (read only through its count block, ``_count_block``) a binomial sum over
 the count of 1s under IID-Bernoulli data or a multinomial sum over the
 token-count vectors under any IID world -- and by seeded Monte Carlo
-otherwise; one planner (``_plan``) picks that path per (measure, n), and
-Monte Carlo judges every world on a measure on one draw per n: a histogram
-over the count vectors where they number at most the trials, else sampled
-rows, the only (measure, n) that the worker pool draws and judges.
+otherwise; one planner (``_plan``) names that path per (measure, n), and
+Monte Carlo judges every world on a measure on one draw per n: mc-histogram
+over the count vectors where they number at most the trials, else mc-block
+rows, the only items the worker pool runs, or mc-generic prefixes.
 Mode checks aggregate these into finite-horizon verdicts: a
 horizon-stamped verdict is evidence about the limit behaviour, not a
 proof.  Analytic lower bounds are reported per curve row; no verdict
@@ -57,6 +57,20 @@ MODES = (MODE_IDENTIFICATION, MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_AP
 SUPPORTED_AT_HORIZON = "SUPPORTED_AT_HORIZON"
 REFUTED_AT_HORIZON = "REFUTED_AT_HORIZON"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+
+def _is_integer(v) -> bool:
+    """Whether v is an integer, a numpy one too, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """value as an int, or InputDomainError unless it is an integer (_is_integer) >= least."""
+    if not _is_integer(value):
+        raise InputDomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputDomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -110,13 +124,9 @@ class Budget:
     def __post_init__(self):
         if self.strategy not in ("auto", "exact", "mc"):
             raise InputDomainError(f"unknown strategy {self.strategy!r}")
-        for v in (self.trials, self.exact_enum_cap, self.symmetric_exact_cap):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise InputDomainError(f"trials and budget caps must be integers, got {v!r}")
-        if self.trials < 1:
-            raise InputDomainError("trials must be >= 1")
-        if self.exact_enum_cap < 1 or self.symmetric_exact_cap < 0:
-            raise InputDomainError("budget caps must be positive")
+        _integer(self.trials, "trials", 1)
+        _integer(self.exact_enum_cap, "exact_enum_cap", 1)
+        _integer(self.symmetric_exact_cap, "symmetric_exact_cap", 0)
         m = self.mc_margin
         if isinstance(m, bool) or not isinstance(m, numbers.Real) or not (math.isfinite(m) and m >= 0):
             raise InputDomainError(f"mc_margin must be a finite real >= 0, got {m!r}")
@@ -143,11 +153,7 @@ class ModeParams:
     def __post_init__(self):
         if self.mode not in MODES:
             raise InputDomainError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for v in (self.horizon, *(self.stages or ())):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise InputDomainError(f"horizon and stages must be integers, got {v!r}")
-        if self.horizon < 1:
-            raise InputDomainError("horizon must be >= 1")
+        _stage_list(self.horizon, self.stages, 1)
         if self.mode in (MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_APPROXIMATION):
             if self.delta is None or not 0 < self.delta < 1:
                 raise InputDomainError("stochastic modes need delta in (0, 1)")
@@ -158,11 +164,8 @@ class ModeParams:
             raise InputDomainError("epsilon must not exceed the largest float")
         if self.epsilon is not None and self.epsilon > 0 and float(self.epsilon) == 0:
             raise InputDomainError("epsilon must not round to 0.0 as a float")
-        if self.stages is not None:
-            if not self.stages or any(s < 1 or s > self.horizon for s in self.stages):
-                raise InputDomainError("stages must be nonempty and lie in [1, horizon]")
-            if list(self.stages) != sorted(set(self.stages)):
-                raise InputDomainError("stages must be strictly increasing")
+        if self.stages is not None and (not self.stages or list(self.stages) != sorted(set(self.stages))):
+            raise InputDomainError("stages must be nonempty and strictly increasing")
         ids = self.world_ids
         if ids is not None and not (isinstance(ids, tuple) and all(isinstance(i, str) for i in ids)):
             raise InputDomainError(f"world_ids must be a sequence of world id strings, got {ids!r}")
@@ -238,8 +241,7 @@ def bernoulli_bound(n: int, eps) -> Fraction:
 
     max(0, 1 - 1/(4*n*eps^2)), valid for every bias; exact rational output.
     """
-    if n < 1:
-        raise InputDomainError("bound requires n >= 1")
+    n = _integer(n, "n", 1)
     e = as_fraction(eps)
     if e <= 0:
         raise InputDomainError("bound requires eps > 0")
@@ -273,6 +275,7 @@ POINT_MASS = "point-mass"
 BINOMIAL_EXACT = "binomial-exact"
 ENUM_EXACT = "enum-exact"
 MULTINOMIAL_EXACT = "multinomial-exact"
+MC_HISTOGRAM = "mc-histogram"
 MC_BLOCK = "mc-block"
 MC_GENERIC = "mc-generic"
 GEOMETRIC_EXACT = "geometric-exact"
@@ -311,27 +314,31 @@ def _plan(method, world, n, budget: Budget) -> str:
     IID-Bernoulli data, then exact_enum_cap on the tree level's leaves, which
     also caps the multinomial sum that stands in for enumeration; past the
     caps "auto" samples and "exact" raises.  Sampling decides a count-block
-    method on Measure.sample_count_block's count vectors and any other on
-    whole prefixes: one law, not one stream of draws.
+    method on the trials' histogram over the C(n+t-1, t-1) count vectors of
+    its t positive-probability tokens where they number at most budget.trials
+    (mc-histogram), else on Measure.sample_count_block's rows (mc-block), and
+    any other on whole prefixes (mc-generic): one law, not one stream of draws.
     """
     m = world.measure
     if m is None:
         raise PreconditionError(f"world {world.id!r} carries no measure")
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise InputDomainError(f"sample size must be an integer >= 0, got {n!r}")
+    _integer(n, "sample size", 0)
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
     block = _count_block(method) is not None
+    t = sum(pr > 0 for _, pr in m.token_probs)
     if budget.strategy != "mc":
         if block and m.kind == KIND_IID_BERNOULLI and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
-        if sum(pr > 0 for _, pr in m.token_probs) ** n <= budget.exact_enum_cap:
+        if t**n <= budget.exact_enum_cap:
             return MULTINOMIAL_EXACT if block else ENUM_EXACT
         if budget.strategy == "exact":
             raise ResourceBudgetError(
                 f"exact strategy: no exact path for world {world.id!r} at n={n}"
             )
-    return MC_BLOCK if block else MC_GENERIC
+    if not block:
+        return MC_GENERIC
+    return MC_HISTOGRAM if math.comb(n + t - 1, t - 1) <= budget.trials else MC_BLOCK
 
 
 # Distinct outputs whose function one evaluation-path call remembers.
@@ -493,24 +500,18 @@ def _mc_estimate(hits: int, trials: int) -> Estimate:
     return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _samples_rows(measure, n: int, trials: int) -> bool:
-    """Whether a count-block draw at (measure, n) samples rows: C(n+t-1, t-1) > trials vectors on t tokens."""
-    t = sum(float(pr) > 0 for _, pr in measure.token_probs)
-    return math.comb(n + t - 1, t - 1) > trials
-
-
 def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
     """The trials at (measure, n) that every world on the measure is judged on, with their weights.
 
-    A generic path decides each sampled prefix once, weight 1.  A count-block path draws token-count rows,
-    the law of the sampled prefixes' counts: where _samples_rows, Measure.sample_count_block's trials rows
-    of weight 1; else the trials' histogram, one rng.multinomial(trials, P) over every count vector c with
+    On the planned path: mc-generic decides each sampled prefix once, weight 1; mc-block draws
+    Measure.sample_count_block's trials token-count rows, weight 1; mc-histogram draws the trials'
+    histogram, one rng.multinomial(trials, P) over every count vector c with
     P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.
     """
     if path == MC_GENERIC:
         outputs = [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]
         return {"outputs": outputs, "weights": np.ones(trials, dtype=np.int64)}
-    if _samples_rows(measure, n, trials):
+    if path == MC_BLOCK:
         return {"rows": measure.sample_count_block(rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
     p = np.array([float(pr) for _, pr in measure.token_probs])
     cols = np.flatnonzero(p > 0)
@@ -573,7 +574,7 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
 
 def resolve_workers(requested: Optional[int]) -> int:
     """Worker count after applying the CONVLAB_THREADS environment cap."""
-    if isinstance(requested, bool) or not isinstance(requested, (numbers.Integral, type(None))):
+    if requested is not None and not _is_integer(requested):
         raise InputDomainError(f"workers must be an integer, got {requested!r}")
     w = 1 if requested is None else max(1, int(requested))
     env = os.environ.get("CONVLAB_THREADS")
@@ -599,7 +600,7 @@ def _stage_list(horizon, stages, first: int) -> tuple[int, tuple[int, ...]]:
     """The horizon and the stages (first..horizon when None) as ints, or InputDomainError unless all are
     integers (numpy's too, bools not), the horizon is >= 1 and every stage lies in [first, horizon]."""
     stage_list = None if stages is None else tuple(stages)
-    bad = [v for v in (horizon, *(stage_list or ())) if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    bad = [v for v in (horizon, *(stage_list or ())) if not _is_integer(v)]
     if bad:
         raise InputDomainError(f"horizon and stages must be integers, got {bad[0]!r}")
     horizon = int(horizon)
@@ -626,13 +627,11 @@ def success_curve(
     The path is planned once per (measure, n), and the worlds on a measure
     are judged together at n: exact_success_prob per world, or
     mc_success_prob on the one draw they share, so each point equals that
-    call whatever the grid.  Only the (measure, n) whose draw samples rows
-    (_samples_rows) go to the worker pool, whose threads each hold one draw
-    at a time, as numpy's binomials release the GIL; the rest are judged in
-    the calling thread, as 260 fair-coin histogram draws took 37-57 ms on
-    one thread and 142-145 ms on two (2-vCPU host).  Rows carry the analytic
-    bound where one applies.  Identical (arguments, seed) give identical
-    curves at any worker count.
+    call whatever the grid.  Only the (measure, n) planned mc-block go to
+    the worker pool, whose threads each hold one draw at a time, as numpy's
+    binomials release the GIL; the rest are GIL-bound and judged in the
+    calling thread.  Rows carry the analytic bound where one applies.
+    Identical (arguments, seed) give identical curves at any worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
@@ -658,8 +657,7 @@ def success_curve(
             out.append(((wi, n), CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound)))
         return out
 
-    pooled = [(g, n) for (g, n), p in paths.items() if p == MC_BLOCK and _samples_rows(groups[g][0], n, budget.trials)]
-    results = _map_items(judge, pooled, workers)
+    results = _map_items(judge, [key for key, path in paths.items() if path == MC_BLOCK], workers)
     results.update((key, judge(key)) for key in paths if key not in results)
     at = dict(pair for pairs in results.values() for pair in pairs)
     points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
@@ -809,8 +807,7 @@ def lock_time(problem, method, world, horizon: int) -> Optional[int]:
 
     Relative to the horizon: None when no such stage <= horizon exists.
     """
-    if horizon < 1:
-        raise InputDomainError("horizon must be >= 1")
+    horizon = _integer(horizon, "horizon", 1)
     return _zero_loss_scan(problem, method, world, world.branch.prefix(horizon))[0]
 
 
@@ -860,7 +857,7 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str
         th = m.theta
         if th == 1:
             return np.zeros(trials, dtype=np.int64)
-        return rng.geometric(float(1 - th), size=trials).astype(np.int64)
+        return rng.geometric(float(1 - th), size=trials).astype(np.int64, copy=False)
 
     locks = np.empty(trials, dtype=np.int64)
     for t, prefix in enumerate(m.sample_prefixes(rng, trials, horizon)):
@@ -902,7 +899,6 @@ def success_set_curve(
     horizon: int,
     trials: int = 10_000,
     seed: int = 0,
-    workers: int = 1,
     strategy: str = "auto",
 ) -> SuccessCurve:
     """Lock-by-stage-n probability per (world, n), along each world's one planned path.
@@ -911,15 +907,12 @@ def success_set_curve(
     first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc"; sampled otherwise.  All
     stages of one world share the branch sample derived from (seed, world id, horizon), so the sampled
     curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer stages (in [0, horizon]) are
-    checked once per call.
+    checked once per call.  Worlds are evaluated in the calling thread, one after another.
     """
     Budget(strategy=strategy, trials=trials)
-    worlds = tuple(worlds)
     horizon, stage_list = _stage_list(horizon, stages, 0)
-    workers = resolve_workers(workers)
 
-    def evaluate(wi):
-        w = worlds[wi]
+    def evaluate(w):
         path = _set_plan(problem, method, w, strategy)
         if path == GEOMETRIC_EXACT:
             theta = w.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
@@ -935,8 +928,7 @@ def success_set_curve(
             ests = [_mc_estimate(locked[n], trials) for n in stage_list]
         return [CurvePoint(w.id, n, e.value, e.stderr, e.exact, None) for n, e in zip(stage_list, ests)]
 
-    results = _map_items(evaluate, list(range(len(worlds))), workers)
-    points = tuple(pt for wi in range(len(worlds)) for pt in results[wi])
+    points = tuple(pt for w in worlds for pt in evaluate(w))
     return SuccessCurve(problem.name, method.name, "success-set", points)
 
 
@@ -954,6 +946,7 @@ def underdetermination_witness(
     the pair refutes nonstochastic identification.  None when every branch
     in the family carries a single truth.
     """
+    horizon = _integer(horizon, "horizon", 0)
     groups: dict[str, list[World]] = {}
     for w in problem.worlds:
         groups.setdefault(w.branch.id, []).append(w)
@@ -990,8 +983,7 @@ def _enumerate_outputs(method, depth: int):
 
 
 def _output_gap(method, depth: int):
-    if depth < 0:
-        raise InputDomainError("depth must be >= 0")
+    depth = _integer(depth, "depth", 0)
     values = set()
 
     @_output_memo  # each distinct output is validated once

@@ -543,6 +543,32 @@ class TestOtherSubcommands:
     def test_verify_needs_a_target(self):
         assert cli.main(["verify"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["bound", "--eps", "0.1", "--n-max", "3"], flag) for flag in ("--seed", "--horizon", "--trials", "--workers")]
+        + [(["verify", "--problem", "easy-raven"], flag) for flag in ("--seed", "--horizon", "--trials", "--workers", "--out")]
+        + [(["witness", "--problem", "fair-coin"], flag) for flag in ("--seed", "--trials", "--workers")],
+    )
+    def test_a_subcommand_rejects_a_flag_it_does_not_read(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as stop:
+            cli.main([*argv, flag, "2"])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_verify_no_longer_validates_overrides_it_never_reads(self, tmp_path, capsys):
+        # verify reads the config's problem only: "--trials 0" is an unknown flag, not a config error.
+        path = write_config(tmp_path, RAVEN_CONFIG)
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["verify", "--config", str(path), "--trials", "0"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --trials 0" in err and "config error" not in err
+        assert cli.main(["verify", "--config", str(path)]) == 0
+
+    def test_witness_reads_its_horizon(self, capsys):
+        assert cli.main(["witness", "--problem", "fair-coin", "--horizon", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["prefix_equal_through"] == 8
+
     def test_erm_with_explicit_hypothesis_order(self, tmp_path):
         doc = {
             "name": "erm-order",

@@ -24,12 +24,17 @@ from convlab.convergence import (
 )
 
 
-def _shared_flags(problem, method, worlds, n, crit, trials, rng, path="mc-block"):
+def _mc_plan(method, world, n, trials):
+    return _plan(method, world, n, Budget(strategy="mc", trials=trials))
+
+
+def _shared_flags(problem, method, worlds, n, crit, trials, rng):
     """Each world's per-trial flags on one draw from the first world's measure, as success_curve shares it.
 
-    A drawn row's flag is repeated by its weight, so the flags' mean is mc_success_prob's estimate.
+    The draw takes the path _plan gives the first world.  A drawn row's flag is repeated by its weight,
+    so the flags' mean is mc_success_prob's estimate.
     """
-    draw = _mc_draw(method, worlds[0].measure, n, path, trials, rng)
+    draw = _mc_draw(method, worlds[0].measure, n, _mc_plan(method, worlds[0], n, trials), trials, rng)
     return [np.repeat(_mc_flags(problem, method, w, n, crit, draw), draw["weights"]) for w in worlds]
 
 
@@ -38,6 +43,10 @@ def rationals(max_den=40):
         min_value=Fraction(1, max_den), max_value=Fraction(max_den - 1, max_den),
         max_denominator=max_den,
     )
+
+
+# Values that are not integers, each a library caller could pass by mistake.
+NOT_INTEGERS = [2.5, 3.0, True, False, "3", Fraction(3)]
 
 
 class TestBernoulliBound:
@@ -52,6 +61,12 @@ class TestBernoulliBound:
             cl.bernoulli_bound(0, 0.1)
         with pytest.raises(cl.InputDomainError):
             cl.bernoulli_bound(5, 0)
+
+    @pytest.mark.parametrize("n", NOT_INTEGERS)
+    def test_rejects_a_non_integer_n(self, n):
+        with pytest.raises(cl.InputDomainError, match="n must be an integer"):
+            cl.bernoulli_bound(n, 0.1)
+        assert cl.bernoulli_bound(np.int64(25), Fraction(1, 2)) == Fraction(24, 25)
 
     @given(n=st.integers(1, 10_000), eps=rationals())
     def test_bound_is_a_probability_below_one(self, n, eps):
@@ -210,7 +225,7 @@ class TestSuccessMemo:
         monkeypatch.setattr(convergence, "loss_of", counted)
         return calls
 
-    @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact", "mc-block"])
+    @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact", "mc-histogram", "mc-block"])
     def test_erm_paths_evaluate_each_pool_classifier_at_most_once(
         self, loss_calls, path, toy_task, toy_erm_config
     ):
@@ -219,9 +234,10 @@ class TestSuccessMemo:
         if path == "enum-exact":
             erm = replace(erm, decide_count_block=None)
         w = prob.world("D2")
-        if path == "mc-block":
-            assert _plan(erm, w, 6, Budget(strategy="mc")) == path
-            _shared_flags(prob, erm, [w], 6, cl.within(0.05), 2000, seeding.generator(0, w.id, 6))
+        if path.startswith("mc"):  # C(6 + 3, 3) = 84 count vectors on D2's four tokens
+            trials = 2000 if path == "mc-histogram" else 80
+            assert _mc_plan(erm, w, 6, trials) == path
+            _shared_flags(prob, erm, [w], 6, cl.within(0.05), trials, seeding.generator(0, w.id, 6))
         else:
             assert _plan(erm, w, 6, Budget()) == path
             cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
@@ -234,7 +250,7 @@ class TestSuccessMemo:
         assert 0 < len(loss_calls) <= 3
 
     def test_a_declared_window_evaluates_no_loss(self, loss_calls):
-        # Neither the binomial sum nor the Monte Carlo block path decides a count.
+        # Neither the binomial sum nor either Monte Carlo count path decides a count.
         decided = []
 
         def counted(method):
@@ -252,9 +268,10 @@ class TestSuccessMemo:
         ]
         for problem, method, world, crit in cases:
             method = counted(method)
-            assert _plan(method, world, 200, Budget(strategy="mc")) == "mc-block"
             assert cl.exact_success_prob(problem, method, world, 200, crit) > 0
-            assert cl.mc_success_prob(problem, method, world, 200, crit, 2000, seed=3).value > 0
+            for trials, path in ((2000, "mc-histogram"), (200, "mc-block")):  # 201 count vectors at n = 200
+                assert _mc_plan(method, world, 200, trials) == path
+                assert cl.mc_success_prob(problem, method, world, 200, crit, trials, seed=3).value > 0
         assert loss_calls == [] and decided == []
 
     def test_fresh_outputs_per_leaf_keep_the_memo_small(self):
@@ -584,16 +601,20 @@ class TestMcSuccessProb:
     ):
         # On every toy world, each drawn row's flag is decide's on a sequence
         # with that row's counts, and the weighted estimate lies within 5
-        # standard errors (of the exact law) of the multinomial sum.
+        # standard errors (of the exact law) of the multinomial sum.  Every
+        # draw at 4000 trials is a histogram; at 300, n = 17 samples rows on
+        # the four-token laws.
         prob = cl.binary_classification(_with_a_zero_entry(toy_task))
         if which == "erm":
             method = cl.erm_method(toy_erm_config)
         else:
             method = TestMultinomialExact._majority(toy_classifiers)
-        trials = 4000
-        for w in prob.worlds:
+        paths = set()
+        for trials, w in itertools.product((4000, 300), prob.worlds):
             tokens = [tok for tok, _ in w.measure.token_probs]
-            draw = _mc_draw(method, w.measure, n, "mc-block", trials, seeding.generator(2, w.id, n))
+            path = _mc_plan(method, w, n, trials)
+            paths.add(path)
+            draw = _mc_draw(method, w.measure, n, path, trials, seeding.generator(2, w.id, n))
             flags = _mc_flags(prob, method, w, n, crit, draw)
             met = convergence._success_test(prob, w, crit)
             for row, flag in zip(draw["rows"].tolist(), flags.tolist()):
@@ -601,6 +622,7 @@ class TestMcSuccessProb:
             estimate = draw["weights"][flags].sum() / trials
             exact = float(_multinomial_exact(prob, method, w, n, crit))
             assert abs(estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
+        assert paths == ({"mc-histogram", "mc-block"} if n == 17 else {"mc-histogram"})
 
     @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
     def test_a_numpy_integer_n_is_its_int_and_bools_and_non_integers_raise(self, flagless):
@@ -619,8 +641,9 @@ class TestHistogramDraw:
 
     @staticmethod
     def _draw(measure, n, trials):
-        assert not convergence._samples_rows(measure, n, trials)
-        draw = _mc_draw(None, measure, n, "mc-block", trials, seeding.generator(5, "histogram", n))
+        world = cl.World("histogram", cl.constant_branch(0), 0, measure)
+        assert _mc_plan(cl.frequency_estimator, world, n, trials) == "mc-histogram"
+        draw = _mc_draw(None, measure, n, "mc-histogram", trials, seeding.generator(5, "histogram", n))
         return draw["rows"], draw["weights"]
 
     def test_each_drawn_count_vector_once_with_weights_summing_to_trials(self, toy_task):
@@ -863,6 +886,19 @@ class TestSuccessCurve:
         )
         assert one == eight
 
+    def test_the_pool_gets_exactly_the_keys_planned_mc_block(self, monkeypatch, toy_task, toy_erm_config):
+        submitted = []
+        map_items = convergence._map_items
+        monkeypatch.setattr(convergence, "_map_items", lambda fn, keys, w: submitted.append(keys) or map_items(fn, keys, w))
+        prob = cl.binary_classification(toy_task)
+        erm = cl.erm_method(toy_erm_config)
+        stages = (1, 3, 4, 5, 9)
+        budget = Budget(strategy="auto", exact_enum_cap=8, trials=50)
+        cl.success_curve(prob, erm, prob.worlds, cl.within(0.05), 9, budget=budget, stages=stages, workers=2)
+        (keys,) = submitted  # one world per measure: a key's group is its world's index
+        planned = [(wi, n) for wi, w in enumerate(prob.worlds) for n in stages if _plan(erm, w, n, budget) == "mc-block"]
+        assert keys == planned and {n for _, n in planned} == {5, 9}
+
     def test_exact_strategy_refuses_to_fall_back(self, toy_task, toy_erm_config):
         prob = cl.binary_classification(toy_task)
         with pytest.raises(cl.ResourceBudgetError):
@@ -916,26 +952,25 @@ class TestSuccessCurve:
         self._mc_curve(fc, user, fc.worlds, stages=(4, 9), trials=300)
         assert sorted(decided) == [4] * 600 + [9] * 600  # 2 measures x 300 trials per stage, not 5 worlds
 
-    def _library_call_curve(self, flagless, stages, trials):
+    def _library_call_curve(self, flagless, stages, trials, block_path):
         fc = cl.fair_coin([0.5, 0.9])
         method = cl.InferenceMethod("user", cl.fair_coin_test.decide) if flagless else cl.fair_coin_test
         curve = self._mc_curve(fc, method, fc.worlds, stages=stages, trials=trials, horizon=stages[-1])
         for pt in curve.points:
             w = fc.world(pt.world_id)
-            assert _plan(method, w, pt.n, Budget(strategy="mc")) == ("mc-generic" if flagless else "mc-block")
+            assert _mc_plan(method, w, pt.n, trials) == ("mc-generic" if flagless else block_path)
             est = cl.mc_success_prob(fc, method, w, pt.n, cl.EXACT, trials, seed=9)
             assert (pt.estimate, pt.stderr, pt.exact) == tuple(est), (pt.world_id, pt.n)
         return curve
 
-    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
+    @pytest.mark.parametrize("flagless", [False, True], ids=["mc-histogram", "mc-generic"])
     def test_every_point_equals_the_library_call(self, flagless):
-        self._library_call_curve(flagless, (1, 6, 20), 300)
+        self._library_call_curve(flagless, (1, 6, 20), 300, "mc-histogram")
 
     @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
     def test_a_pooled_point_equals_the_library_call(self, flagless):
-        # At 30 trials, n = 40 has 41 > 30 count vectors: a count-block draw samples rows, in the worker pool.
-        assert convergence._samples_rows(cl.fair_coin([0.5, 0.9]).worlds[0].measure, 40, 30)
-        curve = self._library_call_curve(flagless, (40,), 30)
+        # At 30 trials, n = 40 has 41 > 30 count vectors: a count-block method plans mc-block, the pool's path.
+        curve = self._library_call_curve(flagless, (40,), 30, "mc-block")
         assert any(0 < pt.estimate < 1 for pt in curve.points)
 
     def test_a_many_stage_curve_drops_each_draw_once_judged(self, toy_task, toy_erm_config):
@@ -975,11 +1010,8 @@ class TestSuccessCurve:
             "mc-generic": cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide),
         }[path]
         crit, n, key = cl.within(0.1), 12, (4, "shared", 12)
-        mc_path = "mc-generic" if path == "mc-generic" else "mc-block"
-        both = _shared_flags(cb, method, [low, high], n, crit, 2000, seeding.generator(*key), mc_path)
-        alone = [
-            _shared_flags(cb, method, [w], n, crit, 2000, seeding.generator(*key), mc_path)[0] for w in (low, high)
-        ]
+        both = _shared_flags(cb, method, [low, high], n, crit, 2000, seeding.generator(*key))
+        alone = [_shared_flags(cb, method, [w], n, crit, 2000, seeding.generator(*key))[0] for w in (low, high)]
         assert [f.tolist() for f in both] == [f.tolist() for f in alone]
         assert not (both[0] & both[1]).any() and both[0].any() and both[1].any()
         curve = self._mc_curve(cb, method, [low, high], crit=crit, stages=(n,), trials=2000)
@@ -1048,17 +1080,28 @@ class TestBudget:
         assert Budget(trials=np.int64(5), exact_enum_cap=np.int32(8), mc_margin=np.float64(2)).trials == 5
 
 
-# Evaluation path per case at n = 3..7 under strategy "auto", with
-# symmetric_exact_cap = 4 and exact_enum_cap = 2**6: the binomial cap sits at
-# n = 4, the enumeration cap at n = 6 for binary data and n = 3 for the four
-# example pairs of world D1.  The last entry is the case's sampling path.
+# Evaluation path per case at n = 3..7 under the strategies "auto" and "mc",
+# with symmetric_exact_cap = 4, exact_enum_cap = 2**6 and trials = 50: the
+# binomial cap sits at n = 4, the enumeration cap at n = 6 for binary data
+# and n = 3 for the four example pairs of world D1.  A count-block method
+# samples the trials' histogram while the C(n + t - 1, t - 1) count vectors on
+# t tokens number at most 50 (n + 1 on the coin; through n = 4 on D1), else rows.
 PLAN_TABLE = {
-    "bernoulli/block": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-block",),
-    "bernoulli/counts": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-block",),
-    "bernoulli/flagless": ("enum-exact",) * 4 + ("mc-generic",),
-    "examples/block": ("multinomial-exact",) + ("mc-block",) * 4,
-    "examples/flagless": ("enum-exact",) + ("mc-generic",) * 4,
-    "point-mass/counts": ("point-mass",) * 5,
+    "bernoulli/block": {
+        "auto": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-histogram",),
+        "mc": ("mc-histogram",) * 5,
+    },
+    "bernoulli/counts": {
+        "auto": ("binomial-exact",) * 2 + ("multinomial-exact",) * 2 + ("mc-histogram",),
+        "mc": ("mc-histogram",) * 5,
+    },
+    "bernoulli/flagless": {"auto": ("enum-exact",) * 4 + ("mc-generic",), "mc": ("mc-generic",) * 5},
+    "examples/block": {
+        "auto": ("multinomial-exact", "mc-histogram") + ("mc-block",) * 3,
+        "mc": ("mc-histogram",) * 2 + ("mc-block",) * 3,
+    },
+    "examples/flagless": {"auto": ("enum-exact",) + ("mc-generic",) * 4, "mc": ("mc-generic",) * 5},
+    "point-mass/counts": {"auto": ("point-mass",) * 5, "mc": ("point-mass",) * 5},
 }
 EXACT_PATHS = ("point-mass", "binomial-exact", "enum-exact", "multinomial-exact")
 
@@ -1095,8 +1138,7 @@ class TestPlan:
     def test_path_table(self, case, strategy, n, toy_task, toy_erm_config):
         problem, method, world, crit = _plan_case(case, toy_task, toy_erm_config)
         budget = Budget(strategy=strategy, symmetric_exact_cap=4, exact_enum_cap=2**6, trials=50)
-        paths = PLAN_TABLE[case]
-        want = paths[-1] if strategy == "mc" else paths[n - 3]
+        want = PLAN_TABLE[case]["mc" if strategy == "mc" else "auto"][n - 3]
 
         def curve_point():
             curve = cl.success_curve(problem, method, [world], crit, n, budget=budget, stages=(n,))
@@ -1120,6 +1162,19 @@ class TestPlan:
         assert point.exact == (exact is not None) == (want in EXACT_PATHS)
         if exact is not None:
             assert point.estimate == exact
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("case, t", [("bernoulli/block", 2), ("examples/block", 4)])
+    def test_the_histogram_ends_where_the_count_vectors_outnumber_the_trials(
+        self, case, t, n, toy_task, toy_erm_config
+    ):
+        _, method, world, _ = _plan_case(case, toy_task, toy_erm_config)
+        assert sum(pr > 0 for _, pr in world.measure.token_probs) == t
+        vectors = math.comb(n + t - 1, t - 1)
+        for strategy in ("auto", "mc"):  # "auto" past both exact caps
+            budget = Budget(strategy=strategy, symmetric_exact_cap=0, exact_enum_cap=1, trials=vectors)
+            assert _plan(method, world, n, budget) == "mc-histogram"
+            assert _plan(method, world, n, replace(budget, trials=vectors - 1)) == "mc-block"
 
     def test_binomial_cap_is_the_budget_cap(self):
         cb = cl.coin_bias([0.3])
@@ -1371,6 +1426,14 @@ class TestLockTime:
         assert cl.lock_time(er, cl.raven_rule, er.world("first-zero-at-5"), 50) == 5
         fc = cl.fair_coin()
         assert cl.lock_time(fc, cl.fair_coin_test, fc.world("theta=0.5/all-ones"), 64) is None
+
+    @pytest.mark.parametrize("horizon", NOT_INTEGERS)
+    def test_rejects_a_non_integer_horizon(self, horizon):
+        er = cl.easy_raven()
+        w = er.world("first-zero-at-5")
+        with pytest.raises(cl.InputDomainError, match="horizon must be an integer"):
+            cl.lock_time(er, cl.raven_rule, w, horizon)
+        assert cl.lock_time(er, cl.raven_rule, w, np.int64(50)) == 5
 
     @pytest.mark.parametrize(
         "problem, method",
@@ -1651,6 +1714,13 @@ class TestUnderdeterminationWitness:
     def test_easy_raven_has_no_witness(self):
         assert cl.underdetermination_witness(cl.easy_raven()) is None
 
+    @pytest.mark.parametrize("horizon", NOT_INTEGERS + [-1])
+    def test_rejects_a_horizon_that_is_not_an_integer_at_least_0(self, horizon):
+        fc = cl.fair_coin()
+        with pytest.raises(cl.InputDomainError, match="horizon must be"):
+            cl.underdetermination_witness(fc, horizon)
+        assert cl.underdetermination_witness(fc, np.int64(64)) == cl.underdetermination_witness(fc)
+
     def test_pair_refutes_identification_stage_by_stage(self):
         for problem, method in [
             (cl.fair_coin(), cl.fair_coin_test),
@@ -1671,6 +1741,14 @@ class TestCardinalityWitness:
         assert cl.cardinality_witness(constant, 3) == Fraction(1, 4)
         tenth = cl.InferenceMethod("always-tenth", lambda seq: Fraction(1, 10))
         assert cl.cardinality_witness(tenth, 3) == Fraction(11, 20)  # the widest gap, (1/10, 1)
+
+    @pytest.mark.parametrize("depth", NOT_INTEGERS)
+    def test_rejects_a_non_integer_depth(self, depth):
+        for witness in (cl.cardinality_witness, cl.cardinality_witness_report):
+            with pytest.raises(cl.InputDomainError, match="depth must be an integer"):
+                witness(cl.frequency_estimator, depth)
+        assert cl.cardinality_witness(cl.frequency_estimator, np.int64(4)) == Fraction(1, 8)
+        assert cl.cardinality_witness_report(cl.frequency_estimator, np.int64(4))["depth"] == 4
 
     def test_a_block_method_with_non_real_outputs_is_refused_before_its_block_runs(self, toy_erm_config):
         erm = cl.erm_method(toy_erm_config)
