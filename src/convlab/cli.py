@@ -1,10 +1,18 @@
 """Batch front end: experiment configs, execution, and CSV/JSON persistence.
 
 Subcommands: run, curve, verify, witness, bound.  Configs are single JSON
-objects; records embed a content digest of the config so a run can be tied
-back to the exact bytes that produced it.  Exit codes: 0 success, 2 config
-error, 3 runtime/resource error (verify additionally exits 1 when checks
-find violations).
+objects, read along one path (``_load_config``): the flags in ``_OVERRIDES``,
+which run and curve take, overwrite their config keys; ``parse_config``
+checks the document, leaving the numbers of its mode and budget sections to
+``ModeParams`` and ``Budget``; then the problem and method are built.
+Records embed a content digest, so a run can be tied back to the config that
+produced it: the SHA-256 of the file bytes, or, when an override flag is
+given, of the overridden document as canonical JSON (sorted keys, compact
+separators).  verify and witness read either --config or --problem (witness
+also --method), never both; witness --horizon is the length of the shared
+prefix it compares, never a config override.  Exit codes: 0 success, 2
+config error, 3 runtime/resource error (verify additionally exits 1 when
+checks find violations).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .core import (
     InputDomainError,
     PreconditionError,
     ResourceBudgetError,
+    _integer,
     validate_problem,
 )
 from .methods import ErmConfig, erm_method, fair_coin_test, frequency_estimator, raven_rule
@@ -63,7 +72,6 @@ BOUND_HEADER = "n,eps,bound"
 
 _KIND_NAMES = {
     int: "an integer",
-    (int, float): "a number",
     bool: "true or false",
     str: "a string",
     dict: "an object",
@@ -170,8 +178,8 @@ class ExperimentConfig:
     budget: Budget
     seed: int
     workers: int
-    curve_path: Optional[str]
-    record_path: Optional[str]
+    curve_path: str  # file names under the output directory
+    record_path: str
 
 
 def _section(doc: dict, key: str, keys: tuple, required: bool = True) -> dict:
@@ -193,6 +201,14 @@ def _optional(sec: dict, section: str, key: str, kind):
     return None if value is None else _typed(value, f"{section}.{key}", kind)
 
 
+def _checked(section: str, make, **kwargs):
+    """make(**kwargs), which checks its own values; its InputDomainError is a config error in section."""
+    try:
+        return make(**kwargs)
+    except (InputDomainError, OverflowError) as e:  # an integer too large for a float margin
+        raise ConfigurationError(f"{section}: {e}") from None
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("top level: expected a single experiment object")
@@ -209,48 +225,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "name" not in method:
         raise ConfigurationError("method.name: required")
     stages = mode.get("stages")
-    if stages is not None and not isinstance(stages, list):
+    if stages is not None and not isinstance(stages, list):  # mode_params takes tuple() of it
         raise ConfigurationError("mode.stages: expected a list of integers")
-    try:
-        mp = mode_params(
-            mode=str(mode.get("mode", "")),
-            horizon=_typed(mode.get("horizon", 0), "mode.horizon"),
-            delta=mode.get("delta"),
-            epsilon=mode.get("epsilon"),
-            stages=None if stages is None else [_typed(n, "mode.stages") for n in stages],
-            world_ids=mode.get("world_ids"),
-        )
-    except InputDomainError as e:
-        raise ConfigurationError(f"mode: {e}") from None
-    numbers = {
-        key: _typed(budget_doc.get(key, getattr(Budget, key)), f"budget.{key}", kind)
-        for key, kind in (
-            ("exact_enum_cap", int),
-            ("symmetric_exact_cap", int),
-            ("trials", int),
-            ("mc_margin", (int, float)),
-        )
-    }
-    try:
-        budget = Budget(strategy=str(budget_doc.get("strategy", "auto")), **numbers)
-    except (InputDomainError, OverflowError) as e:  # an integer too large for a float margin
-        raise ConfigurationError(f"budget: {e}") from None
-    seed = _typed(doc.get("seed", 0), "seed")
-    workers = _typed(doc.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigurationError("workers: expected a positive integer")
+    name = str(doc.get("name", "experiment"))
     return ExperimentConfig(
-        name=str(doc.get("name", "experiment")),
+        name=name,
         problem_name=str(problem["name"]),
         problem_params=dict(_optional(problem, "problem", "params", dict) or {}),
         method_name=str(method["name"]),
         method_params=dict(_optional(method, "method", "params", dict) or {}),
-        mode=mp,
-        budget=budget,
-        seed=seed,
-        workers=workers,
-        curve_path=_optional(output, "output", "curve", str),
-        record_path=_optional(output, "output", "record", str),
+        mode=_checked("mode", mode_params, **{"mode": None, "horizon": None, **mode}),
+        budget=_checked("budget", Budget, **budget_doc),
+        seed=_typed(doc.get("seed", 0), "seed"),
+        workers=_checked("top level", _integer, value=doc.get("workers", 1), name="workers", least=1),
+        curve_path=_optional(output, "output", "curve", str) or f"{name}-curve.csv",
+        record_path=_optional(output, "output", "record", str) or f"{name}-record.json",
     )
 
 
@@ -362,52 +351,25 @@ def emit_witness(
 
 
 # ---------------------------------------------------------------------------
-# Execution
-
-
-def run(config: ExperimentConfig, digest: str, out_dir: Path) -> RunRecord:
-    """Execute one experiment: mode check, curve CSV, record JSON."""
-    t0 = time.perf_counter()
-    problem = build_problem(config.problem_name, config.problem_params)
-    method = build_method(config.method_name, config.method_params, problem)
-    verdict = check_mode(
-        problem,
-        method,
-        config.mode,
-        budget=config.budget,
-        seed=config.seed,
-        workers=config.workers,
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curves = []
-    if verdict.curve is not None:
-        curve_name = config.curve_path or f"{config.name}-curve.csv"
-        curve_file = out_dir / curve_name
-        curve_file.write_text(curve_csv(verdict.curve))
-        curves.append(curve_name)
-    record = RunRecord(
-        config_digest=digest,
-        seed=config.seed,
-        version=__version__,
-        status=verdict.status,
-        mode=verdict.mode,
-        horizon=verdict.horizon,
-        witness_world=verdict.witness_world,
-        verdicts=tuple(verdict_rows(verdict)),
-        curves=tuple(curves),
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    record_name = config.record_path or f"{config.name}-record.json"
-    (out_dir / record_name).write_text(json.dumps(record.to_json(), indent=2) + "\n")
-    return record
-
-
-# ---------------------------------------------------------------------------
 # Command-line interface
 
 
-def _load_config(args) -> tuple[ExperimentConfig, str]:
+# The flags run and curve take that overwrite a config key: dest -> (section, None at the top level; help).
+_OVERRIDES = {
+    "seed": (None, "override the config seed"),
+    "horizon": ("mode", "override the mode horizon"),
+    "trials": ("budget", "override Monte Carlo trials"),
+    "workers": (None, "worker thread count"),
+}
+
+
+def _load_config(args, with_method: bool = True):
+    """The config --config names, with the _OVERRIDES flags args carries applied.
+
+    Returns the parsed config; its digest, of the file bytes or, when a flag
+    overrode a key, of the overridden document as canonical JSON; its problem;
+    and its method, or None unless with_method.
+    """
     path = Path(args.config)
     try:
         raw = path.read_bytes()
@@ -417,25 +379,71 @@ def _load_config(args) -> tuple[ExperimentConfig, str]:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"config: invalid JSON at line {e.lineno}: {e.msg}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"config: not UTF-8 text: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("top level: expected a single experiment object")
-    overridden = False
-    overrides = (("seed", None), ("horizon", "mode"), ("trials", "budget"), ("workers", None))
-    for flag, section in overrides:
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
+    overrides = {key: getattr(args, key) for key in _OVERRIDES if getattr(args, key, None) is not None}
+    for key, value in overrides.items():
+        section = _OVERRIDES[key][0]
         target = doc.setdefault(section, {}) if section else doc
         if isinstance(target, dict):  # parse_config rejects a section that is not an object
-            target[flag] = value
-            overridden = True
-    digest = config_digest(canonical_bytes(doc) if overridden else raw)
-    return parse_config(doc), digest
+            target[key] = value
+    config = parse_config(doc)
+    problem = build_problem(config.problem_name, config.problem_params)
+    method = build_method(config.method_name, config.method_params, problem) if with_method else None
+    return config, config_digest(canonical_bytes(doc) if overrides else raw), problem, method
+
+
+def _problem_and_method(args, with_method: bool):
+    """verify's and witness's problem and method: from --config (the method only where with_method),
+    or the catalog entries --problem and --method name, with default params."""
+    method_name = getattr(args, "method", None)  # verify has no --method
+    if args.config:
+        if method_name:
+            raise ConfigurationError(f"{args.command}: --config names its own method; --method goes with --problem")
+        _, _, problem, method = _load_config(args, with_method)
+        return problem, method
+    if not args.problem:
+        raise ConfigurationError(f"{args.command}: needs --config or --problem")
+    problem = build_problem(args.problem, {})
+    return problem, build_method(method_name, {}, problem) if method_name else None
+
+
+def _write(out: Path, text: str, name_in_dir: Optional[str] = None) -> Path:
+    """Write text to out, or to out/name_in_dir where out is a directory, making its parent directories."""
+    if name_in_dir is not None and out.is_dir():
+        out = out / name_in_dir
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    return out
 
 
 def _cmd_run(args) -> int:
-    config, digest = _load_config(args)
-    record = run(config, digest, Path(args.out))
+    """Execute one experiment: mode check, curve CSV, record JSON."""
+    t0 = time.perf_counter()
+    config, digest, problem, method = _load_config(args)
+    verdict = check_mode(
+        problem, method, config.mode, budget=config.budget, seed=config.seed, workers=config.workers
+    )
+    out_dir = Path(args.out)
+    curves = () if verdict.curve is None else (config.curve_path,)
+    if curves:
+        _write(out_dir / config.curve_path, curve_csv(verdict.curve))
+    record = RunRecord(
+        config_digest=digest,
+        seed=config.seed,
+        version=__version__,
+        status=verdict.status,
+        mode=verdict.mode,
+        horizon=verdict.horizon,
+        witness_world=verdict.witness_world,
+        verdicts=tuple(verdict_rows(verdict)),
+        curves=curves,
+        duration_ms=int((time.perf_counter() - t0) * 1000),
+        timestamp=datetime.now(timezone.utc).isoformat(),
+    )
+    _write(out_dir / config.record_path, json.dumps(record.to_json(), indent=2) + "\n")
     print(f"{config.name}: {record.status} (mode {record.mode}, horizon {record.horizon})")
     for row in record.verdicts:
         stage = "-" if row["threshold_stage"] is None else row["threshold_stage"]
@@ -444,9 +452,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    config, _ = _load_config(args)
-    problem = build_problem(config.problem_name, config.problem_params)
-    method = build_method(config.method_name, config.method_params, problem)
+    config, _, problem, method = _load_config(args)
     mode = config.mode
     if args.kind == "success-set":
         curve = success_set_curve(
@@ -465,22 +471,12 @@ def _cmd_curve(args) -> int:
         curve = check_mode(
             problem, method, mode, budget=config.budget, seed=config.seed, workers=config.workers
         ).curve
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / (config.curve_path or f"{config.name}-curve.csv")
-    target.write_text(curve_csv(curve))
-    print(f"wrote {target}")
+    print(f"wrote {_write(Path(args.out) / config.curve_path, curve_csv(curve))}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        config, _ = _load_config(args)
-        problem = build_problem(config.problem_name, config.problem_params)
-    elif args.problem:
-        problem = build_problem(args.problem, {})
-    else:
-        raise ConfigurationError("verify: needs --config or --problem")
+    problem, _ = _problem_and_method(args, with_method=False)
     report = validate_problem(problem)
     for check in report.checks:
         flags = []
@@ -499,31 +495,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if args.config:
-        config, _ = _load_config(args)
-        problem = build_problem(config.problem_name, config.problem_params)
-        method = (
-            build_method(config.method_name, config.method_params, problem)
-            if args.depth is not None
-            else None
-        )
-    else:
-        if not args.problem:
-            raise ConfigurationError("witness: needs --config or --problem")
-        problem = build_problem(args.problem, {})
-        method = build_method(args.method, {}, problem) if args.method else None
-    horizon = args.horizon if args.horizon is not None else 64
-    doc = emit_witness(problem, method, depth=args.depth, horizon=horizon)
+    problem, method = _problem_and_method(args, with_method=args.depth is not None)
+    doc = emit_witness(problem, method, depth=args.depth, horizon=args.prefix_horizon)
     text = json.dumps(doc, indent=2) + "\n"
-    if args.out != ".":
-        out = Path(args.out)
-        if out.is_dir():
-            out = out / f"{problem.name}-witness.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {out}")
-    else:
+    if args.out == ".":
         print(text, end="")
+    else:
+        print(f"wrote {_write(Path(args.out), text, f'{problem.name}-witness.json')}")
     return 0
 
 
@@ -537,23 +515,8 @@ def _cmd_bound(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min or args.n_step < 1:
         raise ConfigurationError("bound: need 1 <= n-min <= n-max and n-step >= 1")
     n_values = range(args.n_min, args.n_max + 1, args.n_step)
-    text = emit_bound_table(eps_list, n_values)
-    out = Path(args.out)
-    if out.is_dir():
-        out = out / "bounds.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
-    print(f"wrote {out}")
+    print(f"wrote {_write(Path(args.out), emit_bound_table(eps_list, n_values), 'bounds.csv')}")
     return 0
-
-
-_FLAGS = {  # each subcommand takes only those of these flags it reads
-    "--seed": dict(type=int, help="override the config seed"),
-    "--horizon": dict(type=int, help="override the mode horizon"),
-    "--trials": dict(type=int, help="override Monte Carlo trials"),
-    "--workers": dict(type=int, help="worker thread count"),
-    "--out": dict(default=".", help="output directory (or file where noted)"),
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -564,31 +527,40 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"convlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def subcommand(name, handler, help, flags=()):
+    def subcommand(name, handler, help, out=True):
         p = sub.add_parser(name, help=help)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        if out:
+            p.add_argument("--out", default=".", help="output directory (or file where noted)")
         p.set_defaults(handler=handler)
         return p
 
-    p_run = subcommand("run", _cmd_run, "run a configured experiment", _FLAGS)
-    p_run.add_argument("--config", required=True)
+    def config_with_overrides(p):
+        p.add_argument("--config", required=True)
+        for key, (_, text) in _OVERRIDES.items():
+            p.add_argument(f"--{key}", type=int, help=text)
 
-    p_curve = subcommand("curve", _cmd_curve, "emit a success curve CSV", _FLAGS)
-    p_curve.add_argument("--config", required=True)
+    def config_or_problem(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config")
+        source.add_argument("--problem")
+
+    config_with_overrides(subcommand("run", _cmd_run, "run a configured experiment"))
+    p_curve = subcommand("curve", _cmd_curve, "emit a success curve CSV")
+    config_with_overrides(p_curve)
     p_curve.add_argument("--kind", choices=["success", "success-set"], default="success")
 
-    p_verify = subcommand("verify", _cmd_verify, "validate a problem's worlds")
-    p_verify.add_argument("--config")
-    p_verify.add_argument("--problem")
+    config_or_problem(subcommand("verify", _cmd_verify, "validate a problem's worlds", out=False))
 
-    p_wit = subcommand("witness", _cmd_witness, "emit an unachievability witness", ("--horizon", "--out"))
-    p_wit.add_argument("--config")
-    p_wit.add_argument("--problem")
+    p_wit = subcommand("witness", _cmd_witness, "emit an unachievability witness")
+    config_or_problem(p_wit)
     p_wit.add_argument("--method")
     p_wit.add_argument("--depth", type=int, default=None)
+    p_wit.add_argument(
+        "--horizon", dest="prefix_horizon", metavar="HORIZON", type=int, default=64,
+        help="length of the shared prefix compared (not a config override)",
+    )
 
-    p_bound = subcommand("bound", _cmd_bound, "tabulate the analytic bound", ("--out",))
+    p_bound = subcommand("bound", _cmd_bound, "tabulate the analytic bound")
     p_bound.add_argument("--eps", required=True, help="comma-separated eps values")
     p_bound.add_argument("--n-min", type=int, default=1)
     p_bound.add_argument("--n-max", type=int, required=True)

@@ -45,6 +45,8 @@ from .core import (
     PreconditionError,
     ResourceBudgetError,
     World,
+    _integer,
+    _is_integer,
     as_fraction,
     loss_of,
 )
@@ -57,20 +59,6 @@ MODES = (MODE_IDENTIFICATION, MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_AP
 SUPPORTED_AT_HORIZON = "SUPPORTED_AT_HORIZON"
 REFUTED_AT_HORIZON = "REFUTED_AT_HORIZON"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-
-def _is_integer(v) -> bool:
-    """Whether v is an integer, a numpy one too, but not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _integer(value, name: str, least: int) -> int:
-    """value as an int, or InputDomainError unless it is an integer (_is_integer) >= least."""
-    if not _is_integer(value):
-        raise InputDomainError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise InputDomainError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -573,16 +561,15 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
 
 
 def resolve_workers(requested: Optional[int]) -> int:
-    """Worker count after applying the CONVLAB_THREADS environment cap."""
-    if requested is not None and not _is_integer(requested):
-        raise InputDomainError(f"workers must be an integer, got {requested!r}")
-    w = 1 if requested is None else max(1, int(requested))
+    """Worker count after applying the CONVLAB_THREADS environment cap; each must be an integer >= 1."""
+    w = 1 if requested is None else _integer(requested, "workers", 1)
     env = os.environ.get("CONVLAB_THREADS")
     if env:
         try:
-            w = min(w, max(1, int(env)))
+            cap = int(env)
         except ValueError:
             raise InputDomainError(f"CONVLAB_THREADS must be an integer, got {env!r}") from None
+        w = min(w, _integer(cap, "CONVLAB_THREADS", 1))
     return w
 
 

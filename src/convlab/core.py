@@ -46,6 +46,20 @@ class ResourceBudgetError(RuntimeError):
     """An exact computation would exceed the enumeration budget."""
 
 
+def _is_integer(v) -> bool:
+    """Whether v is an integer, a numpy one too, but not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """value as an int, or InputDomainError unless it is an integer (_is_integer) >= least."""
+    if not _is_integer(value):
+        raise InputDomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InputDomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 def as_fraction(x) -> Fraction:
     """Exact rational from a number, reading floats as the decimal they print as.
 
@@ -113,8 +127,7 @@ class Branch:
     token_at: Callable[[int], Token]
 
     def prefix(self, n: int) -> tuple[Token, ...]:
-        if n < 0:
-            raise InputDomainError("prefix length must be >= 0")
+        n = _integer(n, "prefix length", 0)
         return tuple(self.token_at(i) for i in range(1, n + 1))
 
 
@@ -130,8 +143,7 @@ def alternating_branch(branch_id: str = "alternating") -> Branch:
 
 def single_zero_branch(k: int, branch_id: Optional[str] = None) -> Branch:
     """All-1 branch except for a single 0 at position k (1-based)."""
-    if k < 1:
-        raise InputDomainError("zero position must be >= 1")
+    k = _integer(k, "zero position", 1)
     bid = branch_id if branch_id is not None else f"first-zero-at-{k}"
     return Branch(bid, lambda i: 0 if i == k else 1)
 
@@ -452,9 +464,7 @@ class InferenceMethod:
 
 def output_at(method: InferenceMethod, world: World, n: int) -> MethodOutput:
     """The method's output after the first n observations of the world's branch."""
-    if n < 0:
-        raise InputDomainError("sample size must be >= 0")
-    return method.decide(world.branch.prefix(n))
+    return method.decide(world.branch.prefix(_integer(n, "sample size", 0)))
 
 
 def loss_of(problem: EmpiricalProblem, out: MethodOutput, world: World):

@@ -26,6 +26,7 @@ from .core import (
     InputDomainError,
     IntervalHypothesisSpace,
     MethodOutput,
+    _integer,
     absolute_error_loss,
     identification_loss,
 )
@@ -57,9 +58,7 @@ raven_rule = InferenceMethod(
 
 def fair_coin_threshold(n: int) -> float:
     """The shrinking acceptance radius n**(-1/4), for display and reports."""
-    if n < 1:
-        raise InputDomainError("threshold is defined for n >= 1")
-    return n ** -0.25
+    return _integer(n, "n", 1) ** -0.25
 
 
 def _fair_coin_counts(n: int, k: int) -> MethodOutput:

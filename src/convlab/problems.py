@@ -28,6 +28,7 @@ from .core import (
     LossFunction,
     Measure,
     World,
+    _integer,
     absolute_error_loss,
     alternating_branch,
     as_fraction,
@@ -70,8 +71,7 @@ def easy_raven(max_first_zero: int = 20, literal: bool = False) -> EmpiricalProb
     reading is exposed for inspection only and breaks the branch-to-truth
     bijection.
     """
-    if max_first_zero < 1:
-        raise InputDomainError("max_first_zero must be >= 1")
+    max_first_zero = _integer(max_first_zero, "max_first_zero", 1)
     worlds = []
     for k in range(1, max_first_zero + 1):
         worlds.append(World(f"first-zero-at-{k}", single_zero_branch(k), NO))

@@ -10,6 +10,7 @@ success sets from (seed, "success-set", world id, horizon).
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from fractions import Fraction
 
@@ -28,8 +29,13 @@ def _as_key_word(part) -> int:
 
 
 def seed_sequence(master_seed: int, *parts) -> np.random.SeedSequence:
+    """The seed sequence for (master_seed, *parts); the master seed is any integer (numpy's too) but a bool."""
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
+        from .core import InputDomainError  # core imports this module
+
+        raise InputDomainError(f"seed must be an integer, got {master_seed!r}")
     key = tuple(_as_key_word(p) for p in parts)
-    return np.random.SeedSequence(master_seed & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
+    return np.random.SeedSequence(int(master_seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
 
 
 def generator(master_seed: int, *parts) -> np.random.Generator:

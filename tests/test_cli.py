@@ -159,6 +159,17 @@ class TestRun:
         rec = json.loads((out1 / "fgr-mode2-record.json").read_text())
         assert rec["seed"] == 99
 
+    def test_each_override_flag_writes_its_config_key_and_the_digest_covers_it(self, tmp_path):
+        path = write_config(tmp_path, FGR_CONFIG)
+        argv = ["--seed", "5", "--horizon", "12", "--trials", "700", "--workers", "2"]
+        assert cli.main(["run", "--config", str(path), *argv, "--out", str(tmp_path)]) == 0
+        doc = dict(FGR_CONFIG, seed=5, workers=2)
+        doc.update(mode=dict(doc["mode"], horizon=12), budget=dict(doc["budget"], trials=700))
+        rec = json.loads((tmp_path / "fgr-mode2-record.json").read_text())
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        assert rec["config_digest"] == hashlib.sha256(canonical).hexdigest()
+        assert (rec["seed"], rec["horizon"]) == (5, 12)
+
 
 class TestExitCodes:
     def test_unknown_method_exits_2(self, tmp_path, capsys):
@@ -177,6 +188,12 @@ class TestExitCodes:
         path.write_text("{not json")
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"name": "\xff"}')
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "config: not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 2
@@ -414,7 +431,8 @@ class TestConfigNumberTypes:
     )
     def test_values_of_the_wrong_json_type_are_rejected(self, section, key, value):
         doc = dict(FGR_CONFIG, **{section: dict(FGR_CONFIG[section], **{key: value})})
-        with pytest.raises(cl.ConfigurationError, match=f"{section}.{key}"):
+        # ModeParams / Budget word the message; the config names the section first.
+        with pytest.raises(cl.ConfigurationError, match=rf"^{section}\b.*\b{key}\b"):
             cli.parse_config(doc)
         assert doc[section][key] == value
 
@@ -434,7 +452,7 @@ class TestConfigNumberTypes:
         doc = dict(FGR_CONFIG, mode={"mode": "II", "delta": 0.05, "horizon": 10.9})
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert "mode.horizon" in capsys.readouterr().err
+        assert re.search(r"config error: mode\b.*\bhorizon\b", capsys.readouterr().err)
 
 
 class TestProblemParamTypes:
@@ -569,6 +587,28 @@ class TestOtherSubcommands:
         assert cli.main(["witness", "--problem", "fair-coin", "--horizon", "8"]) == 0
         assert json.loads(capsys.readouterr().out)["witness"]["prefix_equal_through"] == 8
 
+    def test_witness_horizon_is_never_a_config_override(self, tmp_path, capsys):
+        # A prefix length of 0 is a valid witness horizon, and no mode horizon.
+        doc = dict(FGR_CONFIG, problem={"name": "fair-coin"}, method={"name": "fair-coin-test"})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["witness", "--config", str(path), "--horizon", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"]["prefix_equal_through"] == 0
+
+    @pytest.mark.parametrize("command", ["verify", "witness"])
+    def test_config_excludes_a_catalog_problem(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, FGR_CONFIG)
+        with pytest.raises(SystemExit) as stop:
+            cli.main([command, "--config", str(path), "--problem", "easy-raven"])
+        assert stop.value.code == 2
+        assert "not allowed with argument --config" in capsys.readouterr().err
+
+    def test_config_excludes_a_catalog_method(self, tmp_path, capsys):
+        doc = dict(FGR_CONFIG, problem={"name": "coin-bias"}, method={"name": "frequency-estimator"})
+        path = write_config(tmp_path, doc)
+        argv = ["witness", "--config", str(path), "--method", "frequency-estimator", "--depth", "3"]
+        assert cli.main(argv) == 2
+        assert "--config names its own method" in capsys.readouterr().err
+
     def test_erm_with_explicit_hypothesis_order(self, tmp_path):
         doc = {
             "name": "erm-order",
@@ -617,6 +657,23 @@ class TestWorkerCap:
         with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
             cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=requested)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_a_count_below_1_is_rejected_wherever_it_enters(self, monkeypatch, workers):
+        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
+        fc = cl.fair_coin()
+        with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
+            cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=workers)
+        with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
+            cl.check_mode(fc, cl.fair_coin_test, cl.mode_params("II", 3, delta=0.1), workers=workers)
+        with pytest.raises(cl.ConfigurationError, match="workers must be >= 1"):
+            cli.parse_config(dict(RAVEN_CONFIG, workers=workers))
+        monkeypatch.setenv("CONVLAB_THREADS", str(workers))
+        with pytest.raises(cl.InputDomainError, match="CONVLAB_THREADS must be >= 1"):
+            cl.resolve_workers(4)
+
     def test_integral_requests_keep_their_meaning(self, monkeypatch):
         monkeypatch.delenv("CONVLAB_THREADS", raising=False)
-        assert [cl.resolve_workers(w) for w in (None, 0, -3, 1, np.int64(3))] == [1, 1, 1, 1, 3]
+        assert [cl.resolve_workers(w) for w in (None, 1, np.int64(3))] == [1, 1, 3]
+        for w in (0, -3):
+            with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
+                cl.resolve_workers(w)

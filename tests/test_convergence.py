@@ -547,6 +547,38 @@ class TestCountLaws:
         assert cl.analytic_bound(fc, impostor, fc.world("theta=0.5"), 40, cl.EXACT) is None
 
 
+class TestSeedType:
+    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
+        fc, fgr = cl.fair_coin([0.5, 0.9]), cl.fine_grained_raven([0.5])
+        mc = cl.Budget(strategy="mc", trials=100)
+        calls = {
+            "fair_coin": lambda: cl.fair_coin([0.5, 0.9], seed=seed),
+            "mc_success_prob": lambda: cl.mc_success_prob(
+                fc, cl.fair_coin_test, fc.worlds[0], 10, cl.EXACT, 100, seed
+            ),
+            "check_mode": lambda: cl.check_mode(
+                fc, cl.fair_coin_test, cl.mode_params("II", 5, delta=0.1), budget=mc, seed=seed
+            ),
+            "success_set_curve": lambda: cl.success_set_curve(
+                fgr, cl.raven_rule, fgr.worlds, [1, 5], horizon=5, trials=100, seed=seed, strategy="mc"
+            ),
+        }
+        for call in calls.values():
+            with pytest.raises(cl.InputDomainError, match="seed must be an integer"):
+                call()
+
+    def test_a_numpy_integer_seed_is_that_integer(self):
+        def draw(seed):
+            return seeding.generator(seed, "x").integers(1 << 30, size=4).tolist()
+
+        for seed in (np.int64(3), np.int64(-1), np.uint64(2**64 - 1)):
+            assert draw(seed) == draw(int(seed))
+        assert cl.fair_coin([0.5, 0.9], seed=np.int64(3)).worlds[0].branch.prefix(20) == cl.fair_coin(
+            [0.5, 0.9], seed=3
+        ).worlds[0].branch.prefix(20)
+
+
 class TestMcSuccessProb:
     def test_agrees_with_exact_within_four_standard_errors(self):
         fc = cl.fair_coin()

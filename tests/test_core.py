@@ -94,6 +94,20 @@ def test_branch_constructors_and_prefixes():
     assert cl.alternating_branch().prefix(6) == (1, 0, 1, 0, 1, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", -1])
+def test_a_prefix_length_is_an_integer_at_least_0(n):
+    with pytest.raises(cl.InputDomainError, match="prefix length must be"):
+        cl.constant_branch(1).prefix(n)
+    assert cl.constant_branch(1).prefix(np.int64(2)) == (1, 1)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3", 0])
+def test_a_zero_position_is_an_integer_at_least_1(k):
+    with pytest.raises(cl.InputDomainError, match="zero position must be"):
+        cl.single_zero_branch(k)
+    assert cl.single_zero_branch(np.int64(2)).prefix(3) == (1, 0, 1)
+
+
 def test_worlds_are_immutable():
     w = World("w", cl.constant_branch(1), cl.YES)
     with pytest.raises(FrozenInstanceError):
@@ -302,6 +316,14 @@ def test_output_at_tracks_the_branch_prefix():
     w3 = er.world("first-zero-at-3")
     assert cl.output_at(cl.raven_rule, w3, 2) == cl.YES
     assert cl.output_at(cl.raven_rule, w3, 3) == cl.NO
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3", -1])
+def test_output_at_takes_an_integer_sample_size_at_least_0(n):
+    w3 = cl.easy_raven().world("first-zero-at-3")
+    with pytest.raises(cl.InputDomainError, match="sample size must be"):
+        cl.output_at(cl.raven_rule, w3, n)
+    assert cl.output_at(cl.raven_rule, w3, np.int64(3)) == cl.NO
 
 
 def test_output_at_depends_only_on_the_prefix():

@@ -38,6 +38,12 @@ class TestFairCoinTest:
         assert cl.fair_coin_test.decide_counts(16, 16) == cl.UNFAIR
         assert cl.fair_coin_test.decide_counts(15, 15) == cl.FAIR
 
+    @pytest.mark.parametrize("n", [2.5, True, "3", 0])
+    def test_threshold_takes_an_integer_n_at_least_1(self, n):
+        with pytest.raises(cl.InputDomainError, match="n must be"):
+            cl.fair_coin_threshold(n)
+        assert cl.fair_coin_threshold(np.int64(16)) == 0.5
+
     def test_threshold_strictly_decreasing(self):
         samples = [1, 2, 3, 10, 100, 5_000, 123_456, 10**6]
         values = [cl.fair_coin_threshold(n) for n in samples]

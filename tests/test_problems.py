@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import convlab as cl
@@ -26,6 +27,12 @@ class TestEasyRaven:
         er = cl.easy_raven(max_first_zero=7)
         ks = [w.branch.prefix(8).index(0) + 1 for w in er.worlds if w.truth == cl.NO]
         assert ks == list(range(1, 8))
+
+    @pytest.mark.parametrize("k", [2.5, True, "3", 0])
+    def test_max_first_zero_is_an_integer_at_least_1(self, k):
+        with pytest.raises(cl.InputDomainError, match="max_first_zero must be"):
+            cl.easy_raven(max_first_zero=k)
+        assert len(cl.easy_raven(max_first_zero=np.int64(2)).worlds) == 3
 
     def test_literal_reading_admits_incoherent_twins_behind_the_flag(self):
         literal = cl.easy_raven(max_first_zero=3, literal=True)
