@@ -5,17 +5,17 @@ method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
 enumeration of the evidence tree level as an integer sum of its succeeding
 leaves' weights over q**n (``_integer_law``), or for an exchangeable method
-(read only through its count block, ``_count_block``) a binomial sum over
-the count of 1s under IID-Bernoulli data or a multinomial sum over the
-token-count vectors under any IID world -- and by seeded Monte Carlo
-otherwise; one planner (``_plan``) names that path per (measure, n), and
-Monte Carlo judges every world on a measure on one draw per n: mc-histogram
-over the count vectors where they number at most the trials, else mc-block
-rows, the only items the worker pool runs, or mc-generic prefixes.
-Mode checks aggregate these into finite-horizon verdicts: a
-horizon-stamped verdict is evidence about the limit behaviour, not a
-proof.  Analytic lower bounds are reported per curve row; no verdict
-reads them yet, so none is certified beyond its horizon.
+(read only through its count block, ``_count_block``) a binomial sum over the
+count of 1s under IID-Bernoulli data off cumulative-sum cursors that a ``sums``
+dict carries along a curve's stages, or a multinomial sum over the token-count
+vectors under any IID world -- and by seeded Monte Carlo otherwise; one planner
+(``_plan``) names that path per (measure, n), and Monte Carlo judges every
+world on a measure on one draw per n: mc-histogram over the count vectors where
+they number at most the trials, else mc-block rows, the only items the worker
+pool runs, or mc-generic prefixes.  Mode checks aggregate these into
+finite-horizon verdicts: a horizon-stamped verdict is evidence about the limit
+behaviour, not a proof.  Analytic lower bounds are reported per curve row; no
+verdict reads them yet, so none is certified beyond its horizon.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numbers
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -166,8 +166,8 @@ class ModeParams:
 
 
 def mode_params(mode, horizon, delta=None, epsilon=None, stages=None, world_ids=None) -> ModeParams:
-    if isinstance(world_ids, Iterable) and not isinstance(world_ids, str):
-        world_ids = tuple(world_ids)  # a string stays whole, for ModeParams to reject
+    if isinstance(world_ids, Iterable) and not isinstance(world_ids, (str, Mapping, Set)):
+        world_ids = tuple(world_ids)  # a string, mapping or set (no order of its own) stays, for ModeParams to reject
     return ModeParams(
         mode=mode,
         horizon=horizon,
@@ -372,12 +372,45 @@ def _window(problem, method, world, n, crit) -> Optional[list[range]]:
     return None if laws is None else laws.window(problem, world, n, crit)
 
 
-def _binomial_exact(problem, method, world, n, crit) -> Fraction:
-    th = world.measure.theta
-    p, q = th.numerator, th.denominator
+_CURSOR_CAP = 8  # cursors a sums dict keeps per bias, the oldest dropped first: both edges of a few windows
+
+
+def _cumulative(cursors: list, p: int, q: int, n: int, k: int) -> int:
+    """G(k) = sum of comb(n, j) p**j r**(n - j) over j <= k, for 0 < p < q and r = q - p: G(-1) = 0, G(n) = q**n.
+
+    Between, walked from the nearest of the cursors (n', k', term T at k', G) with n' <= n, or a fresh one at
+    k = 0 or n, by O(1) big-int steps: n + 1: G' = qG - pT, T' = T(n + 1)r / (n + 1 - k); k + 1:
+    T' = T(n - k)p / ((k + 1)r), G' = G + T'; k - 1: G' = G - T, T' = Tkr / ((n - k + 1)p)."""
+    if not 0 <= k < n:
+        return 0 if k < 0 else q**n
     r = q - p
+    start, cost = None, min(k, n - k)
+    for c in cursors:
+        if c[0] <= n and (steps := n - c[0] + abs(k - c[1])) <= cost:
+            start, cost = c, steps
+    if start is not None and cost == 0:
+        return start[3]
+    m, j, t, g = start or ((n, 0, r**n, r**n) if k <= n - k else (n, n, p**n, q**n))
+    for m in range(m + 1, n + 1):
+        g, t = q * g - p * t, t * m * r // (m - j)
+    for j in range(j, k):
+        t = t * (n - j) * p // ((j + 1) * r)
+        g += t
+    for j in range(j, k, -1):
+        g, t = g - t, t * j * r // ((n - j + 1) * p)
+    cursors.append((n, k, t, g))
+    if len(cursors) > _CURSOR_CAP:
+        del cursors[0]
+    return g
+
+
+def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
+    """The binomial mass of the success window at n, G(b - 1) - G(a - 1) per range [a, b) clipped to 0..n;
+    sums[(p, q)] keeps theta = p/q's cursors, and its values by window at the latest n only (bounded memory)."""
+    th = world.measure.theta
+    p, q = th.numerator, th.denominator  # theta's ints: hashing a Fraction is slow
     # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
-    ks = range(n + 1) if p and r else (0 if p == 0 else n,)
+    ks = range(n + 1) if p and q - p else (0 if p == 0 else n,)
     ranges = _window(problem, method, world, n, crit)
     if ranges is None:  # no declared window vouches: decide the (n - k, k) rows in one block call
         k = np.arange(ks[0], ks[-1] + 1)
@@ -388,14 +421,15 @@ def _binomial_exact(problem, method, world, n, crit) -> Fraction:
         ranges = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
     if len(ks) == 1:
         return Fraction(int(any(ks[0] in rg for rg in ranges)))
-    num = 0
-    for rg in filter(None, ranges):  # an empty range's start may lie past n
-        # term = comb(n, k) * p**k * r**(n - k), stepped in k by its ratio (n - k) p / ((k + 1) r).
-        term = math.comb(n, rg.start) * p**rg.start * r ** (n - rg.start)
-        for k in rg:
-            num += term
-            term = term * (n - k) * p // ((k + 1) * r)
-    return Fraction(num, q**n)
+    window = tuple((a, b) for rg in ranges if (a := max(rg.start, 0)) < (b := min(rg.stop, n + 1)))
+    cursors, at, values = entry = ({} if sums is None else sums).setdefault((p, q), [[], n, {}])
+    if at != n:  # another stage's values go
+        entry[1] = n
+        values.clear()
+    if window not in values:
+        G = (_cumulative(cursors, p, q, n, b - 1) - _cumulative(cursors, p, q, n, a - 1) for a, b in window)
+        values[window] = Fraction(sum(G), q**n)
+    return values[window]
 
 
 def _integer_law(measure) -> tuple[list, list[int], int]:
@@ -464,18 +498,21 @@ _EXACT_PATHS = {
 }
 
 
-def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None) -> Fraction:
+def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None, *, sums=None) -> Fraction:
     """Exact probability mass of length-n sequences whose output meets the criterion.
 
     Takes the exact path the budget plans: the point-mass indicator, the
     binomial sum over success counts, the multinomial sum over token-count
-    vectors, or enumeration of the tree level.
+    vectors, or enumeration of the tree level.  Calls sharing a ``sums`` dict
+    share the binomial sum's cursors and values; sharing changes no value.
     """
     path, n = _plan(method, world, n, budget or Budget()), int(n)  # numpy's integers too
     if path not in _EXACT_PATHS:
         raise ResourceBudgetError(
             f"no exact path for world {world.id!r} at n={n} within the budget; use mc_success_prob"
         )
+    if path == BINOMIAL_EXACT:
+        return _binomial_exact(problem, method, world, n, crit, sums)
     return _EXACT_PATHS[path](problem, method, world, n, crit)
 
 
@@ -612,9 +649,9 @@ def success_curve(
     """Success-probability estimates per (world, n), exact where affordable.
 
     The path is planned once per (measure, n), and the worlds on a measure
-    are judged together at n: exact_success_prob per world, or
-    mc_success_prob on the one draw they share, so each point equals that
-    call whatever the grid.  Only the (measure, n) planned mc-block go to
+    are judged together at n: exact_success_prob per world on one sums
+    dict, or mc_success_prob on the one draw they share, so each point
+    equals that call whatever the grid.  Only the (measure, n) planned mc-block go to
     the worker pool, whose threads each hold one draw at a time, as numpy's
     binomials release the GIL; the rest are GIL-bound and judged in the
     calling thread.  Rows carry the analytic bound where one applies.
@@ -624,11 +661,13 @@ def success_curve(
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
+    seeding.seed_sequence(seed)  # checked even where every point is exact
     groups = {}  # measure -> the (index, world) pairs on it, in grid order
     for wi, w in enumerate(worlds):
         groups.setdefault(w.measure, []).append((wi, w))
     groups = list(groups.items())  # keyed by position below: hashing a measure hashes its Fractions
     paths = {(g, n): _plan(method, ws[0][1], n, budget) for g, (_, ws) in enumerate(groups) for n in stage_list}
+    sums = {}  # read only by exact points, which the calling thread judges
 
     def judge(key):  # every world of group g at n, as ((world index, n), point) pairs
         g, n = key
@@ -637,7 +676,7 @@ def success_curve(
         out = []
         for wi, w in groups[g][1]:
             if path in _EXACT_PATHS:
-                est = Estimate(exact_success_prob(problem, method, w, n, crit, budget), 0.0, True)
+                est = Estimate(exact_success_prob(problem, method, w, n, crit, budget, sums=sums), 0.0, True)
             else:
                 est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
             bound = analytic_bound(problem, method, w, n, crit)
@@ -744,6 +783,8 @@ def check_mode(
     inside the margin yield an inconclusive world rather than a refuted one.
     """
     budget = budget or Budget()
+    workers = resolve_workers(workers)
+    seeding.seed_sequence(seed)  # checked in every mode, though mode I draws nothing
     worlds = params.worlds_of(problem)
     if params.mode == MODE_IDENTIFICATION:
         return _check_identification(problem, method, worlds, params.horizon)

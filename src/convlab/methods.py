@@ -33,10 +33,14 @@ from .core import (
 from .convergence import bernoulli_bound
 
 
+def _labels_vouch(problem, world, labels) -> bool:  # at every n: identification loss, truth and labels in the space
+    guard = problem.loss is identification_loss() and world.truth in labels
+    return guard and all(h in problem.hypothesis_space for h in labels)
+
+
 def _two_label_window(problem, world, n, crit, labels, first: range):
     """Success window of a rule giving labels[0] on the counts in first, labels[1] on the rest of 0..n."""
-    guard = problem.loss is identification_loss() and world.truth in labels
-    if not (guard and all(h in problem.hypothesis_space for h in labels)):
+    if not _labels_vouch(problem, world, labels):
         return None
     if crit.met(1):  # a wrong label's loss meets crit too
         return [range(n + 1)]
@@ -78,12 +82,12 @@ def _fair_coin_window(problem, world, n, crit):
 
 
 def _fair_coin_bound(problem, world, n, crit):
-    # Chebyshev: 1 - 1/(4 sqrt n), on the fair coin and, off it, once the
-    # acceptance radius drops strictly below half the gap: n**(-1/4) < |theta - 1/2| / 2.
-    gap = abs(world.measure.theta - Fraction(1, 2))
-    coherent = world.truth == (UNFAIR if gap else FAIR)
-    coherent = coherent and _fair_coin_window(problem, world, n, crit) is not None
-    applies = crit.kind == "exact" and coherent and (gap == 0 or n * (gap / 2) ** 4 > 1)
+    # Chebyshev: 1 - 1/(4 sqrt n), on the fair coin and, off it, once the acceptance radius drops strictly
+    # below half the gap: n**(-1/4) < |theta - 1/2| / 2 = |2p - q| / (4q)  <=>  n |2p - q|**4 > (4q)**4.
+    th = world.measure.theta
+    gap = abs(2 * th.numerator - th.denominator)
+    coherent = world.truth == (UNFAIR if gap else FAIR) and _labels_vouch(problem, world, (FAIR, UNFAIR))
+    applies = crit.kind == "exact" and coherent and (gap == 0 or n * gap**4 > (4 * th.denominator) ** 4)
     return max(0.0, 1 - 1 / (4 * math.sqrt(n))) if applies else None
 
 
@@ -98,13 +102,18 @@ def _frequency_counts(n: int, k: int) -> MethodOutput:
     return Fraction(k, n)
 
 
+def _frequency_vouches(problem, world) -> bool:  # at n >= 1: each k/n in the space, loss |k/n - t|, t rational
+    space, t = problem.hypothesis_space, world.truth
+    interval = isinstance(space, IntervalHypothesisSpace) and space.lo <= 0 and space.hi >= 1
+    return interval and problem.loss is absolute_error_loss() and isinstance(t, (int, Fraction))
+
+
 def _frequency_window(problem, world, n, crit):
     if n == 0:
         return []  # SUSPEND meets no criterion
-    space, t = problem.hypothesis_space, world.truth
-    interval = isinstance(space, IntervalHypothesisSpace) and space.lo <= 0 and space.hi >= 1
-    if not (interval and problem.loss is absolute_error_loss() and isinstance(t, (int, Fraction))):
-        return None  # an output outside the space, or a loss other than |k/n - t| for a rational t
+    if not _frequency_vouches(problem, world):
+        return None
+    t = world.truth
     if crit.kind == "exact":  # k = n t
         lo, hi = math.ceil(n * t), math.floor(n * t)
     else:  # |k/n - t| < eps  <=>  n (t - eps) < k < n (t + eps)
@@ -114,7 +123,7 @@ def _frequency_window(problem, world, n, crit):
 
 def _frequency_bound(problem, world, n, crit):
     # Chebyshev on the sample frequency, when the window vouches and the truth is the coin's bias.
-    coherent = world.truth == world.measure.theta and _frequency_window(problem, world, n, crit) is not None
+    coherent = world.truth == world.measure.theta and _frequency_vouches(problem, world)
     return bernoulli_bound(n, crit.eps) if crit.kind == "within" and coherent else None
 
 

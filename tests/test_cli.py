@@ -293,7 +293,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "world_ids", ["p=0.5", ["p=0.5", 1], 5], ids=["string", "non-string-entry", "number"]
+        "world_ids", ["p=0.5", ["p=0.5", 1], 5, {"p=0.5": 1}], ids=["string", "non-string-entry", "number", "mapping"]
     )
     def test_malformed_world_ids_exit_2(self, tmp_path, capsys, world_ids):
         doc = dict(FGR_CONFIG, mode=dict(FGR_CONFIG["mode"], world_ids=world_ids))
@@ -665,6 +665,8 @@ class TestWorkerCap:
             cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=workers)
         with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
             cl.check_mode(fc, cl.fair_coin_test, cl.mode_params("II", 3, delta=0.1), workers=workers)
+        with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):  # mode I runs no curve
+            cl.check_mode(cl.easy_raven(3), cl.raven_rule, cl.mode_params("I", 5), workers=workers)
         with pytest.raises(cl.ConfigurationError, match="workers must be >= 1"):
             cli.parse_config(dict(RAVEN_CONFIG, workers=workers))
         monkeypatch.setenv("CONVLAB_THREADS", str(workers))

@@ -206,6 +206,88 @@ class TestExactSuccessProb:
             cl.exact_success_prob(er, cl.raven_rule, er.world("all-ones"), 3, cl.EXACT)
 
 
+def _direct_sum(theta, n, ks) -> Fraction:
+    """The binomial mass of the k in ks (each in 0..n at most once), summed term by term."""
+    p, q = theta.numerator, theta.denominator
+    return Fraction(sum(math.comb(n, k) * p**k * (q - p) ** (n - k) for k in ks), q**n)
+
+
+class TestCumulativeCursors:
+    """The binomial sum reads a window's mass off cumulative cursors shared through a sums dict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]) | rationals(),
+        cuts=st.lists(st.fractions(Fraction(-1, 4), Fraction(5, 4), max_denominator=8), max_size=6),
+        shift=st.integers(-2, 2),
+        stages=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+        order=st.sampled_from(["increasing", "as-drawn"]),
+    )
+    def test_a_declared_window_sums_to_the_direct_sum(self, theta, cuts, shift, stages, order):
+        # Sorted cut points pair into disjoint increasing ranges, which may be empty or reach past 0..n.
+        cuts = sorted(cuts)
+
+        def window(problem, world, n, crit):
+            edges = [math.floor(c * n) + shift for c in cuts]
+            return [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
+
+        method = cl.InferenceMethod("windowed", decide_counts=lambda n, k: cl.SUSPEND, laws=cl.CountLaws(window))
+        problem = cl.coin_bias([theta])
+        world = problem.worlds[0]
+        if order == "increasing":
+            stages = sorted(set(stages))
+        curve = cl.success_curve(problem, method, [world], cl.EXACT, 60, stages=stages)
+        for pt, n in zip(curve.points, stages):
+            ks = {k for rg in window(problem, world, n, cl.EXACT) for k in rg if 0 <= k <= n}
+            assert pt.n == n and pt.exact and pt.estimate == _direct_sum(theta, n, ks)
+            assert cl.exact_success_prob(problem, method, world, n, cl.EXACT) == pt.estimate
+
+    def test_a_parity_rule_without_a_window_sums_its_many_ranges(self):
+        # Output NO on an odd count: the block scan finds about n/2 one-count ranges at each n.
+        parity = cl.InferenceMethod("parity", decide_counts=lambda n, k: cl.YES if k % 2 == 0 else cl.NO)
+        fg = cl.fine_grained_raven([Fraction(3, 10), Fraction(1, 2)])
+        worlds = [fg.world("p=0.3"), fg.world("p=0.5")]
+        assert {w.truth for w in worlds} == {cl.NO}
+        curve = cl.success_curve(fg, parity, worlds, cl.EXACT, 80)
+        for pt in curve.points:
+            theta = worlds[0].measure.theta if pt.world_id == "p=0.3" else Fraction(1, 2)
+            assert pt.estimate == _direct_sum(theta, pt.n, range(1, pt.n + 1, 2))
+        # At 1/2 the odd counts carry exactly half the mass.
+        assert all(pt.estimate == Fraction(1, 2) for pt in curve.points if pt.world_id == "p=0.5")
+
+    def test_a_shared_sums_changes_no_value(self):
+        cb = cl.coin_bias([Fraction(7, 20), Fraction(1, 2)])
+        laplace = cl.InferenceMethod("laplace", decide_counts=lambda n, k: Fraction(k + 1, n + 2))
+        calls = [
+            (method, w, n)
+            for n in (5, 40, 12, 40, 90, 3, 91, 200)
+            for method in (cl.frequency_estimator, laplace)
+            for w in cb.worlds
+        ]
+        sums = {}
+        for method, w, n in calls:
+            shared = cl.exact_success_prob(cb, method, w, n, cl.within(0.1), sums=sums)
+            assert shared == cl.exact_success_prob(cb, method, w, n, cl.within(0.1))
+        # One entry per bias: its capped cursors, and its values at the latest stage only.
+        assert sorted(sums) == [(1, 2), (7, 20)]
+        for cursors, at, values in sums.values():
+            assert len(cursors) <= convergence._CURSOR_CAP and at == 200 and 1 <= len(values) <= 2
+
+    def test_worlds_on_one_measure_with_different_truths_get_their_own_values(self):
+        fc = cl.fair_coin([Fraction(1, 2), Fraction(7, 10)])
+        fair = fc.world("theta=0.5")
+        unfair = replace(fair, id="theta=0.5/claimed-unfair", truth=cl.UNFAIR)
+        curve = cl.success_curve(fc, cl.fair_coin_test, [fair, unfair, fair], cl.EXACT, 30)
+        by = {}
+        for pt in curve.points:
+            by.setdefault(pt.world_id, []).append(pt.estimate)
+        # FAIR and UNFAIR split every n >= 1 between them; the repeated world repeats its values.
+        assert all(a + b == 1 for a, b in zip(by["theta=0.5"], by["theta=0.5/claimed-unfair"]))
+        assert by["theta=0.5"][:30] == by["theta=0.5"][30:]
+        for n, value in enumerate(by["theta=0.5/claimed-unfair"], start=1):
+            assert value == cl.exact_success_prob(fc, cl.fair_coin_test, unfair, n, cl.EXACT)
+
+
 class TestSuccessMemo:
     """Each distinct output's loss is evaluated once per call, keyed by type and value.
 
@@ -559,6 +641,11 @@ class TestSeedType:
             ),
             "check_mode": lambda: cl.check_mode(
                 fc, cl.fair_coin_test, cl.mode_params("II", 5, delta=0.1), budget=mc, seed=seed
+            ),
+            # Checked where nothing is drawn too: a mode I scan, and a curve that is exact throughout.
+            "check_mode mode I": lambda: cl.check_mode(fc, cl.fair_coin_test, cl.mode_params("I", 5), seed=seed),
+            "check_mode exact": lambda: cl.check_mode(
+                fc, cl.fair_coin_test, cl.mode_params("II", 5, delta=0.1), seed=seed
             ),
             "success_set_curve": lambda: cl.success_set_curve(
                 fgr, cl.raven_rule, fgr.worlds, [1, 5], horizon=5, trials=100, seed=seed, strategy="mc"
@@ -1436,7 +1523,10 @@ class TestCheckMode:
             cl.ModeParams("II", horizon, Fraction(1, 10), stages=None if stages is None else tuple(stages))
 
     @pytest.mark.parametrize(
-        "world_ids", ["theta=0.5", ["theta=0.5", 1], 5], ids=["string", "non-string-entry", "number"]
+        "world_ids",
+        # A mapping would stand for its keys, and a set would order the verdict rows by hash.
+        ["theta=0.5", ["theta=0.5", 1], 5, {"theta=0.5": 1}, {"theta=0.5"}, {"theta=0.5": 1}.keys()],
+        ids=["string", "non-string-entry", "number", "mapping", "set", "dict-keys"],
     )
     def test_mode_params_rejects_world_ids_that_are_not_id_strings(self, world_ids):
         with pytest.raises(cl.InputDomainError, match="world_ids"):

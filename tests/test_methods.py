@@ -49,6 +49,18 @@ class TestFairCoinTest:
         values = [cl.fair_coin_threshold(n) for n in samples]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(7, 10), Fraction(9, 20), Fraction(1, 20), Fraction(1)])
+    def test_bound_applies_once_the_radius_is_below_half_the_gap(self, theta):
+        # The integer test n |2p - q|**4 > (4q)**4 is n (|theta - 1/2| / 2)**4 > 1 in Fractions.
+        fc = cl.fair_coin([Fraction(1, 2), theta] if theta != Fraction(1, 2) else [theta, Fraction(1)])
+        w = fc.world(f"theta={float(theta):g}")
+        gap = abs(theta - Fraction(1, 2))
+        for n in [*range(1, 300), 10**4, 10**5 + 1]:
+            applies = gap == 0 or n * (gap / 2) ** 4 > 1
+            bound = cl.fair_coin_test.laws.bound(fc, w, n, cl.EXACT)
+            assert (bound is not None) == applies, n
+            assert cl.fair_coin_test.laws.bound(fc, w, n, cl.within(0.5)) is None
+
 
 class TestFrequencyEstimator:
     def test_spec_values(self):
