@@ -334,12 +334,15 @@ _SUCCESS_MEMO_CAP = 256
 
 
 def _output_memo(fn):
-    """fn of a method output, remembered per (type(out), out) for the first _SUCCESS_MEMO_CAP outputs."""
+    """fn of a method output, remembered per (type(out), out) for the first _SUCCESS_MEMO_CAP outputs.
+
+    An exact Fraction is keyed by its two ints, (Fraction, numerator, denominator): it is always in lowest
+    terms, so equal Fractions share the key, and no lookup runs Fraction's pure-Python hash or equality."""
     memo = {}
 
     def of(out):
-        key = (type(out), out)
-        try:  # one hash per lookup: a Fraction's hash is not cached
+        key = (Fraction, out.numerator, out.denominator) if type(out) is Fraction else (type(out), out)
+        try:  # one hash per lookup
             entry = memo.get(key)
         except TypeError:  # unhashable: keyed per object, which the entry holds so its id is not reused
             entry = memo.get(key := id(out))
@@ -866,33 +869,35 @@ def _set_plan(problem, method, world, strategy: str) -> str:
 
 
 def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str) -> np.ndarray:
-    """Per sampled branch of an IID world: the stage at which the method locks onto the truth.
+    """The histogram over a world's sampled branches of the stage at which the method locks onto the truth:
+    cell j < horizon + 1 counts the branches locked at stage j, the last cell those unlocked by the horizon.
 
-    On the planned path GEOMETRIC_MC, samples the geometric first-zero law;
-    on MC, the start of the trailing zero-loss run through the horizon,
-    with horizon+1 where none exists.  The sample is derived from
-    (seed, world id, horizon) only, so all stages n share it and the
-    estimated lock probability is nondecreasing in n.
+    On the planned path GEOMETRIC_MC, one multinomial draw over the cells of the geometric first-zero law;
+    on MC, the starts of the branches' trailing zero-loss runs through the horizon.  The sample is derived
+    from (seed, world id, horizon) only, so all stages n share it and the estimated lock probability is
+    nondecreasing in n.
     """
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
     if path == GEOMETRIC_MC:
-        # The lock stage is the first-zero position, whose law is geometric
-        # with hit chance 1 - theta.  Sampling it directly is horizon-free
-        # and avoids the truncation bias of scanning a finite prefix (a
-        # branch with no zero by the horizon is almost surely unlocked at
-        # a later stage, not locked at 0).
+        # The lock stage L is the first-zero position, geometric with hit chance 1 - theta: P(L <= j) =
+        # 1 - theta**j.  Its law is horizon-free, with no truncation bias from scanning a finite prefix (a
+        # branch with no zero by the horizon is almost surely unlocked at a later stage, not locked at 0).
         th = m.theta
-        if th == 1:
-            return np.zeros(trials, dtype=np.int64)
-        return rng.geometric(float(1 - th), size=trials).astype(np.int64, copy=False)
+        cells = np.zeros(horizon + 2)
+        if th == 1:  # the all-1s branch, truth Yes, is locked from stage 0
+            cells[0] = 1
+        else:
+            log_th = math.log1p(-float(1 - th)) if th else -math.inf
+            cells[1:] = np.diff(-np.expm1(np.arange(1, horizon + 1) * log_th), prepend=0.0, append=1.0)
+        return rng.multinomial(trials, cells)
 
     locks = np.empty(trials, dtype=np.int64)
     for t, prefix in enumerate(m.sample_prefixes(rng, trials, horizon)):
         ephemeral = replace(world, truth=problem.truth_of_prefix(prefix))
         n0, _ = _zero_loss_scan(problem, method, ephemeral, prefix)
         locks[t] = n0 if n0 is not None else horizon + 1
-    return locks
+    return np.bincount(locks, minlength=horizon + 2)
 
 
 def success_set_prob(
@@ -933,9 +938,10 @@ def success_set_curve(
 
     Exact in a point-mass world under every strategy, and by the closed form 1 - p**n + [p = 1] for
     first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc"; sampled otherwise.  All
-    stages of one world share the branch sample derived from (seed, world id, horizon), so the sampled
-    curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer stages (in [0, horizon]) are
-    checked once per call.  Worlds are evaluated in the calling thread, one after another.
+    stages of one world read the cumulative sums of one lock-stage histogram, derived from (seed, world
+    id, horizon), so the sampled curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer
+    stages (in [0, horizon]) are checked once per call.  Worlds are evaluated in the calling thread, one
+    after another.
     """
     Budget(strategy=strategy, trials=trials)
     horizon, stage_list = _stage_list(horizon, stages, 0)
@@ -950,9 +956,8 @@ def success_set_curve(
             lock = lock_time(problem, method, replace(w, truth=truth), horizon)
             ests = [Estimate(Fraction(int(lock is not None and lock <= n)), 0.0, True) for n in stage_list]
         else:
-            locks = _lock_stage_samples(problem, method, w, horizon, trials, seed, path)
             # locked[n]: the branches locked by stage n, one cumulative count for every stage.
-            locked = np.bincount(np.minimum(locks, horizon + 1), minlength=horizon + 2).cumsum().tolist()
+            locked = _lock_stage_samples(problem, method, w, horizon, trials, seed, path).cumsum().tolist()
             ests = [_mc_estimate(locked[n], trials) for n in stage_list]
         return [CurvePoint(w.id, n, e.value, e.stderr, e.exact, None) for n, e in zip(stage_list, ests)]
 

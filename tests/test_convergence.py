@@ -292,7 +292,9 @@ class TestSuccessMemo:
     """Each distinct output's loss is evaluated once per call, keyed by type and value.
 
     So a loss must give equal outputs of one type equal losses: 0.5 and
-    Fraction(1, 2) are two keys.  Unhashable outputs are keyed per object.
+    Fraction(1, 2) are two keys.  An exact Fraction is keyed by its numerator
+    and denominator, so a lookup runs neither Fraction.__hash__ nor __eq__.
+    Unhashable outputs are keyed per object.
     """
 
     @pytest.fixture
@@ -376,6 +378,33 @@ class TestSuccessMemo:
     def _user_frequency():
         # No count block and no laws: every leaf or trial builds a fresh Fraction.
         return cl.InferenceMethod("user-frequency", cl.frequency_estimator.decide)
+
+    @pytest.fixture
+    def fraction_calls(self, monkeypatch):
+        calls = []
+        for name in ("__hash__", "__eq__"):
+
+            def counted(frac, *args, _name=name, _original=getattr(Fraction, name)):
+                calls.append(_name)
+                return _original(frac, *args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        return calls
+
+    def test_fresh_fraction_outputs_are_hashed_per_distinct_value_not_per_leaf(self, fraction_calls):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.world("theta=0.3")
+        user = self._user_frequency()
+        crit = cl.within(Fraction(1, 10))
+        cases = [  # each with a bound on its distinct outputs
+            (lambda: cl.exact_success_prob(cb, user, w, 12, crit), 13),  # 2**12 leaves
+            (lambda: cl.cardinality_witness(user, 10), 34),  # 2**11 - 1 inputs: 33 values and SUSPEND
+            (lambda: cl.mc_success_prob(cb, user, w, 50, crit, 1000, seed=3), 51),  # 1,000 trials
+        ]
+        for run, distinct in cases:
+            del fraction_calls[:]
+            run()
+            assert len(fraction_calls) <= 2 * distinct
 
     def test_enum_exact_evaluates_each_distinct_fresh_output_once(self, loss_calls):
         cb = cl.coin_bias([Fraction(3, 10)])
@@ -1619,6 +1648,14 @@ class TestSuccessSets:
             assert cl.success_set_prob(fg, cl.raven_rule, w, n, trials=200, strategy="mc").value == 1.0
             assert cl.success_set_prob(fg, scan, w, n, horizon=5, trials=200, strategy="mc").value == 1.0
 
+    def test_a_zero_bias_locks_every_branch_at_stage_1_on_both_sampled_paths(self):
+        fg = cl.fine_grained_raven([0])
+        w = fg.world("p=0")
+        scan = replace(cl.raven_rule, locks_at_first_zero=False)
+        for method in (cl.raven_rule, scan):
+            curve = cl.success_set_curve(fg, method, [w], [0, 1, 5], horizon=5, trials=200, strategy="mc")
+            assert [pt.estimate for pt in curve.points] == [0.0, 1.0, 1.0]
+
     def test_monte_carlo_agrees_with_the_closed_form(self):
         fg = cl.fine_grained_raven([0.3, 0.9])
         for pid, p in (("p=0.3", Fraction(3, 10)), ("p=0.9", Fraction(9, 10))):
@@ -1781,16 +1818,28 @@ class TestSuccessSets:
         w = fg.worlds[0]
         method = cl.raven_rule if path == "geometric-mc" else cl.InferenceMethod("always-yes", lambda seq: cl.YES)
         assert convergence._set_plan(fg, method, w, "mc") == path
-        locks = _lock_stage_samples(fg, method, w, horizon, trials, seed, path)
-        assert (locks > horizon + 1).any() if path == "geometric-mc" else (locks == horizon + 1).any()
+        hist = _lock_stage_samples(fg, method, w, horizon, trials, seed, path)
+        assert hist.shape == (horizon + 2,) and hist.sum() == trials and hist[-1] > 0  # some branches unlocked
         stages = list(range(horizon + 1))
         kwargs = dict(horizon=horizon, trials=trials, seed=seed, strategy="mc")
         curve = cl.success_set_curve(fg, method, [w], stages, **kwargs)
         for pt in curve.points:
-            flags = locks <= pt.n
-            p_hat = float(flags.mean())
-            assert (pt.estimate, pt.stderr) == (p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / flags.size))
+            p_hat = int(hist[: pt.n + 1].sum()) / trials
+            assert (pt.estimate, pt.stderr) == (p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials))
         assert 0 < curve.points[-1].estimate < 1
+
+    def test_the_geometric_sampler_holds_no_per_trial_array(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        w = fg.worlds[0]
+        assert convergence._set_plan(fg, cl.raven_rule, w, "mc") == "geometric-mc"
+        tracemalloc.start()
+        try:
+            curve = cl.success_set_curve(fg, cl.raven_rule, [w], [0, 1, 20], horizon=20, trials=10**7, strategy="mc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+        assert curve.points[0].estimate == 0 and abs(curve.points[1].estimate - 0.5) < 1e-3
 
     def test_the_exact_strategy_refuses_a_method_with_no_closed_form(self):
         fg = cl.fine_grained_raven([Fraction(1, 2)])
