@@ -32,7 +32,6 @@ from .convergence import (
     Budget,
     ModeParams,
     SuccessCurve,
-    Verdict,
     bernoulli_bound,
     cardinality_witness_report,
     check_mode,
@@ -277,36 +276,6 @@ def emit_bound_table(eps_list, n_values) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verdict_rows(verdict: Verdict) -> list[dict]:
-    return [
-        {
-            "world_id": wv.world_id,
-            "status": wv.status,
-            "threshold_stage": wv.threshold_stage,
-            "note": wv.note,
-        }
-        for wv in verdict.worlds
-    ]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    config_digest: str
-    seed: int
-    version: str
-    status: str
-    mode: str
-    horizon: int
-    witness_world: Optional[str]
-    verdicts: tuple
-    curves: tuple[str, ...]
-    duration_ms: int
-    timestamp: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def emit_witness(
     problem: EmpiricalProblem,
     method: Optional[InferenceMethod] = None,
@@ -427,27 +396,26 @@ def _cmd_run(args) -> int:
         problem, method, config.mode, budget=config.budget, seed=config.seed, workers=config.workers
     )
     out_dir = Path(args.out)
-    curves = () if verdict.curve is None else (config.curve_path,)
+    curves = [] if verdict.curve is None else [config.curve_path]
     if curves:
         _write(out_dir / config.curve_path, curve_csv(verdict.curve))
-    record = RunRecord(
-        config_digest=digest,
-        seed=config.seed,
-        version=__version__,
-        status=verdict.status,
-        mode=verdict.mode,
-        horizon=verdict.horizon,
-        witness_world=verdict.witness_world,
-        verdicts=tuple(verdict_rows(verdict)),
-        curves=curves,
-        duration_ms=int((time.perf_counter() - t0) * 1000),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    _write(out_dir / config.record_path, json.dumps(record.to_json(), indent=2) + "\n")
-    print(f"{config.name}: {record.status} (mode {record.mode}, horizon {record.horizon})")
-    for row in record.verdicts:
-        stage = "-" if row["threshold_stage"] is None else row["threshold_stage"]
-        print(f"  {row['world_id']}: {row['status']} N={stage}")
+    record = {
+        "config_digest": digest,
+        "seed": config.seed,
+        "version": __version__,
+        "status": verdict.status,
+        "mode": verdict.mode,
+        "horizon": verdict.horizon,
+        "witness_world": verdict.witness_world,
+        "verdicts": [asdict(wv) for wv in verdict.worlds],
+        "curves": curves,
+        "duration_ms": int((time.perf_counter() - t0) * 1000),
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    _write(out_dir / config.record_path, json.dumps(record, indent=2) + "\n")
+    print(f"{config.name}: {verdict.status} (mode {verdict.mode}, horizon {verdict.horizon})")
+    for wv in verdict.worlds:
+        print(f"  {wv.world_id}: {wv.status} N={'-' if wv.threshold_stage is None else wv.threshold_stage}")
     return 0
 
 

@@ -112,7 +112,8 @@ class Budget:
     def __post_init__(self):
         if self.strategy not in ("auto", "exact", "mc"):
             raise InputDomainError(f"unknown strategy {self.strategy!r}")
-        _integer(self.trials, "trials", 1)
+        if _integer(self.trials, "trials", 1) > 2**63 - 1:  # numpy's int64 bound, which rng.multinomial takes
+            raise InputDomainError(f"trials must be at most 2**63 - 1, got {self.trials!r}")
         _integer(self.exact_enum_cap, "exact_enum_cap", 1)
         _integer(self.symmetric_exact_cap, "symmetric_exact_cap", 0)
         m = self.mc_margin
@@ -127,8 +128,9 @@ class ModeParams:
     delta is the probability slack (modes II/III), epsilon the loss radius
     (mode III).  The quantifier order puts delta and epsilon before the
     world, so per-world threshold stages N are reported and no uniform N is
-    required.  stages optionally restricts the evaluated sample sizes for
-    the stochastic modes; world_ids restricts the world grid.
+    required.  An epsilon, where given, is > 0 in every mode.  stages
+    optionally restricts the evaluated sample sizes for the stochastic
+    modes; world_ids, nonempty and distinct, restricts the world grid.
     """
 
     mode: str
@@ -145,18 +147,23 @@ class ModeParams:
         if self.mode in (MODE_STOCHASTIC_IDENTIFICATION, MODE_STOCHASTIC_APPROXIMATION):
             if self.delta is None or not 0 < self.delta < 1:
                 raise InputDomainError("stochastic modes need delta in (0, 1)")
-        if self.mode == MODE_STOCHASTIC_APPROXIMATION:
-            if self.epsilon is None or self.epsilon <= 0:
+        eps = self.epsilon
+        if eps is None:
+            if self.mode == MODE_STOCHASTIC_APPROXIMATION:
                 raise InputDomainError("mode III needs epsilon > 0")
-        if self.epsilon is not None and self.epsilon > sys.float_info.max:
+        elif not eps > 0:  # in every mode
+            raise InputDomainError(f"epsilon must be > 0, got {eps}")
+        elif eps > sys.float_info.max:
             raise InputDomainError("epsilon must not exceed the largest float")
-        if self.epsilon is not None and self.epsilon > 0 and float(self.epsilon) == 0:
+        elif float(eps) == 0:
             raise InputDomainError("epsilon must not round to 0.0 as a float")
         if self.stages is not None and (not self.stages or list(self.stages) != sorted(set(self.stages))):
             raise InputDomainError("stages must be nonempty and strictly increasing")
-        ids = self.world_ids
-        if ids is not None and not (isinstance(ids, tuple) and all(isinstance(i, str) for i in ids)):
-            raise InputDomainError(f"world_ids must be a sequence of world id strings, got {ids!r}")
+        ids = self.world_ids  # nonempty and distinct, so a verdict judges each named world once
+        if ids is not None and not (
+            isinstance(ids, tuple) and all(isinstance(i, str) for i in ids) and ids and len(set(ids)) == len(ids)
+        ):
+            raise InputDomainError(f"world_ids must be a sequence of world id strings, nonempty and distinct: {ids!r}")
 
     def worlds_of(self, problem) -> tuple[World, ...]:
         """The problem's worlds named by world_ids, or all of them."""
@@ -740,20 +747,15 @@ def _verdict(mode, horizon, world_verdicts, curve=None) -> Verdict:
     return Verdict(status, mode, horizon, tuple(world_verdicts), witness, curve)
 
 
-def _check_identification(problem, method, worlds, horizon) -> Verdict:
-    world_verdicts = []
-    for w in worlds:
-        n0, losses = _zero_loss_scan(problem, method, w, w.branch.prefix(horizon))
-        if n0 is not None:
-            world_verdicts.append(WorldVerdict(w.id, "supported", n0))
-        else:
-            fail_stages = [s for s, L in enumerate(losses) if L != 0]
-            note = (
-                f"positive loss at stage {horizon} (loss={losses[-1]}); "
-                f"{len(fail_stages)} failing stages, last at {fail_stages[-1]}"
-            )
-            world_verdicts.append(WorldVerdict(w.id, "refuted", None, note))
-    return _verdict(MODE_IDENTIFICATION, horizon, world_verdicts)
+def _world_verdict(world_id, start, last_status, refuted_note) -> WorldVerdict:
+    """Every mode's rule for one world: supported from start, the first stage of the trailing run of
+    passing stages; else refuted where the last stage fails, with the note refuted_note() builds; else
+    inconclusive."""
+    if start is not None:
+        return WorldVerdict(world_id, "supported", start)
+    if last_status == "fail":
+        return WorldVerdict(world_id, "refuted", None, refuted_note())
+    return WorldVerdict(world_id, "inconclusive", None, "final stage within sampling margin")
 
 
 def _stage_status(point: CurvePoint, threshold: Fraction, margin: float) -> str:
@@ -778,19 +780,34 @@ def check_mode(
 ) -> Verdict:
     """Finite-horizon check of one convergence mode over the world grid.
 
-    Mode I scans per-world losses along the frozen branch for a trailing
-    zero-loss run.  Modes II and III require every grid world to carry a
-    measure; their success curves must clear 1 - delta from some stage
-    through the horizon, with a sampling margin (estimate - margin*stderr)
-    on Monte Carlo entries.  Stages that fail the raw threshold but sit
-    inside the margin yield an inconclusive world rather than a refuted one.
+    Every mode judges a world by one rule (_world_verdict): supported from
+    the first stage N of the trailing run of passing stages through the
+    horizon, else refuted where the last stage fails, else inconclusive.
+    Mode I's stages are the prefixes of the world's frozen branch, passing
+    at zero loss.  Modes II and III require every grid world to carry a
+    measure; a stage passes where its success probability exceeds
+    1 - delta, with a sampling margin (estimate - margin*stderr) on Monte
+    Carlo entries, and a stage inside the margin neither passes nor fails.
     """
     budget = budget or Budget()
     workers = resolve_workers(workers)
     seeding.seed_sequence(seed)  # checked in every mode, though mode I draws nothing
     worlds = params.worlds_of(problem)
+    horizon = params.horizon
+    world_verdicts = []
     if params.mode == MODE_IDENTIFICATION:
-        return _check_identification(problem, method, worlds, params.horizon)
+        for w in worlds:
+            n0, losses = _zero_loss_scan(problem, method, w, w.branch.prefix(horizon))
+
+            def note(losses=losses):
+                fails = [s for s, L in enumerate(losses) if L != 0]
+                return (
+                    f"positive loss at stage {horizon} (loss={losses[-1]}); "
+                    f"{len(fails)} failing stages, last at {fails[-1]}"
+                )
+
+            world_verdicts.append(_world_verdict(w.id, n0, "pass" if losses[-1] == 0 else "fail", note))
+        return _verdict(params.mode, horizon, world_verdicts)
 
     missing = [w.id for w in worlds if w.measure is None]
     if missing:
@@ -799,34 +816,23 @@ def check_mode(
         )
     crit = EXACT if params.mode == MODE_STOCHASTIC_IDENTIFICATION else within(params.epsilon)
     curve = success_curve(
-        problem, method, worlds, crit, params.horizon, budget=budget, seed=seed, stages=params.stages, workers=workers
+        problem, method, worlds, crit, horizon, budget=budget, seed=seed, stages=params.stages, workers=workers
     )
     threshold = 1 - params.delta
-    by_world: dict[str, list[CurvePoint]] = {w.id: [] for w in worlds}
-    for pt in curve.points:
-        by_world[pt.world_id].append(pt)
-
-    world_verdicts = []
-    for w in worlds:
-        pts = by_world[w.id]
-        stages = [p.n for p in pts]
+    k = len(params.stages or range(horizon))  # stages per world: curve.points is world-major
+    for i, w in enumerate(worlds):
+        pts = curve.points[i * k : (i + 1) * k]
         statuses = [_stage_status(p, threshold, budget.mc_margin) for p in pts]
-        n0 = _trailing_pass_start(stages, statuses)
-        if n0 is not None:
-            world_verdicts.append(WorldVerdict(w.id, "supported", n0))
-        elif statuses[-1] == "fail":
-            last = pts[-1]
-            note = (
-                f"success probability {float(last.estimate):.6g} "
-                f"(stderr {last.stderr:.2g}) at stage {last.n} "
+
+        def note(last=pts[-1]):
+            return (
+                f"success probability {float(last.estimate):.6g} (stderr {last.stderr:.2g}) at stage {last.n} "
                 f"does not exceed 1-delta = {float(threshold):.6g}"
             )
-            world_verdicts.append(WorldVerdict(w.id, "refuted", None, note))
-        else:
-            world_verdicts.append(
-                WorldVerdict(w.id, "inconclusive", None, "final stage within sampling margin")
-            )
-    return _verdict(params.mode, params.horizon, world_verdicts, curve)
+
+        n0 = _trailing_pass_start([p.n for p in pts], statuses)
+        world_verdicts.append(_world_verdict(w.id, n0, statuses[-1], note))
+    return _verdict(params.mode, horizon, world_verdicts, curve)
 
 
 # ---------------------------------------------------------------------------

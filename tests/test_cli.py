@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,29 @@ class TestRun:
         assert list(record) == keys
         assert isinstance(record["verdicts"], list) and isinstance(record["curves"], list)
 
+    @pytest.mark.parametrize(
+        "doc, library",
+        [
+            (RAVEN_CONFIG, lambda: cl.check_mode(cl.easy_raven(10), cl.raven_rule, cl.mode_params("I", 50), seed=11)),
+            (
+                dict(FGR_CONFIG, mode=dict(FGR_CONFIG["mode"], horizon=8)),  # p = 0.9 is refuted at 8
+                lambda: cl.check_mode(
+                    cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0]),
+                    cl.raven_rule,
+                    cl.mode_params("II", 8, delta=0.05),
+                    budget=cl.Budget(strategy="mc", trials=3000),
+                    seed=23,
+                ),
+            ),
+        ],
+        ids=["mode-I", "mode-II-mc"],
+    )
+    def test_record_verdicts_are_the_library_verdicts_worlds(self, tmp_path, doc, library):
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / f"{doc['name']}-record.json").read_text())
+        assert record["verdicts"] == [asdict(wv) for wv in library().worlds]
+
     def test_seed_override_changes_the_digest_but_stays_reproducible(self, tmp_path):
         path = write_config(tmp_path, FGR_CONFIG)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -293,13 +317,30 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "world_ids", ["p=0.5", ["p=0.5", 1], 5, {"p=0.5": 1}], ids=["string", "non-string-entry", "number", "mapping"]
+        "world_ids",
+        ["p=0.5", ["p=0.5", 1], 5, {"p=0.5": 1}, [], ["p=0.5", "p=0.5"]],
+        ids=["string", "non-string-entry", "number", "mapping", "empty", "repeated"],
     )
     def test_malformed_world_ids_exit_2(self, tmp_path, capsys, world_ids):
         doc = dict(FGR_CONFIG, mode=dict(FGR_CONFIG["mode"], world_ids=world_ids))
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "mode: world_ids must be a sequence of world id strings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_trials_past_numpys_int64_bound_exit_2_before_any_work(self, tmp_path, capsys, where, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the curve ran")
+
+        monkeypatch.setattr(cl.convergence, "success_curve", no_work)
+        trials = 100000000000000000000000
+        doc = dict(FGR_CONFIG, budget={"strategy": "mc", "trials": trials if where == "config" else 10})
+        path = write_config(tmp_path, doc)
+        flag = ["--trials", str(trials)] if where == "flag" else []
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), *flag, "--out", str(out)]) == 2
+        assert "budget: trials must be at most 2**63 - 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("doc", [[1], dict(RAVEN_CONFIG, mode=5)], ids=["list", "mode-number"])
     def test_override_of_a_malformed_config_exits_2(self, tmp_path, capsys, doc):

@@ -1227,6 +1227,11 @@ class TestBudget:
     def test_numpy_numbers_pass(self):
         assert Budget(trials=np.int64(5), exact_enum_cap=np.int32(8), mc_margin=np.float64(2)).trials == 5
 
+    def test_trials_stop_at_numpys_int64_bound(self):
+        with pytest.raises(cl.InputDomainError, match="trials must be at most 2\\*\\*63 - 1"):
+            Budget(trials=2**63)
+        assert Budget(trials=2**63 - 1).trials == 2**63 - 1  # built only: nothing runs at that size
+
 
 # Evaluation path per case at n = 3..7 under the strategies "auto" and "mc",
 # with symmetric_exact_cap = 4, exact_enum_cap = 2**6 and trials = 50: the
@@ -1464,7 +1469,8 @@ class TestCheckMode:
         assert v.witness_world is not None
         refuted = next(wv for wv in v.worlds if wv.world_id == "theta=0.5/all-ones")
         assert refuted.status == "refuted"
-        assert "stage 64" in refuted.note
+        assert refuted.note == "positive loss at stage 64 (loss=1); 50 failing stages, last at 64"
+        assert all(wv.note == "" for wv in v.worlds if wv.status == "supported")
 
     def test_stochastic_identification_on_fine_grained_raven(self):
         fg = cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0])
@@ -1473,6 +1479,7 @@ class TestCheckMode:
         stages = {wv.world_id: wv.threshold_stage for wv in v.worlds}
         # 1 - p**n > 0.95 exactly from these stages on
         assert stages == {"p=0.3": 3, "p=0.5": 5, "p=0.9": 29, "p=1": 1}
+        assert [wv.note for wv in v.worlds] == [""] * 4
         assert v.curve is not None
 
     def test_marginal_monte_carlo_yields_inconclusive_not_refuted(self):
@@ -1481,11 +1488,15 @@ class TestCheckMode:
         params = cl.mode_params("II", 3, delta=0.125)
         exact = cl.check_mode(fg, cl.raven_rule, params)
         assert exact.status == cl.REFUTED_AT_HORIZON  # 0.875 is not > 0.875
+        assert exact.worlds[0].note == (
+            "success probability 0.875 (stderr 0) at stage 3 does not exceed 1-delta = 0.875"
+        )
         mc = cl.check_mode(
             fg, cl.raven_rule, params, budget=Budget(strategy="mc", trials=2000), seed=1
         )
         assert mc.status == cl.INCONCLUSIVE
         assert mc.worlds[0].status == "inconclusive"
+        assert mc.worlds[0].note == "final stage within sampling margin"
 
     def test_approximation_mode_on_coin_bias_with_certified_stage(self):
         cb = cl.coin_bias([0.3, 0.5, 0.7])
@@ -1520,7 +1531,13 @@ class TestCheckMode:
         with pytest.raises(cl.InputDomainError):
             cl.mode_params("II", 10, delta=0.1, stages=(5, 20))
 
-    @pytest.mark.parametrize("mode", ["II", "III"])
+    @pytest.mark.parametrize("mode", ["I", "II", "III"])
+    @pytest.mark.parametrize("eps", [-1, 0, "-1e-400", Fraction(-1, 2)])
+    def test_an_epsilon_at_or_below_0_is_rejected_in_every_mode(self, mode, eps):
+        with pytest.raises(cl.InputDomainError, match="epsilon must be > 0"):
+            cl.mode_params(mode, 10, delta=0.1, epsilon=eps)
+
+    @pytest.mark.parametrize("mode", ["I", "II", "III"])
     def test_mode_params_rejects_an_epsilon_past_the_largest_float(self, mode):
         for eps in ("1e999", 10**309, Fraction(2**1024)):
             with pytest.raises(cl.InputDomainError, match="largest float"):
@@ -1534,8 +1551,9 @@ class TestCheckMode:
     def test_an_epsilon_that_rounds_to_0_is_rejected(self, eps):
         with pytest.raises(cl.InputDomainError, match="round to 0.0"):
             cl.within(eps)
-        with pytest.raises(cl.InputDomainError, match="round to 0.0"):
-            cl.mode_params("III", 5, delta=0.1, epsilon=eps)
+        for mode in ("I", "II", "III"):
+            with pytest.raises(cl.InputDomainError, match="round to 0.0"):
+                cl.mode_params(mode, 5, delta=0.1, epsilon=eps)
 
     def test_the_smallest_float_epsilon_is_kept(self):
         for eps in ("5e-324", "2.5e-324"):  # the second rounds up to the smallest subnormal
@@ -1560,6 +1578,12 @@ class TestCheckMode:
     def test_mode_params_rejects_world_ids_that_are_not_id_strings(self, world_ids):
         with pytest.raises(cl.InputDomainError, match="world_ids"):
             cl.mode_params("II", 10, delta=0.1, world_ids=world_ids)
+
+    @pytest.mark.parametrize("world_ids", [[], ["theta=0.9", "theta=0.9"]], ids=["empty", "repeated"])
+    def test_mode_params_rejects_empty_and_repeated_world_ids(self, world_ids):
+        # Else a verdict would judge no world, or one world twice.
+        with pytest.raises(cl.InputDomainError, match="world_ids must .* nonempty and distinct"):
+            cl.mode_params("II", 5, delta=0.1, world_ids=world_ids)
 
     def test_mode_params_keeps_world_id_sequences(self):
         for ids in (["theta=0.5"], ("theta=0.5",), (w for w in ["theta=0.5"])):
