@@ -4,7 +4,7 @@ The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows --
 enumeration of the evidence tree level as an integer sum of its succeeding
-leaves' weights over q**n (``_integer_law``), or for an exchangeable method
+leaves' weights over q**n (``Measure.support``), or for an exchangeable method
 (read only through its count block, ``_count_block``) a binomial sum over the
 count of 1s under IID-Bernoulli data off cumulative-sum cursors that a ``sums``
 dict carries along a curve's stages, or a multinomial sum over the token-count
@@ -129,8 +129,9 @@ class ModeParams:
     (mode III).  The quantifier order puts delta and epsilon before the
     world, so per-world threshold stages N are reported and no uniform N is
     required.  An epsilon, where given, is > 0 in every mode.  stages
-    optionally restricts the evaluated sample sizes for the stochastic
-    modes; world_ids, nonempty and distinct, restricts the world grid.
+    restricts the evaluated sample sizes of modes II/III and of a success-set
+    curve (check_mode rejects them in mode I); world_ids, nonempty and
+    distinct, restricts the world grid.
     """
 
     mode: str
@@ -238,9 +239,10 @@ def bernoulli_bound(n: int, eps) -> Fraction:
     """
     n = _integer(n, "n", 1)
     e = as_fraction(eps)
-    if e <= 0:
+    if e.numerator <= 0:
         raise InputDomainError("bound requires eps > 0")
-    return max(Fraction(0), 1 - Fraction(1, 1) / (4 * n * e * e))
+    c = 4 * n * e.numerator**2  # 1 - 1/(4 n e^2) = (c - d) / c, with d = e.denominator**2
+    return Fraction(max(c - e.denominator**2, 0), c)
 
 
 def required_sample_size(eps, delta) -> int:
@@ -321,7 +323,7 @@ def _plan(method, world, n, budget: Budget) -> str:
     if m.kind == KIND_POINT_MASS:
         return POINT_MASS
     block = _count_block(method) is not None
-    t = sum(pr > 0 for _, pr in m.token_probs)
+    t = len(m.support[0])
     if budget.strategy != "mc":
         if block and m.kind == KIND_IID_BERNOULLI and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
@@ -442,17 +444,10 @@ def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
     return values[window]
 
 
-def _integer_law(measure) -> tuple[list, list[int], int]:
-    """The positive-probability tokens in token_probs order, and nums and q: token j has chance nums[j] / q."""
-    support = [(tok, pr) for tok, pr in measure.token_probs if pr > 0]
-    q = math.lcm(*(pr.denominator for _, pr in support))
-    return [tok for tok, _ in support], [pr.numerator * q // pr.denominator for _, pr in support], q
-
-
 def _enum_exact(problem, method, world, n, crit) -> Fraction:
     # In lexicographic order, each leaf of the level weighs the product of its tokens' nums over q**n.
     met = _success_test(problem, world, crit)
-    tokens, nums, q = _integer_law(world.measure)
+    tokens, nums, q = world.measure.support
     leaves = zip(itertools.product(tokens, repeat=n), itertools.product(nums, repeat=n))
     return Fraction(sum(math.prod(weights) for seq, weights in leaves if met(method.decide(seq))), q**n)
 
@@ -487,7 +482,7 @@ def _count_block_flags(problem, world, crit, decided) -> np.ndarray:
 def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
     # An exchangeable method's output depends only on the token counts c, whose
     # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
-    tokens, nums, q = _integer_law(world.measure)
+    tokens, nums, q = world.measure.support
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(tokens))
     flags = _count_block_flags(problem, world, crit, _count_block(method)(tokens, counts))
@@ -784,10 +779,11 @@ def check_mode(
     the first stage N of the trailing run of passing stages through the
     horizon, else refuted where the last stage fails, else inconclusive.
     Mode I's stages are the prefixes of the world's frozen branch, passing
-    at zero loss.  Modes II and III require every grid world to carry a
-    measure; a stage passes where its success probability exceeds
-    1 - delta, with a sampling margin (estimate - margin*stderr) on Monte
-    Carlo entries, and a stage inside the margin neither passes nor fails.
+    at zero loss; it reads only the horizon and world_ids, ignores delta
+    and epsilon, and rejects stages.  Modes II and III require every grid
+    world to carry a measure; a stage passes where its success probability
+    exceeds 1 - delta, with a sampling margin (estimate - margin*stderr) on
+    Monte Carlo entries, and a stage inside the margin neither passes nor fails.
     """
     budget = budget or Budget()
     workers = resolve_workers(workers)
@@ -796,6 +792,8 @@ def check_mode(
     horizon = params.horizon
     world_verdicts = []
     if params.mode == MODE_IDENTIFICATION:
+        if params.stages is not None:  # ModeParams keeps them for a success-set curve of the config
+            raise InputDomainError("mode I scans every stage to the horizon, so it takes no stages")
         for w in worlds:
             n0, losses = _zero_loss_scan(problem, method, w, w.branch.prefix(horizon))
 

@@ -15,6 +15,7 @@ import numbers
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -208,17 +209,27 @@ class Measure:
     def point_mass(branch: Branch) -> "Measure":
         return Measure(KIND_POINT_MASS, point=branch)
 
+    @cached_property
+    def support(self) -> tuple[tuple, tuple[int, ...], int]:
+        """An IID measure's positive-probability tokens in token_probs order, and nums and q: token j has chance
+        nums[j] / q.  Computed once into the instance __dict__, no field: equality, hash and replace() skip it."""
+        positive = [(tok, pr) for tok, pr in self.token_probs if pr > 0]
+        q = math.lcm(*(pr.denominator for _, pr in positive))
+        return tuple(tok for tok, _ in positive), tuple(pr.numerator * q // pr.denominator for _, pr in positive), q
+
     @property
     def theta(self) -> Fraction:
         if self.kind != KIND_IID_BERNOULLI:
             raise PreconditionError("theta is only defined for IID-Bernoulli measures")
-        return dict(self.token_probs)[1]
+        return self.token_probs[1][1]  # the table is ((0, 1 - theta), (1, theta))
 
     def token_prob(self, token: Token) -> Fraction:
-        probs = dict(self.token_probs)
-        if token not in probs:
-            raise InputDomainError(f"token {token!r} not in measure support table")
-        return probs[token]
+        tokens, nums, q = self.support
+        if token in tokens:
+            return Fraction(nums[tokens.index(token)], q)
+        if any(token == tok for tok, _ in self.token_probs):  # a listed zero-probability token
+            return Fraction(0)
+        raise InputDomainError(f"token {token!r} not in measure support table")
 
     def prefix_prob(self, seq: Sequence[Token]) -> Fraction:
         """Probability mass of the evidence-tree node ``seq``; 1 at the root."""
@@ -311,7 +322,7 @@ class FiniteHypothesisSpace:
     values: tuple
 
     def __contains__(self, h) -> bool:
-        return any(h == v for v in self.values)
+        return h in self.values  # identity or equality, as every Python container tests
 
     def __iter__(self):
         return iter(self.values)

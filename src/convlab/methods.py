@@ -35,7 +35,7 @@ from .convergence import bernoulli_bound
 
 def _labels_vouch(problem, world, labels) -> bool:  # at every n: identification loss, truth and labels in the space
     guard = problem.loss is identification_loss() and world.truth in labels
-    return guard and all(h in problem.hypothesis_space for h in labels)
+    return guard and all(map(problem.hypothesis_space.__contains__, labels))
 
 
 def _two_label_window(problem, world, n, crit, labels, first: range):
@@ -113,11 +113,12 @@ def _frequency_window(problem, world, n, crit):
         return []  # SUSPEND meets no criterion
     if not _frequency_vouches(problem, world):
         return None
-    t = world.truth
+    a, b = world.truth.as_integer_ratio()  # floors and ceilings of rationals, read as integer floor divisions
     if crit.kind == "exact":  # k = n t
-        lo, hi = math.ceil(n * t), math.floor(n * t)
-    else:  # |k/n - t| < eps  <=>  n (t - eps) < k < n (t + eps)
-        lo, hi = math.floor(n * (t - Fraction(crit.eps))) + 1, math.ceil(n * (t + Fraction(crit.eps))) - 1
+        lo, hi = -(-n * a // b), n * a // b
+    else:  # |k/n - t| < eps  <=>  n (t - eps) < k < n (t + eps), over the common denominator b d
+        c, d = crit.eps.as_integer_ratio()
+        lo, hi = n * (a * d - c * b) // (b * d) + 1, -(-n * (a * d + c * b) // (b * d)) - 1
     return [range(max(0, lo), min(n, hi) + 1)]
 
 

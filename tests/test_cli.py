@@ -342,6 +342,17 @@ class TestExitCodes:
         assert "budget: trials must be at most 2**63 - 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mode_one_stages_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the mode I scan ran")
+
+        monkeypatch.setattr(cl.convergence, "_zero_loss_scan", no_work)
+        path = write_config(tmp_path, dict(RAVEN_CONFIG, mode=dict(RAVEN_CONFIG["mode"], stages=[40, 50])))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "mode I scans every stage to the horizon, so it takes no stages" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("doc", [[1], dict(RAVEN_CONFIG, mode=5)], ids=["list", "mode-number"])
     def test_override_of_a_malformed_config_exits_2(self, tmp_path, capsys, doc):
         path = write_config(tmp_path, doc)
@@ -559,6 +570,86 @@ class TestCurveCommand:
         assert not out.exists()
 
 
+# Four fixed exact catalog configs: every point is an exact rational and nothing is drawn, so a changed
+# byte is a changed value.  To regenerate after a deliberate change of output, print
+# TestExactCurveBytes._digests(directory, name) for each name below, each into an empty directory, and
+# paste the pairs into EXACT_PIN_DIGESTS.
+EXACT_PIN_CONFIGS = {
+    "fair-coin-full": {
+        "problem": {"name": "fair-coin", "params": {"theta_grid": [0.35, 0.5, 0.55, 1], "world_seed": 5}},
+        "method": {"name": "fair-coin-test", "params": {}},
+        "mode": {"mode": "II", "delta": 0.05, "horizon": 200},
+    },
+    "coin-bias-mode3": {
+        "problem": {"name": "coin-bias", "params": {"theta_grid": [0, 0.35, 0.5, 0.65, 1], "world_seed": 9}},
+        "method": {"name": "frequency-estimator", "params": {}},
+        "mode": {"mode": "III", "delta": 0.1, "epsilon": 0.1, "horizon": 400, "stages": list(range(10, 401, 10))},
+    },
+    "fair-coin-mode2": {
+        "problem": {"name": "fair-coin", "params": {"theta_grid": [0.45, 0.5, 0.65], "world_seed": 3}},
+        "method": {"name": "fair-coin-test", "params": {}},
+        "mode": {"mode": "II", "delta": 0.1, "horizon": 500, "stages": list(range(20, 501, 20))},
+    },
+    "erm-exact": {
+        "problem": {
+            "name": "binary-classification",
+            "params": {
+                "features": ["a", "b"],
+                "classifiers": [
+                    {"name": "all-0", "labels": {"a": 0, "b": 0}},
+                    {"name": "a-only", "labels": {"a": 1, "b": 0}},
+                    {"name": "all-1", "labels": {"a": 1, "b": 1}},
+                ],
+                "distributions": [
+                    [["a", 0, 0.05], ["a", 1, 0.35], ["b", 0, 0.45], ["b", 1, 0.15]],
+                    [["a", 0, 0.15], ["a", 1, 0.05], ["b", 0, 0.35], ["b", 1, 0.45]],
+                    [["a", 0, 0], ["a", 1, 0.5], ["b", 0, 0.25], ["b", 1, 0.25]],  # a zero-probability token
+                ],
+                "world_seed": 4,
+            },
+        },
+        "method": {"name": "erm", "params": {}},
+        "mode": {"mode": "III", "delta": 0.1, "epsilon": 0.05, "horizon": 6},
+    },
+}
+
+# (SHA-256 of the curve CSV, SHA-256 of the record's status, witness and verdict rows) per config.
+EXACT_PIN_DIGESTS = {
+    "fair-coin-full": (
+        "ab3a4df3f42ec9625ae8d57213754e1fd5766eb8b372219c9e4dce4e483e7bfd",
+        "2a436f7520dc9d87dd06b9c225cdea92674e4a314ffb1c09a6376e978b035f1f",
+    ),
+    "coin-bias-mode3": (
+        "d3b58a00cf83b851232fac2d4a39582626399e7a9e6d5fe03db76d2fd5e2491b",
+        "fb99e323bfddf6d09b428c3d6f15cd4c2bae516675dca66837518d3ea321db0a",
+    ),
+    "fair-coin-mode2": (
+        "4a381a0de5e5f9a8dfb9f10b29a51d92afb1e9a5256d573b76d6421e52b7414f",
+        "acb3aa39b6cf0d55c4d9570371afe1998f6746bf7673af639c148b1aa70bc2cb",
+    ),
+    "erm-exact": (
+        "1ca8304f9cdd238f08f7827705296379e24569b80afe9d8ef2102671ed2a1e5e",
+        "b8d2c46fd92431db590c3ff3bd00bfbbc6dfeeb24321a9125a7b1dd46b87490e",
+    ),
+}
+
+
+class TestExactCurveBytes:
+    @staticmethod
+    def _digests(tmp_path, name) -> tuple[str, str]:
+        doc = dict(EXACT_PIN_CONFIGS[name], name=name, budget={"strategy": "auto"}, seed=1, workers=1)
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / f"{name}-record.json").read_text())
+        rows = json.dumps({k: record[k] for k in ("status", "witness_world", "verdicts")}, sort_keys=True)
+        curve = (tmp_path / f"{name}-curve.csv").read_bytes()
+        return hashlib.sha256(curve).hexdigest(), hashlib.sha256(rows.encode()).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(EXACT_PIN_CONFIGS))
+    def test_exact_curve_and_verdict_bytes_are_pinned(self, tmp_path, name):
+        assert self._digests(tmp_path, name) == EXACT_PIN_DIGESTS[name]
+
+
 class TestOtherSubcommands:
     def test_curve_success_set(self, tmp_path):
         doc = dict(FGR_CONFIG, mode={"mode": "II", "delta": 0.05, "horizon": 20, "stages": [1, 5, 10, 20]})
@@ -572,6 +663,13 @@ class TestOtherSubcommands:
         point_mass = {(r["estimate"], r["exact"]) for r in rows if r["world_id"] == "p=1"}
         assert point_mass == {("1.0", "true")}
         assert {r["exact"] for r in rows if r["world_id"] != "p=1"} == {"false"}
+
+    def test_success_set_curve_reads_a_mode_one_configs_stages(self, tmp_path):
+        path = write_config(tmp_path, dict(FGR_CONFIG, mode={"mode": "I", "horizon": 20, "stages": [10, 20]}))
+        assert cli.main(["curve", "--config", str(path), "--kind", "success-set", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "fgr-mode2-curve.csv").read_text().strip().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["10", "20"] * 4
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
 
     def test_verify_ok_problem_exits_0(self, capsys):
         assert cli.main(["verify", "--problem", "easy-raven"]) == 0

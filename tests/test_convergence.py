@@ -15,7 +15,6 @@ from convlab import cli, convergence, seeding
 from convlab.convergence import (
     Budget,
     _binomial_exact,
-    _integer_law,
     _lock_stage_samples,
     _mc_draw,
     _mc_flags,
@@ -839,17 +838,17 @@ def _with_a_zero_entry(task):
 
 
 class TestEnumExact:
-    def test_integer_law_holds_each_positive_token_over_one_denominator(self, toy_task):
+    def test_measure_support_holds_each_positive_token_over_one_denominator(self, toy_task):
         laws = [cl.Measure.iid_bernoulli(th) for th in (0, Fraction(3, 10), 1)]
         laws.append(cl.binary_classification(_with_a_zero_entry(toy_task)).world("D3").measure)
         laws.append(cl.Measure.iid_examples({"x": "1/3", "z": 0, "y": "1/4", "v": "1/4", "w": "1/6"}))  # q = 12, not 6
-        got = [_integer_law(m) for m in laws]
+        got = [m.support for m in laws]
         assert got == [
-            ([0], [1], 1),
-            ([0, 1], [7, 3], 10),
-            ([1], [1], 1),
-            ([("a", 1), ("b", 0)], [1, 1], 2),
-            (["x", "y", "v", "w"], [4, 3, 3, 2], 12),
+            ((0,), (1,), 1),
+            ((0, 1), (7, 3), 10),
+            ((1,), (1,), 1),
+            ((("a", 1), ("b", 0)), (1, 1), 2),
+            (("x", "y", "v", "w"), (4, 3, 3, 2), 12),
         ]
         for m, (tokens, nums, q) in zip(laws, got):
             positive = [(tok, pr) for tok, pr in m.token_probs if pr != 0]
@@ -1536,6 +1535,17 @@ class TestCheckMode:
     def test_an_epsilon_at_or_below_0_is_rejected_in_every_mode(self, mode, eps):
         with pytest.raises(cl.InputDomainError, match="epsilon must be > 0"):
             cl.mode_params(mode, 10, delta=0.1, epsilon=eps)
+
+    def test_mode_one_rejects_stages_and_ignores_delta_and_epsilon(self):
+        raven = cl.easy_raven(10)
+        params = cl.mode_params("I", 50, delta=0.5, epsilon=3, stages=[40, 50])
+        assert params.stages == (40, 50)  # ModeParams keeps them: a success-set curve reads them in any mode
+        with pytest.raises(cl.InputDomainError, match="mode I scans every stage to the horizon"):
+            cl.check_mode(raven, cl.raven_rule, params)
+        plain = cl.check_mode(raven, cl.raven_rule, cl.mode_params("I", 50))
+        assert cl.check_mode(raven, cl.raven_rule, cl.mode_params("I", 50, delta=0.5, epsilon=3)) == plain
+        (at_8,) = [wv for wv in plain.worlds if wv.world_id == "first-zero-at-8"]
+        assert (at_8.status, at_8.threshold_stage) == ("supported", 8)
 
     @pytest.mark.parametrize("mode", ["I", "II", "III"])
     def test_mode_params_rejects_an_epsilon_past_the_largest_float(self, mode):

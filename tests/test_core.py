@@ -139,6 +139,52 @@ def test_children_probabilities_sum_to_the_node(measure):
         assert children == measure.prefix_prob(node)
 
 
+class TestMeasureSupport:
+    # TestEnumExact checks the support itself on such measures.
+    MEASURES = [
+        Measure.iid_bernoulli(0),
+        Measure.iid_bernoulli(Fraction(3, 10)),
+        Measure.iid_bernoulli(1),
+        Measure.iid_examples({("a", 1): "1/2", ("a", 0): 0, ("b", 0): "1/4", ("b", 1): "1/4"}),  # a zero entry
+    ]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_token_and_prefix_probabilities_read_the_support(self, measure):
+        for tok, pr in measure.token_probs:
+            assert measure.token_prob(tok) == pr and measure.prefix_prob((tok, tok)) == pr * pr
+        with pytest.raises(cl.InputDomainError, match="not in measure support table"):
+            measure.token_prob("unlisted")
+
+    def test_equality_hash_and_replace_do_not_see_the_support(self):
+        m, twin = Measure.iid_bernoulli(Fraction(3, 10)), Measure.iid_bernoulli(0.3)
+        before = hash(m)
+        assert m.support == ((0, 1), (7, 3), 10) and "support" in vars(m) and "support" not in vars(twin)
+        assert m.support is m.support  # computed once
+        assert m == twin and hash(m) == before == hash(twin)
+        assert len({m: 0, twin: 1}) == 1
+        fresh = replace(m, token_probs=((0, Fraction(1, 2)), (1, Fraction(1, 2))))
+        assert "support" not in vars(fresh) and fresh.support == ((0, 1), (1, 1), 2)
+        assert replace(m).support == m.support
+
+
+class TestFiniteHypothesisSpaceMembership:
+    def test_equal_values_are_members_whatever_their_identity(self, toy_classifiers):
+        space = cl.FiniteHypothesisSpace((cl.YES, cl.NO, [1, 2], *toy_classifiers))
+        built = "".join(["Y", "es"])
+        assert built is not cl.YES and built in space
+        copy = cl.Classifier(toy_classifiers[0].name, tuple(toy_classifiers[0].labels))
+        assert copy is not toy_classifiers[0] and copy in space
+        assert [1, 2] in space  # an unhashable value, tested by equality
+        assert "Maybe" not in space and [2, 1] not in space and cl.Classifier("other", ()) not in space
+
+    def test_a_value_unequal_to_itself_is_a_member_only_as_the_listed_object(self):
+        # Tuple membership tests identity before equality, as every Python container does; an any(h == v)
+        # scan found no NaN at all.
+        nan = float("nan")
+        space = cl.FiniteHypothesisSpace((nan, 0.5))
+        assert nan in space and float("nan") not in space
+
+
 def test_point_mass_prefix_probability_is_an_indicator():
     b = cl.constant_branch(1, "all-ones")
     m = Measure.point_mass(b)

@@ -1,9 +1,11 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import convlab as cl
@@ -77,6 +79,44 @@ class TestFrequencyEstimator:
         w = cb.world("theta=0.3")
         out = cl.output_at(cl.frequency_estimator, w, 10)
         assert cl.loss_of(cb, out, w) == abs(out - Fraction(3, 10))
+
+
+class TestIntegerLawReads:
+    """The frequency window and the Chebyshev bound, read in integers, against their Fraction definitions."""
+
+    @given(
+        t=st.fractions(min_value=0, max_value=1, max_denominator=40),
+        eps=st.fractions(min_value=Fraction(1, 40), max_value=Fraction(3, 2), max_denominator=40),
+        n=st.integers(1, 500),
+    )
+    @example(t=Fraction(1, 2), eps=Fraction(1, 10), n=400)  # n (t - eps) and n (t + eps) are integers
+    @example(t=Fraction(3, 20), eps=Fraction(3, 20), n=20)  # eps = t: the window's lower end is k = 1
+    @example(t=Fraction(1, 10), eps=Fraction(1, 4), n=7)  # eps > t: clipped at k = 0
+    @example(t=Fraction(9, 10), eps=Fraction(1, 5), n=30)  # eps > 1 - t: clipped at k = n
+    @example(t=Fraction(0), eps=Fraction(3, 2), n=1)
+    def test_the_frequency_window_equals_the_fraction_floors_and_the_per_k_scan(self, t, eps, n):
+        cb = cl.coin_bias([Fraction(1, 2)])
+        world = replace(cb.worlds[0], truth=t)  # the window reads the truth, the space and the loss
+        window = cl.frequency_estimator.laws.window
+        lo, hi = math.floor(n * (t - eps)) + 1, math.ceil(n * (t + eps)) - 1
+        assert window(cb, world, n, cl.within(eps)) == [range(max(0, lo), min(n, hi) + 1)]
+        scan = [k for k in range(n + 1) if abs(Fraction(k, n) - t) < eps]
+        assert list(window(cb, world, n, cl.within(eps))[0]) == scan
+        assert list(window(cb, world, n, cl.EXACT)[0]) == [k for k in range(n + 1) if Fraction(k, n) == t]
+
+    @given(
+        n=st.integers(1, 10_000),
+        eps=st.fractions(min_value=Fraction(1, 10**6), max_value=10, max_denominator=10**6),
+    )
+    @example(n=25, eps=Fraction(1, 10))  # 4 n eps**2 = 1: the bound is exactly 0
+    def test_the_bernoulli_bound_is_the_chebyshev_fraction(self, n, eps):
+        assert cl.bernoulli_bound(n, eps) == max(Fraction(0), 1 - 1 / (4 * n * eps**2))
+
+    @pytest.mark.parametrize("n, eps", [(2.5, 0.1), (3.0, 0.1), (True, 0.1), (Fraction(3), 0.1), (0, 0.1),
+                                        (5, 0), (5, -0.1), (5, Fraction(-1, 3)), (5, "0")])
+    def test_the_bernoulli_bound_rejects_a_non_integer_n_and_an_eps_at_or_below_0(self, n, eps):
+        with pytest.raises(cl.InputDomainError):
+            cl.bernoulli_bound(n, eps)
 
 
 @pytest.mark.parametrize("method", [cl.raven_rule, cl.fair_coin_test, cl.frequency_estimator])
