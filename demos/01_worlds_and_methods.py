@@ -39,7 +39,7 @@ for n in range(6):
 coin = cl.fair_coin(theta_grid=[0.3, 0.5, 0.9])
 print("\n== problem:", coin.name)
 for w in coin.worlds:
-    theta = w.extras["theta"]
+    theta = w.measure.theta
     print(f"  world {w.id:24s} truth={w.truth:6s} theta={float(theta):.2f}")
 
 # The shrinking-threshold test accepts Fair while the sample frequency sits

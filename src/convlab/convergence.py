@@ -42,6 +42,7 @@ from .core import (
     EmpiricalProblem,
     InferenceMethod,
     InputDomainError,
+    Measure,
     PreconditionError,
     ResourceBudgetError,
     World,
@@ -980,10 +981,12 @@ def underdetermination_witness(
 
     Any method outputs the same hypothesis on the shared data at every
     stage, so zero loss in one world forces positive loss in the other:
-    the pair refutes nonstochastic identification.  None when every branch
-    in the family carries a single truth.
+    the pair refutes nonstochastic identification, led by a fair world (truth
+    Fair, or an IID-Bernoulli(1/2) measure) when the branch has one.  None
+    when every branch in the family carries a single truth.
     """
     horizon = _integer(horizon, "horizon", 0)
+    fair = Measure.iid_bernoulli(Fraction(1, 2))
     groups: dict[str, list[World]] = {}
     for w in problem.worlds:
         groups.setdefault(w.branch.id, []).append(w)
@@ -993,14 +996,7 @@ def underdetermination_witness(
         ref = members[0].branch.prefix(horizon)
         if any(w.branch.prefix(horizon) != ref for w in members[1:]):
             continue
-        first = next(
-            (
-                w
-                for w in members
-                if w.truth == FAIR or w.extras.get("theta") == Fraction(1, 2)
-            ),
-            members[0],
-        )
+        first = next((w for w in members if w.truth == FAIR or w.measure == fair), members[0])
         partner = next((w for w in members if w.truth != first.truth), None)
         if partner is not None:
             return (first, partner)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
@@ -213,6 +213,8 @@ class Measure:
     def support(self) -> tuple[tuple, tuple[int, ...], int]:
         """An IID measure's positive-probability tokens in token_probs order, and nums and q: token j has chance
         nums[j] / q.  Computed once into the instance __dict__, no field: equality, hash and replace() skip it."""
+        if self.token_probs is None:
+            raise PreconditionError("token probabilities are only defined for IID measures")
         positive = [(tok, pr) for tok, pr in self.token_probs if pr > 0]
         q = math.lcm(*(pr.denominator for _, pr in positive))
         return tuple(tok for tok, _ in positive), tuple(pr.numerator * q // pr.denominator for _, pr in positive), q
@@ -345,13 +347,13 @@ HypothesisSpace = Union[FiniteHypothesisSpace, IntervalHypothesisSpace]
 
 @dataclass(frozen=True)
 class World:
-    """A branch plus its truth, optional generating measure, and extras tag."""
+    """An id, the branch of data it streams, the hypothesis true in it, and the measure generating
+    the branch when the world is statistical (None otherwise)."""
 
     id: str
     branch: Branch
     truth: object
     measure: Optional[Measure] = None
-    extras: Mapping = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -380,9 +382,10 @@ def absolute_error_loss() -> LossFunction:
 class EmpiricalProblem:
     """The quadruple of hypotheses, evidence alphabet, admitted worlds, and loss.
 
-    ``truth_of_prefix`` resolves the coherent truth of any sampled branch for
-    problems where branches determine truths one-to-one; it stays None
-    otherwise.
+    Checks read what they need off these four (``validate_problem`` probes the
+    finite space's hypotheses, else the worlds' truths).  ``truth_of_prefix``
+    resolves the coherent truth of any sampled branch for problems where
+    branches determine truths one-to-one; it stays None otherwise.
     """
 
     name: str
@@ -390,7 +393,6 @@ class EmpiricalProblem:
     alphabet: tuple[Token, ...]
     worlds: tuple[World, ...]
     loss: LossFunction
-    probe_hypotheses: tuple = ()
     truth_of_prefix: Optional[Callable[[tuple], object]] = None
 
     def __post_init__(self):
@@ -518,14 +520,17 @@ def validate_problem(problem: EmpiricalProblem) -> ValidationReport:
 
     Per world: does the designated truth attain loss 0, does any other probe
     hypothesis also attain 0 (uniqueness spot check), and do the first 32
-    branch tokens lie in the alphabet.
+    branch tokens lie in the alphabet.  The probes are a finite space's
+    hypotheses, else the worlds' distinct truths.
     """
+    space = problem.hypothesis_space
+    probes = space.values if isinstance(space, FiniteHypothesisSpace) else dict.fromkeys(w.truth for w in problem.worlds)
     checks = []
     alphabet = set(problem.alphabet)
     for w in problem.worlds:
         truth_zero = problem.loss.eval(w.truth, w) == 0
         rival = None
-        for h in problem.probe_hypotheses:
+        for h in probes:
             if h == w.truth:
                 continue
             if problem.loss.eval(h, w) == 0:

@@ -87,9 +87,13 @@ def easy_raven(max_first_zero: int = 20, literal: bool = False) -> EmpiricalProb
         alphabet=BINARY_ALPHABET,
         worlds=tuple(worlds),
         loss=identification_loss(),
-        probe_hypotheses=(YES, NO),
         truth_of_prefix=None if literal else _truth_of_binary_prefix,
     )
+
+
+def _sampled_world(wid: str, truth, measure: Measure, seed: int) -> World:
+    """The world whose branch is frozen from its measure under the seed key (seed, "branch", wid)."""
+    return World(wid, measure.sample_branch(seed, "branch", wid, branch_id=f"sampled/{wid}"), truth, measure)
 
 
 def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
@@ -105,95 +109,65 @@ def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
     ps = [as_fraction(p) for p in p_grid]
     if not ps:
         raise ConfigurationError("p grid must be nonempty")
-    for p in ps:
-        if not 0 <= p <= 1:
-            raise InputDomainError(f"p must lie in [0, 1], got {p}")
+    all_ones = Measure.point_mass(constant_branch(1, "all-ones"))
     worlds = []
     for p in ps:
-        wid = f"p={_num_str(p)}"
-        if p == 1:
-            branch = constant_branch(1, "all-ones")
-            worlds.append(
-                World(wid, branch, YES, measure=Measure.point_mass(branch), extras={"p": p})
-            )
-        else:
-            measure = Measure.iid_bernoulli(p)
-            branch = measure.sample_branch(seed, "branch", wid, branch_id=f"sampled/{wid}")
-            worlds.append(World(wid, branch, NO, measure=measure, extras={"p": p}))
+        truth, measure = (YES, all_ones) if p == 1 else (NO, Measure.iid_bernoulli(p))
+        worlds.append(_sampled_world(f"p={_num_str(p)}", truth, measure, seed))
     return EmpiricalProblem(
         name="fine-grained-raven",
         hypothesis_space=FiniteHypothesisSpace((YES, NO)),
         alphabet=BINARY_ALPHABET,
         worlds=tuple(worlds),
         loss=identification_loss(),
-        probe_hypotheses=(YES, NO),
         truth_of_prefix=_truth_of_binary_prefix,
     )
 
 
-def _coin_worlds(grid: Sequence[Fraction], seed: int):
-    """Shared world construction for the two coin problems.
+def _coin_worlds(theta_grid: Optional[Sequence], seed: int, truth_of) -> tuple[World, ...]:
+    """The two coin problems' worlds, as Worlds; ``truth_of(theta)`` is each one's truth.
 
-    Per bias theta: one frozen sampled branch, the alternating 1010...
-    branch whenever both tokens have positive probability, and the all-1
-    branch at theta = 1/2 (logically possible even under a fair coin).
-    Yields (world id, branch, measure, theta).
+    Per theta of the grid (DEFAULT_THETA_GRID when None; Measure.iid_bernoulli
+    rejects one outside [0, 1]): one frozen sampled branch, the alternating
+    1010... branch whenever both tokens have positive probability, and the
+    all-1 branch at theta = 1/2 (logically possible even under a fair coin).
     """
     alternating = alternating_branch()
     all_ones = constant_branch(1, "all-ones")
-    out = []
-    for th in grid:
+    worlds = []
+    for th in map(as_fraction, DEFAULT_THETA_GRID if theta_grid is None else theta_grid):
         measure = Measure.iid_bernoulli(th)
-        wid = f"theta={_num_str(th)}"
-        out.append((wid, measure.sample_branch(seed, "branch", wid, branch_id=f"sampled/{wid}"), measure, th))
+        sampled = _sampled_world(f"theta={_num_str(th)}", truth_of(th), measure, seed)
+        worlds.append(sampled)
         if 0 < th < 1:
-            out.append((f"{wid}/alternating", alternating, measure, th))
+            worlds.append(World(f"{sampled.id}/alternating", alternating, sampled.truth, measure))
         if th == Fraction(1, 2):
-            out.append((f"{wid}/all-ones", all_ones, measure, th))
-    return out
-
-
-def _normalized_theta_grid(theta_grid) -> tuple[Fraction, ...]:
-    grid = DEFAULT_THETA_GRID if theta_grid is None else tuple(as_fraction(t) for t in theta_grid)
-    for th in grid:
-        if not 0 <= th <= 1:
-            raise InputDomainError(f"bias must lie in [0, 1], got {th}")
-    return grid
+            worlds.append(World(f"{sampled.id}/all-ones", all_ones, sampled.truth, measure))
+    return tuple(worlds)
 
 
 def fair_coin(theta_grid: Optional[Sequence] = None, seed: int = 0) -> EmpiricalProblem:
     """Is the coin fair?  Fair is true exactly in the theta = 1/2 worlds."""
-    grid = _normalized_theta_grid(theta_grid)
-    if Fraction(1, 2) not in grid or all(th == Fraction(1, 2) for th in grid):
+    worlds = _coin_worlds(theta_grid, seed, lambda th: FAIR if th == Fraction(1, 2) else UNFAIR)
+    if {w.truth for w in worlds} != {FAIR, UNFAIR}:
         raise ConfigurationError("theta grid must include 0.5 and at least one other bias")
-    worlds = tuple(
-        World(wid, branch, FAIR if th == Fraction(1, 2) else UNFAIR, measure, {"theta": th})
-        for wid, branch, measure, th in _coin_worlds(grid, seed)
-    )
     return EmpiricalProblem(
         name="fair-coin",
         hypothesis_space=FiniteHypothesisSpace((FAIR, UNFAIR)),
         alphabet=BINARY_ALPHABET,
         worlds=worlds,
         loss=identification_loss(),
-        probe_hypotheses=(FAIR, UNFAIR),
     )
 
 
 def coin_bias(theta_grid: Optional[Sequence] = None, seed: int = 0) -> EmpiricalProblem:
     """What is the coin's bias?  Hypotheses are the unit interval; loss |h - theta|."""
-    grid = _normalized_theta_grid(theta_grid)
-    worlds = tuple(
-        World(wid, branch, th, measure, {"theta": th})
-        for wid, branch, measure, th in _coin_worlds(grid, seed)
-    )
     return EmpiricalProblem(
         name="coin-bias",
         hypothesis_space=IntervalHypothesisSpace(Fraction(0), Fraction(1)),
         alphabet=BINARY_ALPHABET,
-        worlds=worlds,
+        worlds=_coin_worlds(theta_grid, seed, lambda th: th),
         loss=absolute_error_loss(),
-        probe_hypotheses=tuple(grid),
     )
 
 
@@ -278,19 +252,13 @@ def binary_classification(task: ClassificationTask, seed: int = 0) -> EmpiricalP
     alphabet = tuple((x, y) for x in task.features for y in (0, 1))
     worlds = []
     for i, table in enumerate(task.distribution_grid):
-        measure = Measure.iid_examples(dict(table))
-        wid = f"D{i}"
-        branch = measure.sample_branch(seed, "branch", wid, branch_id=f"sampled/{wid}")
         risks = [risk(h, table) for h in task.classifiers]
         truth = task.classifiers[risks.index(min(risks))]
-        worlds.append(
-            World(wid, branch, truth, measure, {"distribution_index": i})
-        )
+        worlds.append(_sampled_world(f"D{i}", truth, Measure.iid_examples(dict(table)), seed))
     return EmpiricalProblem(
         name="binary-classification",
         hypothesis_space=FiniteHypothesisSpace(task.classifiers),
         alphabet=alphabet,
         worlds=tuple(worlds),
         loss=excess_risk_loss(task.classifiers),
-        probe_hypotheses=task.classifiers,
     )

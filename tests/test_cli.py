@@ -90,6 +90,14 @@ class TestWitnessEmission:
         assert sorted(w["truths"]) == ["Fair", "Unfair"]
         assert w["prefix_equal_through"] == 64
 
+    def test_coin_bias_verifies_and_its_witness_leads_with_the_fair_world(self, capsys):
+        assert cli.main(["verify", "--problem", "coin-bias"]) == 0
+        assert "coin-bias: all checks passed" in capsys.readouterr().out
+        assert cli.main(["witness", "--problem", "coin-bias"]) == 0
+        w = json.loads(capsys.readouterr().out)["witness"]
+        assert w["world_ids"] == ["theta=0.5/alternating", "theta=0.1/alternating"]
+        assert w["truths"] == ["1/2", "1/10"]
+
     def test_no_witness_document_for_the_coherent_raven(self):
         doc = cli.emit_witness(cl.easy_raven())
         assert doc["witness"] is None

@@ -21,6 +21,7 @@ from convlab.convergence import (
     _multinomial_exact,
     _plan,
 )
+from convlab.core import absolute_error_loss
 
 
 def _mc_plan(method, world, n, trials):
@@ -133,7 +134,7 @@ class TestExactSuccessProb:
             "fair-coin-test": cl.fair_coin([theta, companion]),
             "frequency-estimator": cl.coin_bias([theta]),
         }[method.name]
-        world = next(w for w in problem.worlds if w.extras.get("theta", w.extras.get("p")) == theta)
+        world = next(w for w in problem.worlds if w.measure == cl.Measure.iid_bernoulli(theta))
         plodding = replace(method, decide_counts=None)
         for n in range(13):
             fast = cl.exact_success_prob(problem, method, world, n, crit)
@@ -1906,7 +1907,7 @@ class TestUnderdeterminationWitness:
         fc = cl.fair_coin()
         w1, w2 = cl.underdetermination_witness(fc)
         assert (w1.truth, w2.truth) == (cl.FAIR, cl.UNFAIR)
-        assert w1.extras["theta"] == Fraction(1, 2)
+        assert w1.measure.theta == Fraction(1, 2)
         assert w1.branch.prefix(64) == w2.branch.prefix(64)
 
     def test_coin_bias_pair_shares_the_branch_with_distinct_truths(self):
@@ -1918,6 +1919,18 @@ class TestUnderdeterminationWitness:
 
     def test_easy_raven_has_no_witness(self):
         assert cl.underdetermination_witness(cl.easy_raven()) is None
+
+    def test_a_shared_branch_id_with_differing_prefixes_is_no_witness(self):
+        worlds = (cl.World("ones", cl.constant_branch(1, "b"), cl.YES), cl.World("zeros", cl.constant_branch(0, "b"), cl.NO))
+        problem = cl.EmpiricalProblem("p", cl.FiniteHypothesisSpace((cl.YES, cl.NO)), (0, 1), worlds, cl.identification_loss())
+        assert cl.underdetermination_witness(problem, 0) == worlds  # empty prefixes agree
+        assert cl.underdetermination_witness(problem, 1) is None
+
+    def test_the_pair_leads_with_the_fair_measure_world(self):
+        alt = cl.alternating_branch()
+        worlds = tuple(cl.World(f"w{th}", alt, th, cl.Measure.iid_bernoulli(th)) for th in (Fraction(3, 10), Fraction(1, 2)))
+        problem = cl.EmpiricalProblem("p", cl.IntervalHypothesisSpace(0, 1), (0, 1), worlds, absolute_error_loss())
+        assert cl.underdetermination_witness(problem) == worlds[::-1]
 
     @pytest.mark.parametrize("horizon", NOT_INTEGERS + [-1])
     def test_rejects_a_horizon_that_is_not_an_integer_at_least_0(self, horizon):

@@ -192,6 +192,13 @@ def test_point_mass_prefix_probability_is_an_indicator():
     assert m.prefix_prob((1, 0)) == 0
 
 
+def test_point_mass_has_no_token_table():
+    m = Measure.point_mass(cl.constant_branch(1))
+    for read in (lambda: m.support, lambda: m.token_prob(1)):
+        with pytest.raises(cl.PreconditionError, match="only defined for IID measures"):
+            read()
+
+
 def test_sampler_frequencies_match_prefix_probabilities():
     from convlab import seeding
 
@@ -400,10 +407,14 @@ def test_loss_of_spec_values():
 
 
 def test_loss_nonnegative_and_zero_exactly_at_truth_on_catalog_problems():
-    for problem in (cl.easy_raven(5), cl.fair_coin(), cl.coin_bias()):
+    for problem, probes in (
+        (cl.easy_raven(5), (cl.YES, cl.NO)),
+        (cl.fair_coin(), (cl.FAIR, cl.UNFAIR)),
+        (cl.coin_bias(), cl.DEFAULT_THETA_GRID),
+    ):
         for w in problem.worlds:
             assert problem.loss.eval(w.truth, w) == 0
-            for h in problem.probe_hypotheses:
+            for h in probes:
                 loss = problem.loss.eval(h, w)
                 assert loss >= 0
                 if h != w.truth:
@@ -414,14 +425,13 @@ def test_validate_problem_passes_on_catalog_and_flags_constructed_violations():
     report = cl.validate_problem(cl.easy_raven())
     assert report.all_ok
 
-    # a loss that grants zero to both hypotheses in some world
+    # a loss that grants zero to both hypotheses in some world: the space's hypotheses are the probes
     degenerate = cl.EmpiricalProblem(
         name="degenerate",
         hypothesis_space=cl.FiniteHypothesisSpace((cl.YES, cl.NO)),
         alphabet=(0, 1),
         worlds=(World("w", cl.constant_branch(1), cl.YES),),
         loss=cl.LossFunction("zero", lambda h, w: 0),
-        probe_hypotheses=(cl.YES, cl.NO),
     )
     rep = cl.validate_problem(degenerate)
     assert not rep.all_ok
@@ -434,11 +444,34 @@ def test_validate_problem_passes_on_catalog_and_flags_constructed_violations():
         alphabet=(0, 1),
         worlds=(World("w", cl.constant_branch(2, "twos"), cl.YES),),
         loss=identification_loss(),
-        probe_hypotheses=(cl.YES, cl.NO),
     )
     rep = cl.validate_problem(alien)
     assert not rep.all_ok
     assert not rep.checks[0].alphabet_ok
+
+
+def test_validate_problem_probes_every_world_truth_on_an_interval_space():
+    cb = cl.coin_bias()
+    assert cl.validate_problem(cb).all_ok
+    # A loss with a second zero at t flags t in every world whose truth is not t, so t is a probe.
+    for t in cl.DEFAULT_THETA_GRID:
+        twin = replace(cb, loss=cl.LossFunction("twin", lambda h, w, t=t: 0 if h in (w.truth, t) else 1))
+        rivals = {c.world_id: c.rival_zero_loss for c in cl.validate_problem(twin).checks}
+        assert rivals == {w.id: None if w.truth == t else t for w in cb.worlds}
+
+
+def test_a_problem_needs_worlds_with_unique_ids_and_names_an_unknown_one():
+    w = World("w", cl.constant_branch(1), cl.YES)
+
+    def problem(worlds):
+        return cl.EmpiricalProblem("p", cl.FiniteHypothesisSpace((cl.YES, cl.NO)), (0, 1), worlds, identification_loss())
+
+    with pytest.raises(cl.ConfigurationError, match="at least one world"):
+        problem(())
+    with pytest.raises(cl.ConfigurationError, match="world ids must be unique"):
+        problem((w, replace(w, truth=cl.NO)))
+    with pytest.raises(cl.InputDomainError, match="unknown world id 'nope'"):
+        problem((w,)).world("nope")
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), max_size=30))

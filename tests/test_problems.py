@@ -83,6 +83,12 @@ class TestFineGrainedRaven:
     def test_p_outside_unit_interval_rejected(self):
         with pytest.raises(cl.InputDomainError):
             cl.fine_grained_raven([1.2])
+        with pytest.raises(cl.InputDomainError, match=r"bias must lie in \[0, 1\], got 2"):
+            cl.fine_grained_raven([0.5, 2])
+
+    def test_empty_p_grid_rejected(self):
+        with pytest.raises(cl.ConfigurationError, match="p grid must be nonempty"):
+            cl.fine_grained_raven([])
 
     def test_validates(self):
         assert cl.validate_problem(cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0])).all_ok
@@ -105,6 +111,10 @@ class TestCoinProblems:
         with pytest.raises(cl.InputDomainError):
             cl.fair_coin([0.5, 1.5])
 
+    def test_coin_bias_outside_unit_interval_rejected(self):
+        with pytest.raises(cl.InputDomainError, match=r"bias must lie in \[0, 1\], got 3/2"):
+            cl.coin_bias([1.5])
+
     def test_coin_bias_spec_values(self):
         cb = cl.coin_bias()
         w = cb.world("theta=0.5")
@@ -119,7 +129,7 @@ class TestCoinProblems:
         for wf, wb in zip(fc.worlds, cb.worlds):
             assert wf.branch.prefix(32) == wb.branch.prefix(32)
             assert wf.measure == wb.measure
-            assert wf.extras["theta"] == wb.extras["theta"]
+            assert wb.truth == wb.measure.theta
 
     def test_default_grid_includes_the_near_fair_points(self):
         assert Fraction(9, 20) in cl.DEFAULT_THETA_GRID
@@ -190,6 +200,12 @@ class TestClassification:
             )
         with pytest.raises(cl.ConfigurationError):
             cl.classification_task(["a", "b"], toy_classifiers, [{("c", 1): "1"}])
+        with pytest.raises(cl.ConfigurationError, match="nonnegative"):
+            cl.classification_task(["a", "b"], toy_classifiers, [{("a", 1): "1.5", ("b", 0): "-0.5"}])
+
+    def test_empty_features_rejected(self, toy_classifiers):
+        with pytest.raises(cl.ConfigurationError, match="nonempty features"):
+            cl.classification_task([], toy_classifiers, [])
 
     def test_partial_classifier_rejected(self):
         partial = Classifier.from_mapping("partial", {"a": 1})
