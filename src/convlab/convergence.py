@@ -15,7 +15,10 @@ they number at most the trials, else mc-block rows, the only items the worker
 pool runs, or mc-generic prefixes.  Mode checks aggregate these into
 finite-horizon verdicts: a horizon-stamped verdict is evidence about the limit
 behaviour, not a proof.  Analytic lower bounds are reported per curve row; no
-verdict reads them yet, so none is certified beyond its horizon.
+verdict reads them yet, so none is certified beyond its horizon.  numpy is
+imported inside the functions that draw or decide count blocks, and the pool
+inside _map_items, so the exact coin paths, whose sums are pure integer
+arithmetic, never load either.
 """
 
 from __future__ import annotations
@@ -26,12 +29,9 @@ import numbers
 import os
 import sys
 from collections.abc import Iterable, Mapping, Set
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import seeding
 from .core import (
@@ -292,6 +292,8 @@ def _count_block(method):
         return method.decide_count_block
 
     def block(tokens, counts):
+        import numpy as np
+
         for j, tok in enumerate(tokens):
             if tok not in (0, 1) and counts[:, j].any():
                 raise InputDomainError(f"non-binary token {tok!r}")
@@ -426,6 +428,8 @@ def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
     ks = range(n + 1) if p and q - p else (0 if p == 0 else n,)
     ranges = _window(problem, method, world, n, crit)
     if ranges is None:  # no declared window vouches: decide the (n - k, k) rows in one block call
+        import numpy as np
+
         k = np.arange(ks[0], ks[-1] + 1)
         decided = _count_block(method)((0, 1), np.stack([n - k, k], axis=1))
         flags = _count_block_flags(problem, world, crit, decided)
@@ -453,8 +457,10 @@ def _enum_exact(problem, method, world, n, crit) -> Fraction:
     return Fraction(sum(math.prod(weights) for seq, weights in leaves if met(method.decide(seq))), q**n)
 
 
-def _compositions(n: int, t: int) -> np.ndarray:
-    """All C(n+t-1, t-1) count vectors of t nonnegative ints summing to n, one per row."""
+def _compositions(n: int, t: int):
+    """An int array of all C(n+t-1, t-1) count vectors of t nonnegative ints summing to n, one per row."""
+    import numpy as np
+
     if t == 2:  # directly: itertools takes 150 us at n = 1000
         k = np.arange(n + 1)
         return np.stack([k, n - k], axis=1)
@@ -467,11 +473,13 @@ def _compositions(n: int, t: int) -> np.ndarray:
     return np.diff(edges, axis=1) - 1
 
 
-def _count_block_flags(problem, world, crit, decided) -> np.ndarray:
-    """Per row of a count block's (outputs, index), whether its output meets the criterion in the world.
+def _count_block_flags(problem, world, crit, decided):
+    """A bool array: per row of a count block's (outputs, index), whether its output meets the criterion in the world.
 
     Tests each output some row picks once.
     """
+    import numpy as np
+
     outputs, index = decided
     met = _success_test(problem, world, crit)
     hits = np.zeros(len(outputs), dtype=bool)
@@ -539,6 +547,8 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
     histogram, one rng.multinomial(trials, P) over every count vector c with
     P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.
     """
+    import numpy as np
+
     if path == MC_GENERIC:
         outputs = [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]
         return {"outputs": outputs, "weights": np.ones(trials, dtype=np.int64)}
@@ -556,8 +566,10 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
     return {"rows": rows[weights > 0], "weights": weights[weights > 0]}
 
 
-def _mc_flags(problem, method, world, n, crit, draw: dict) -> np.ndarray:
-    """Per trial (row) of the draw, whether the method's output meets the criterion in the world."""
+def _mc_flags(problem, method, world, n, crit, draw: dict):
+    """A bool array: per trial (row) of the draw, whether the method's output meets the criterion in the world."""
+    import numpy as np
+
     if "outputs" in draw:
         outputs = draw["outputs"]
         return np.fromiter(map(_success_test(problem, world, crit), outputs), dtype=bool, count=len(outputs))
@@ -621,6 +633,8 @@ def _map_items(fn, keys, workers: int) -> dict:
     # depends on the execution schedule.  One item or none needs no pool.
     if workers <= 1 or len(keys) <= 1:
         return {key: fn(key) for key in keys}
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         futures = {key: ex.submit(fn, key) for key in keys}
         return {key: fut.result() for key, fut in futures.items()}
@@ -667,7 +681,7 @@ def success_curve(
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
     workers = resolve_workers(workers)
-    seeding.seed_sequence(seed)  # checked even where every point is exact
+    seeding.check_key(seed)  # checked even where every point is exact
     groups = {}  # measure -> the (index, world) pairs on it, in grid order
     for wi, w in enumerate(worlds):
         groups.setdefault(w.measure, []).append((wi, w))
@@ -721,6 +735,8 @@ def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list
     if block is None:
         outs = [method.decide(prefix[:s]) for s in range(len(prefix) + 1)]
     else:
+        import numpy as np
+
         column = {tok: j for j, tok in enumerate(dict.fromkeys(prefix))}
         steps = np.zeros((len(prefix) + 1, len(column)), dtype=np.int64)
         steps[np.arange(1, len(prefix) + 1), [column[tok] for tok in prefix]] = 1
@@ -788,7 +804,7 @@ def check_mode(
     """
     budget = budget or Budget()
     workers = resolve_workers(workers)
-    seeding.seed_sequence(seed)  # checked in every mode, though mode I draws nothing
+    seeding.check_key(seed)  # checked in every mode, though mode I draws nothing
     worlds = params.worlds_of(problem)
     horizon = params.horizon
     world_verdicts = []
@@ -873,8 +889,8 @@ def _set_plan(problem, method, world, strategy: str) -> str:
     return GEOMETRIC_MC if geometric else MC
 
 
-def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str) -> np.ndarray:
-    """The histogram over a world's sampled branches of the stage at which the method locks onto the truth:
+def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str):
+    """The int-array histogram over a world's sampled branches of the stage at which the method locks onto the truth:
     cell j < horizon + 1 counts the branches locked at stage j, the last cell those unlocked by the horizon.
 
     On the planned path GEOMETRIC_MC, one multinomial draw over the cells of the geometric first-zero law;
@@ -882,6 +898,8 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str
     from (seed, world id, horizon) only, so all stages n share it and the estimated lock probability is
     nondecreasing in n.
     """
+    import numpy as np
+
     m = world.measure
     rng = seeding.generator(seed, "success-set", world.id, horizon)
     if path == GEOMETRIC_MC:
@@ -1007,6 +1025,8 @@ def _enumerate_outputs(method, depth: int):
     yield method.decide(())  # first: a method whose outputs are not reals is refused before any block call
     block = _count_block(method)
     if block is not None:  # every binary input's counts: the (n - k, k) rows on tokens (0, 1)
+        import numpy as np
+
         outputs, index = block((0, 1), np.array([(n - k, k) for n in range(depth + 1) for k in range(n + 1)]))
         yield from (outputs[i] for i in index.tolist())
     elif depth > 20:

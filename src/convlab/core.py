@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
 from . import seeding
 
 Token = Hashable
@@ -251,6 +249,8 @@ class Measure:
         """
         if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
             raise PreconditionError("IID sampling requires an IID catalog measure")
+        import numpy as np
+
         tokens = np.fromiter((tok for tok, _ in self.token_probs), dtype=object)
         cdf = np.array([float(p) for _, p in self.token_probs]).cumsum()
         cdf /= cdf[-1]
@@ -264,8 +264,8 @@ class Measure:
             return self.point.prefix(n)
         return next(self.sample_prefixes(rng, 1, n))
 
-    def sample_count_block(self, rng, trials: int, n: int) -> np.ndarray:
-        """(trials, tokens) multinomial token counts of ``trials`` IID length-n samples.
+    def sample_count_block(self, rng, trials: int, n: int):
+        """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples.
 
         Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
         undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.
@@ -273,6 +273,8 @@ class Measure:
         """
         if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
             raise PreconditionError("IID sampling requires an IID catalog measure")
+        import numpy as np
+
         counts = np.zeros((trials, len(self.token_probs)), dtype=np.int64)
         rest, mass = n, Fraction(1)
         for j in range(len(self.token_probs) - 1, 0, -1):
@@ -284,14 +286,22 @@ class Measure:
         return counts
 
     def sample_branch(self, master_seed: int, *key, branch_id: str) -> Branch:
-        """Freeze one realized branch of this measure, derived from the seed key."""
+        """Freeze one realized branch of this measure, derived from the seed key.
+
+        The key is checked here (seeding.check_key); the generator is built at the
+        first token read, so a branch never read never loads numpy.
+        """
         if self.kind == KIND_POINT_MASS:
             return self.point
-        rng = seeding.generator(master_seed, *key)
+        seeding.check_key(master_seed, *key)
+        rng = None
 
         def draw_block(start, count):
-            # rng is consumed strictly left to right, so blocks are
-            # deterministic functions of (seed key, start).
+            # Called under the branch's lock, and rng is consumed strictly left to
+            # right, so blocks are deterministic functions of (seed key, start).
+            nonlocal rng
+            if rng is None:
+                rng = seeding.generator(master_seed, *key)
             return list(next(self.sample_prefixes(rng, 1, count)))
 
         return _cached_sampled_branch(branch_id, draw_block)
@@ -445,7 +455,7 @@ class InferenceMethod:
     decide_counts: Optional[Callable[[int, int], MethodOutput]] = None
     locks_at_first_zero: bool = False
     laws: Optional[CountLaws] = None
-    decide_count_block: Optional[Callable[[Sequence, np.ndarray], tuple[Sequence, np.ndarray]]] = None
+    decide_count_block: Optional[Callable] = None  # (tokens, counts array) -> (outputs, index array)
 
     def __post_init__(self):
         if self.decide is not None:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .core import (
     FAIR,
     NO,
@@ -166,8 +164,10 @@ def erm(seq, cfg: ErmConfig) -> MethodOutput:
     return best
 
 
-def _erm_winners(order, tokens, counts) -> np.ndarray:
-    """Per count row, the index of the first classifier in order with the fewest mistakes."""
+def _erm_winners(order, tokens, counts):
+    """Per count row, as an int array, the index of the first classifier in order with the fewest mistakes."""
+    import numpy as np
+
     bad = [j for j, (_, y) in enumerate(tokens) if y not in (0, 1)]
     if bad and counts[:, bad].any():  # erm raises on any sequence holding such a token
         raise InputDomainError(f"example label must be 0/1, got {tokens[bad[0]][1]!r}")

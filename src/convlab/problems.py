@@ -10,7 +10,7 @@ surrogate for "every admissible world".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -131,18 +131,23 @@ def _coin_worlds(theta_grid: Optional[Sequence], seed: int, truth_of) -> tuple[W
     rejects one outside [0, 1]): one frozen sampled branch, the alternating
     1010... branch whenever both tokens have positive probability, and the
     all-1 branch at theta = 1/2 (logically possible even under a fair coin).
+    At theta = 0 or 1 the one-token support fixes the stream, so the frozen
+    branch is the shared constant one (all-zeros or all-ones): a world at
+    theta = 1 and the fair all-ones world then share one branch.
     """
     alternating = alternating_branch()
-    all_ones = constant_branch(1, "all-ones")
+    constant = {Fraction(0): constant_branch(0, "all-zeros"), Fraction(1): constant_branch(1, "all-ones")}
     worlds = []
     for th in map(as_fraction, DEFAULT_THETA_GRID if theta_grid is None else theta_grid):
         measure = Measure.iid_bernoulli(th)
-        sampled = _sampled_world(f"theta={_num_str(th)}", truth_of(th), measure, seed)
-        worlds.append(sampled)
+        frozen = _sampled_world(f"theta={_num_str(th)}", truth_of(th), measure, seed)
+        if th in constant:
+            frozen = replace(frozen, branch=constant[th])
+        worlds.append(frozen)
         if 0 < th < 1:
-            worlds.append(World(f"{sampled.id}/alternating", alternating, sampled.truth, measure))
+            worlds.append(World(f"{frozen.id}/alternating", alternating, frozen.truth, measure))
         if th == Fraction(1, 2):
-            worlds.append(World(f"{sampled.id}/all-ones", all_ones, sampled.truth, measure))
+            worlds.append(World(f"{frozen.id}/all-ones", constant[Fraction(1)], frozen.truth, measure))
     return tuple(worlds)
 
 

@@ -5,7 +5,8 @@ from (master seed, *key parts) rather than from shared global state, so a
 stream never depends on how many workers run or in which order.  Success
 probabilities draw from (seed, "mc", the measure's token probabilities, stage),
 one stream per law and stage that every world on that measure shares;
-success sets from (seed, "success-set", world id, horizon).
+success sets from (seed, "success-set", world id, horizon).  numpy loads at
+the first generator call; check_key needs none.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import numbers
 import zlib
 from fractions import Fraction
-
-import numpy as np
 
 
 def _as_key_word(part) -> int:
@@ -28,16 +27,22 @@ def _as_key_word(part) -> int:
     raise TypeError(f"unsupported seed key component: {part!r}")
 
 
-def seed_sequence(master_seed: int, *parts) -> np.random.SeedSequence:
-    """The seed sequence for (master_seed, *parts); the master seed is any integer (numpy's too) but a bool."""
+def check_key(master_seed: int, *parts) -> tuple[int, tuple[int, ...]]:
+    """The entropy word and spawn key of (master_seed, *parts), in pure Python.
+
+    The master seed is any integer (numpy's too) but a bool, else InputDomainError;
+    an unsupported part raises TypeError (_as_key_word).
+    """
     if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
         from .core import InputDomainError  # core imports this module
 
         raise InputDomainError(f"seed must be an integer, got {master_seed!r}")
-    key = tuple(_as_key_word(p) for p in parts)
-    return np.random.SeedSequence(int(master_seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
+    return int(master_seed) & 0xFFFFFFFFFFFFFFFF, tuple(_as_key_word(p) for p in parts)
 
 
-def generator(master_seed: int, *parts) -> np.random.Generator:
-    """A Philox generator for the stream identified by (master_seed, *parts)."""
-    return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *parts)))
+def generator(master_seed: int, *parts):
+    """A Philox generator for the stream identified by (master_seed, *parts), checked as check_key checks them."""
+    import numpy as np
+
+    entropy, key = check_key(master_seed, *parts)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy, spawn_key=key)))

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -89,6 +92,12 @@ class TestWitnessEmission:
         w = doc["witness"]
         assert sorted(w["truths"]) == ["Fair", "Unfair"]
         assert w["prefix_equal_through"] == 64
+
+    def test_underdetermination_document_names_the_shared_constant_branch(self):
+        w = cli.emit_witness(cl.fair_coin([0.5, 1]), horizon=64)["witness"]
+        assert w["world_ids"] == ["theta=0.5/all-ones", "theta=1"]
+        assert w["shared_branch"] == "all-ones"
+        assert w["prefix_sample"] == [1] * 16
 
     def test_coin_bias_verifies_and_its_witness_leads_with_the_fair_world(self, capsys):
         assert cli.main(["verify", "--problem", "coin-bias"]) == 0
@@ -826,3 +835,94 @@ class TestWorkerCap:
         for w in (0, -3):
             with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
                 cl.resolve_workers(w)
+
+
+# Runs in a fresh interpreter, since pytest has numpy loaded: a meta-path finder notes the thread that
+# first looks numpy up, then cli.main runs the argv; the last stdout line reports what loaded.
+_FRESH_PROCESS = """
+import json, sys, threading
+
+first = []
+
+class FirstNumpyLookup:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not first:
+            first.append(threading.current_thread().name)
+
+sys.meta_path.insert(0, FirstNumpyLookup())
+from convlab import cli
+
+rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps({"rc": rc, "numpy": "numpy" in sys.modules, "first": first[0] if first else None}))
+"""
+
+ERM_MC_CONFIG = dict(
+    ERM_CONFIG,
+    name="erm-mc-blocks",
+    problem={
+        "name": "binary-classification",
+        "params": {
+            "features": ["a", "b"],
+            "classifiers": ERM_CONFIG["problem"]["params"]["classifiers"],
+            "distributions": [
+                [["a", 1, 0.1], ["a", 0, 0.4], ["b", 0, 0.4], ["b", 1, 0.1]],
+                [["a", 1, 0.4], ["a", 0, 0.1], ["b", 0, 0.1], ["b", 1, 0.4]],
+            ],
+        },
+    },
+    # 4 tokens at n >= 20 make C(n + 3, 3) >= 1771 count vectors, past 500 trials: every stage is mc-block.
+    mode={"mode": "III", "delta": 0.1, "epsilon": 0.05, "horizon": 60, "stages": [20, 40, 60]},
+    budget={"strategy": "mc", "trials": 500},
+    seed=3,
+)
+
+
+class TestNumpyLoadsOnFirstUse:
+    @staticmethod
+    def _fresh(*argv) -> dict:
+        env = {k: v for k, v in os.environ.items() if k != "CONVLAB_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def _run(self, tmp_path, doc, **changes) -> dict:
+        tmp_path.mkdir(exist_ok=True)
+        path = write_config(tmp_path, dict(doc, **changes), name=f"{doc['name']}.json")
+        return self._fresh("run", "--config", path, "--out", tmp_path)
+
+    def test_importing_convlab_loads_no_numpy(self):
+        assert self._fresh() == {"rc": 0, "numpy": False, "first": None}
+
+    @pytest.mark.parametrize("name", ["coin-bias-mode3", "fair-coin-mode2"])
+    def test_an_exact_coin_run_loads_no_numpy(self, tmp_path, name):
+        doc = dict(EXACT_PIN_CONFIGS[name], name=name, budget={"strategy": "auto"}, seed=1, workers=1)
+        assert self._run(tmp_path, doc) == {"rc": 0, "numpy": False, "first": None}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--eps", "0.1,0.05", "--n-max", "50"],
+            ["verify", "--problem", "easy-raven"],
+            ["witness", "--problem", "easy-raven"],
+        ],
+    )
+    def test_bound_and_deterministic_branch_checks_load_no_numpy(self, tmp_path, argv):
+        out = ["--out", tmp_path / "bounds.csv"] if argv[0] == "bound" else []
+        assert self._fresh(*argv, *out) == {"rc": 0, "numpy": False, "first": None}
+
+    def test_sampled_and_erm_runs_still_load_numpy(self, tmp_path):
+        fc_mc = dict(EXACT_PIN_CONFIGS["fair-coin-mode2"], name="fc-mc", budget={"strategy": "mc", "trials": 200})
+        assert self._run(tmp_path, fc_mc) == {"rc": 0, "numpy": True, "first": "MainThread"}
+        erm = dict(EXACT_PIN_CONFIGS["erm-exact"], name="erm-exact", budget={"strategy": "auto"}, seed=1)
+        assert self._run(tmp_path, erm) == {"rc": 0, "numpy": True, "first": "MainThread"}
+
+    def test_a_first_import_in_pool_threads_gives_the_single_worker_bytes(self, tmp_path):
+        two = self._run(tmp_path / "two", ERM_MC_CONFIG, workers=2)
+        assert two["rc"] == 0 and two["numpy"] and two["first"].startswith("ThreadPoolExecutor")
+        one = self._run(tmp_path / "one", ERM_MC_CONFIG, workers=1)
+        assert one == {"rc": 0, "numpy": True, "first": "MainThread"}
+        curve = "erm-mc-blocks-curve.csv"
+        assert (tmp_path / "two" / curve).read_bytes() == (tmp_path / "one" / curve).read_bytes()

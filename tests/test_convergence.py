@@ -1926,6 +1926,26 @@ class TestUnderdeterminationWitness:
         assert cl.underdetermination_witness(problem, 0) == worlds  # empty prefixes agree
         assert cl.underdetermination_witness(problem, 1) is None
 
+    def test_a_degenerate_bias_shares_the_constant_branch_and_pairs_with_the_fair_world(self):
+        # theta = 1 can only stream all 1s, so it sits on the all-ones branch the fair world also has.
+        fc = cl.fair_coin([0, 0.5, 1])
+        assert (fc.world("theta=0").branch.id, fc.world("theta=1").branch.id) == ("all-zeros", "all-ones")
+        w1, w2 = cl.underdetermination_witness(fc)
+        assert (w1.id, w2.id) == ("theta=0.5/all-ones", "theta=1")
+        assert (w1.truth, w2.truth) == (cl.FAIR, cl.UNFAIR)
+        assert w1.branch is w2.branch
+
+    @pytest.mark.parametrize("horizon", [0, 1, 19])
+    def test_worlds_that_only_share_a_finite_prefix_are_no_witness(self, horizon):
+        # first-zero-at-20 (No) and all-ones (Yes) agree through 1^19 yet are different streams.
+        assert cl.underdetermination_witness(cl.easy_raven(), horizon) is None
+
+    def test_a_bias_near_one_keeps_its_own_sampled_branch(self):
+        fc = cl.fair_coin([0.5, 0.99])
+        assert fc.world("theta=0.99").branch.id == "sampled/theta=0.99"
+        w1, w2 = cl.underdetermination_witness(fc)
+        assert w1.branch.id == w2.branch.id == "alternating"
+
     def test_the_pair_leads_with_the_fair_measure_world(self):
         alt = cl.alternating_branch()
         worlds = tuple(cl.World(f"w{th}", alt, th, cl.Measure.iid_bernoulli(th)) for th in (Fraction(3, 10), Fraction(1, 2)))

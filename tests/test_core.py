@@ -1,7 +1,9 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
@@ -221,6 +223,26 @@ def test_sampled_branch_is_frozen_and_index_stable():
     b3 = m.sample_branch(99, "x", branch_id="s3")
     late = b3.token_at(40)
     assert b3.prefix(40)[-1] == late
+
+
+def test_sampled_branch_checks_its_key_when_built_and_draws_when_first_read():
+    m = Measure.iid_bernoulli(Fraction(1, 2))
+    with pytest.raises(cl.InputDomainError, match="seed must be an integer"):
+        m.sample_branch(True, "x", branch_id="s")
+    with pytest.raises(TypeError, match="unsupported seed key component"):
+        m.sample_branch(99, ("x",), branch_id="s")
+    # Threads racing to the first read build one generator under the branch's lock.
+    want = m.sample_branch(99, "x", branch_id="s").prefix(300)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            raced = m.sample_branch(99, "x", branch_id="s")
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                reads = list(ex.map(raced.prefix, [300, 200, 100, 300], timeout=60))
+            assert reads == [want, want[:200], want[:100], want]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestIidSampler:
