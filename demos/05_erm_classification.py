@@ -1,9 +1,11 @@
 """Walkthrough: binary classification, predictive risk, and ERM consistency.
 
-A classification task is a finite feature space plus a pool of candidate
-classifiers; example streams are drawn IID from an unknown distribution
-over (feature, label) pairs.  The loss of a classifier is its excess risk:
-its misclassification probability above the best achievable in the pool.
+A classification problem is built in one call from a finite feature space,
+a pool of candidate classifiers and a grid of distributions over
+(feature, label) pairs: the pairs are its alphabet, the pool its hypothesis
+space, and each world draws its example stream IID from one distribution.
+The loss of a classifier is its excess risk: its misclassification
+probability above the best achievable in the pool.
 Empirical risk minimization picks the pool member with the fewest mistakes
 on the data seen so far.  Its success probabilities on small samples are
 exact rationals (a multinomial sum over example counts); its mode-III
@@ -17,15 +19,16 @@ from fractions import Fraction
 import convlab as cl
 from convlab.core import Classifier
 
-# --- A two-feature task with three candidate classifiers -------------------
+# --- A two-feature problem with three candidate classifiers ----------------
 
 all0 = Classifier.from_mapping("all-0", {"a": 0, "b": 0})
 all1 = Classifier.from_mapping("all-1", {"a": 1, "b": 1})
 ident = Classifier.from_mapping("identity", {"a": 1, "b": 0})
 
-task = cl.classification_task(
+pool = (all0, all1, ident)
+problem = cl.binary_classification(
     features=["a", "b"],
-    classifiers=[all0, all1, ident],
+    classifiers=pool,
     distributions=[
         # noise-free: label 1 iff feature a
         {("a", 1): "0.5", ("b", 0): "0.5"},
@@ -35,21 +38,19 @@ task = cl.classification_task(
         {("a", 0): "0.4", ("b", 0): "0.4", ("a", 1): "0.1", ("b", 1): "0.1"},
     ],
 )
-problem = cl.binary_classification(task)
 
 print("== risks and excess risks per world")
 for w in problem.worlds:
     table = w.measure.token_probs
-    risks = {h.name: cl.risk(h, table) for h in task.classifiers}
+    risks = {h.name: cl.risk(h, table) for h in pool}
     print(f"  {w.id}: best={w.truth.name:9s} risks="
           + "  ".join(f"{k}={float(v):.2f}" for k, v in risks.items()))
 
 # --- ERM on small samples ---------------------------------------------------
 
-cfg = cl.ErmConfig((all0, all1, ident))
 print("\n== empirical risk minimization on hand-picked samples")
 for data in ([("a", 1), ("b", 0)], [("a", 1), ("a", 1), ("b", 1)], []):
-    winner = cl.erm(data, cfg)
+    winner = cl.erm(data, pool)
     print(f"  {data!r:40s} -> {winner.name}")
 # Ties go to the earliest classifier in the declared order, which keeps the
 # method a deterministic function of the data.
@@ -60,7 +61,7 @@ for data in ([("a", 1), ("b", 0)], [("a", 1), ("a", 1), ("b", 1)], []):
 # example was seen, so the engine sums the multinomial law of those counts:
 # C(n+3, 3) count vectors at sample size n instead of 4**n sequences.
 print("\n== exact P(excess risk < 0.05) for ERM in world D1 (strategy auto)")
-exact = cl.success_curve(problem, cl.erm_method(cfg), [problem.world("D1")], cl.within(0.05), 8)
+exact = cl.success_curve(problem, cl.erm_method(pool), [problem.world("D1")], cl.within(0.05), 8)
 for pt in exact.points:
     print(f"  n={pt.n}: {str(pt.estimate):>28s} = {float(pt.estimate):.6f}  exact={pt.exact}")
 
@@ -72,7 +73,7 @@ params = cl.mode_params(
 )
 verdict = cl.check_mode(
     problem,
-    cl.erm_method(cfg),
+    cl.erm_method(pool),
     params,
     budget=cl.Budget(strategy="mc", trials=10_000),
     seed=20260809,

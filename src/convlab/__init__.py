@@ -43,7 +43,6 @@ from .core import (
     validate_problem,
 )
 from .methods import (
-    ErmConfig,
     empirical_risk,
     erm,
     erm_method,
@@ -54,9 +53,7 @@ from .methods import (
 )
 from .problems import (
     DEFAULT_THETA_GRID,
-    ClassificationTask,
     binary_classification,
-    classification_task,
     coin_bias,
     easy_raven,
     excess_risk_loss,

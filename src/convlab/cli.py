@@ -51,10 +51,9 @@ from .core import (
     _integer,
     validate_problem,
 )
-from .methods import ErmConfig, erm_method, fair_coin_test, frequency_estimator, raven_rule
+from .methods import erm_method, fair_coin_test, frequency_estimator, raven_rule
 from .problems import (
     binary_classification,
-    classification_task,
     coin_bias,
     easy_raven,
     fair_coin,
@@ -91,16 +90,26 @@ def _world_seed(params: dict) -> int:
     return _typed(params.pop("world_seed", 0), "world_seed")
 
 
+def _distribution(rows) -> dict:
+    """A [feature, label, probability] row list as a mapping; a pair listed twice is a config error."""
+    table = {}
+    for x, y, p in rows:
+        if (x, y) in table:
+            raise ConfigurationError(f"distributions: pair {[x, y]!r} listed twice")
+        table[x, y] = p
+    return table
+
+
 def _classification(params: dict) -> EmpiricalProblem:
-    task = classification_task(
+    return binary_classification(
         features=params.pop("features"),
         classifiers=[
             Classifier.from_mapping(c["name"], _typed(c["labels"], "classifiers.labels", dict))
             for c in params.pop("classifiers")
         ],
-        distributions=[{(x, y): p for x, y, p in table} for table in params.pop("distributions")],
+        distributions=[_distribution(rows) for rows in params.pop("distributions")],
+        seed=_world_seed(params),
     )
-    return binary_classification(task, seed=_world_seed(params))
 
 
 # Each builder pops the params it reads; build_problem rejects the rest.
@@ -155,7 +164,7 @@ def build_method(name: str, params: dict, problem: EmpiricalProblem) -> Inferenc
                 pool = tuple(by_name[_typed(n, key, str)] for n in _typed(order_names, key, list))
             except KeyError as e:
                 raise ConfigurationError(f"{key}: unknown classifier {e.args[0]!r}") from None
-        method = erm_method(ErmConfig(pool))
+        method = erm_method(pool)
     else:
         raise ConfigurationError(f"method.name: unknown method {name!r}")
     _reject_unknown_keys("method.params", params)

@@ -242,10 +242,11 @@ class Measure:
         return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
 
     def sample_prefixes(self, rng, trials: int, n: int):
-        """Yield ``trials`` sampled length-n prefixes: the draws of as many sample_prefix calls.
+        """Yield ``trials`` sampled length-n prefixes: the rows of ``rng.choice(len(tokens), (trials, n), p=probs)``.
 
         choice maps each u of ``rng.random((trials, n))`` to ``cdf.searchsorted(u, side="right")``;
-        drawing those uniforms a few whole rows at a time advances rng alike.
+        drawing those uniforms a few whole rows at a time advances rng alike, so
+        ``trials`` prefixes drawn at once equal as many drawn one at a time.
         """
         if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
             raise PreconditionError("IID sampling requires an IID catalog measure")
@@ -258,11 +259,6 @@ class Measure:
         for t in range(0, trials, rows):
             u = rng.random((min(rows, trials - t), n))
             yield from map(tuple, tokens[cdf.searchsorted(u, side="right")])
-
-    def sample_prefix(self, rng, n: int) -> tuple[Token, ...]:
-        if self.kind == KIND_POINT_MASS:
-            return self.point.prefix(n)
-        return next(self.sample_prefixes(rng, 1, n))
 
     def sample_count_block(self, rng, trials: int, n: int):
         """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples.
@@ -318,8 +314,8 @@ class Classifier:
     def from_mapping(name: str, mapping: Mapping[Hashable, int]) -> "Classifier":
         items = tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
         for _, y in items:
-            if y not in (0, 1):
-                raise InputDomainError(f"classifier labels must be 0/1, got {y!r}")
+            if not (_is_integer(y) and y in (0, 1)):  # True and 1.0 equal 1 but are no label
+                raise InputDomainError(f"classifier labels must be the integers 0/1, got {y!r}")
         return Classifier(name, items)
 
     def __call__(self, x) -> int:

@@ -9,7 +9,6 @@ written only as ``decide_counts(n, count of 1s)``; their ``decide`` is derived.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -133,31 +132,20 @@ frequency_estimator = InferenceMethod(
 )
 
 
-@dataclass(frozen=True)
-class ErmConfig:
-    """Fixed enumeration of the classifier pool; earlier entries win ties."""
-
-    hypothesis_order: tuple[Classifier, ...]
-
-    def __post_init__(self):
-        if len(set(self.hypothesis_order)) != len(self.hypothesis_order):
-            raise InputDomainError("hypothesis order must list each classifier once")
-
-
 def empirical_risk(h: Classifier, seq) -> int:
     """Number of training examples the classifier mislabels."""
     return sum(1 for x, y in seq if h(x) != y)
 
 
-def erm(seq, cfg: ErmConfig) -> MethodOutput:
-    """The first classifier in the declared order with minimal training error."""
+def erm(seq, order) -> MethodOutput:
+    """The first classifier in order with minimal training error: earlier entries win ties."""
     examples = tuple(seq)
     for x, y in examples:
         if y not in (0, 1):
             raise InputDomainError(f"example label must be 0/1, got {y!r}")
     best = None
     best_risk = math.inf
-    for h in cfg.hypothesis_order:
+    for h in order:
         r = empirical_risk(h, examples)
         if r < best_risk:
             best, best_risk = h, r
@@ -175,11 +163,13 @@ def _erm_winners(order, tokens, counts):
     return (counts @ err).argmin(axis=1)  # argmin keeps the first minimum: the declared order
 
 
-def erm_method(cfg: ErmConfig) -> InferenceMethod:
-    """ERM as an inference method over the configured classifier pool."""
-    order = cfg.hypothesis_order
+def erm_method(order) -> InferenceMethod:
+    """ERM as an inference method over the classifier pool in order, which lists each classifier once."""
+    order = tuple(order)
+    if len(set(order)) != len(order):
+        raise InputDomainError("hypothesis order must list each classifier once")
     return InferenceMethod(
         "erm",
-        lambda seq: erm(seq, cfg),
+        lambda seq: erm(seq, order),
         decide_count_block=lambda tokens, counts: (order, _erm_winners(order, tokens, counts)),
     )

@@ -3,6 +3,9 @@
 Four families: enumerative induction over raven colors (plus its
 probabilistic fine-graining), the fair-coin test problem, coin-bias
 estimation, and finite binary classification under IID example streams.
+Each constructor returns the EmpiricalProblem quadruple itself, a
+classification problem too: its features, classifier pool and example laws
+become the alphabet, hypothesis space and world measures in one call.
 World families are finite grids standing in for the continuum the formal
 definitions quantify over; tests treat grid membership as the desk-scale
 surrogate for "every admissible world".
@@ -10,7 +13,7 @@ surrogate for "every admissible world".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -29,6 +32,7 @@ from .core import (
     Measure,
     World,
     _integer,
+    _is_integer,
     absolute_error_loss,
     alternating_branch,
     as_fraction,
@@ -180,50 +184,6 @@ def coin_bias(theta_grid: Optional[Sequence] = None, seed: int = 0) -> Empirical
 # Binary classification
 
 
-@dataclass(frozen=True)
-class ClassificationTask:
-    """A finite feature space, a classifier pool, and a grid of example laws.
-
-    Each distribution maps (feature, label) pairs to exact probabilities
-    summing to one.
-    """
-
-    features: tuple
-    classifiers: tuple[Classifier, ...]
-    distribution_grid: tuple[tuple[tuple, ...], ...]  # per D: ((x, y) -> prob) items
-
-    def __post_init__(self):
-        if not self.features or not self.classifiers:
-            raise ConfigurationError("classification needs nonempty features and classifiers")
-        for h in self.classifiers:
-            for x in self.features:
-                try:
-                    h(x)
-                except InputDomainError:
-                    raise ConfigurationError(
-                        f"classifier {h.name!r} is not total on the feature space"
-                    ) from None
-        for table in self.distribution_grid:
-            total = Fraction(0)
-            for (x, y), p in table:
-                if x not in self.features or y not in (0, 1):
-                    raise ConfigurationError(f"pair {(x, y)!r} outside the example space")
-                if p < 0:
-                    raise ConfigurationError("probabilities must be nonnegative")
-                total += p
-            if total != 1:
-                raise ConfigurationError(f"distribution sums to {total}, not 1")
-
-
-def classification_task(features, classifiers, distributions) -> ClassificationTask:
-    """Normalize plain mappings into an exact-probability task description."""
-    grid = tuple(
-        tuple(((x, y), as_fraction(p)) for (x, y), p in table.items())
-        for table in distributions
-    )
-    return ClassificationTask(tuple(features), tuple(classifiers), grid)
-
-
 def risk(h: Classifier, distribution) -> Fraction:
     """Misclassification probability of h under the example distribution."""
     items = distribution.items() if isinstance(distribution, Mapping) else distribution
@@ -244,26 +204,44 @@ def excess_risk_loss(classifiers: tuple[Classifier, ...]) -> LossFunction:
     return LossFunction("excess-risk", ev)
 
 
-def binary_classification(task: ClassificationTask, seed: int = 0) -> EmpiricalProblem:
+def binary_classification(features, classifiers, distributions, seed: int = 0) -> EmpiricalProblem:
     """Which classifier in the pool is best for prediction?
 
-    One world per grid distribution, with a frozen IID example stream.  When
-    several classifiers tie at minimum risk the earliest one in the pool
-    order is designated as the bookkeeping truth; the excess-risk loss the
-    convergence checks consume is unaffected by that designation (every
-    minimizer has loss zero, which the validation report then flags as a
-    uniqueness gap).
+    The features are distinct, and so are the classifiers' names; each
+    classifier labels every feature.  The alphabet is every (feature, label)
+    pair with label the integer 0 or 1.  Each distribution maps such pairs
+    to probabilities; Measure.iid_examples reads them exactly and checks
+    they are nonnegative and sum to 1.  One world per distribution, with a
+    frozen IID example stream.  When several classifiers tie at minimum
+    risk the earliest one in the pool order is designated as the
+    bookkeeping truth; the excess-risk loss the convergence checks consume
+    is unaffected by that designation (every minimizer has loss zero,
+    which the validation report then flags as a uniqueness gap).
     """
-    alphabet = tuple((x, y) for x in task.features for y in (0, 1))
+    features, classifiers = tuple(features), tuple(classifiers)
+    if not features or not classifiers:
+        raise ConfigurationError("classification needs nonempty features and classifiers")
+    if len(set(features)) < len(features) or len({h.name for h in classifiers}) < len(classifiers):
+        raise ConfigurationError("features and classifier names must each be distinct")
+    for h in classifiers:
+        for x in features:
+            try:
+                h(x)
+            except InputDomainError:
+                raise ConfigurationError(f"classifier {h.name!r} is not total on the feature space") from None
+    alphabet = tuple((x, y) for x in features for y in (0, 1))
     worlds = []
-    for i, table in enumerate(task.distribution_grid):
-        risks = [risk(h, table) for h in task.classifiers]
-        truth = task.classifiers[risks.index(min(risks))]
-        worlds.append(_sampled_world(f"D{i}", truth, Measure.iid_examples(dict(table)), seed))
+    for i, table in enumerate(distributions):
+        for x, y in table:
+            if not (_is_integer(y) and (x, y) in alphabet):  # a bool or float label equals 0 or 1 too
+                raise ConfigurationError(f"pair {(x, y)!r} outside the example space")
+        measure = Measure.iid_examples(table)
+        risks = [risk(h, measure.token_probs) for h in classifiers]
+        worlds.append(_sampled_world(f"D{i}", classifiers[risks.index(min(risks))], measure, seed))
     return EmpiricalProblem(
         name="binary-classification",
-        hypothesis_space=FiniteHypothesisSpace(task.classifiers),
+        hypothesis_space=FiniteHypothesisSpace(classifiers),
         alphabet=alphabet,
         worlds=tuple(worlds),
-        loss=excess_risk_loss(task.classifiers),
+        loss=excess_risk_loss(classifiers),
     )

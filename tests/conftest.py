@@ -1,6 +1,5 @@
 import pytest
 
-from convlab import ErmConfig, classification_task
 from convlab.core import Classifier
 
 
@@ -14,9 +13,10 @@ def toy_classifiers():
 
 @pytest.fixture(scope="session")
 def toy_task(toy_classifiers):
-    # Three example laws with distinct unique risk minimizers (gaps >= 0.1):
-    # a noise-free one, a noisy one favoring identity, and one favoring all-0.
-    return classification_task(
+    # binary_classification's keyword arguments: three example laws with
+    # distinct unique risk minimizers (gaps >= 0.1): a noise-free one, a noisy
+    # one favoring identity, and one favoring all-0.
+    return dict(
         features=["a", "b"],
         classifiers=toy_classifiers,
         distributions=[
@@ -25,8 +25,3 @@ def toy_task(toy_classifiers):
             {("a", 0): "0.4", ("b", 0): "0.4", ("a", 1): "0.1", ("b", 1): "0.1"},
         ],
     )
-
-
-@pytest.fixture(scope="session")
-def toy_erm_config(toy_classifiers):
-    return ErmConfig(toy_classifiers)

@@ -195,14 +195,14 @@ def test_c08_hierarchy_on_fine_grained_raven():
 ERM_STAGES = (1, 2, 5, 10, 20, 50, 100, 200, 350, 500)
 
 
-def _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1):
-    problem = cl.binary_classification(toy_task)
+def _erm_mode_three_verdict(toy_task, toy_classifiers, workers=1):
+    problem = cl.binary_classification(**toy_task)
     params = cl.mode_params(
         "III", 500, delta=0.1, epsilon=0.05, stages=ERM_STAGES
     )
     return cl.check_mode(
         problem,
-        cl.erm_method(toy_erm_config),
+        cl.erm_method(toy_classifiers),
         params,
         budget=Budget(strategy="mc", trials=10_000),
         seed=20260809,
@@ -210,20 +210,20 @@ def _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1):
     )
 
 
-def test_c09_erm_consistency_at_desk_scale(toy_task, toy_erm_config):
+def test_c09_erm_consistency_at_desk_scale(toy_task, toy_classifiers):
     t0 = time.perf_counter()
     # the three example laws have unique risk minimizers with gaps >= 0.1
-    problem = cl.binary_classification(toy_task)
+    problem = cl.binary_classification(**toy_task)
     for w in problem.worlds:
-        losses = sorted(problem.loss.eval(h, w) for h in toy_task.classifiers)
+        losses = sorted(problem.loss.eval(h, w) for h in toy_classifiers)
         assert losses[0] == 0 and losses[1] >= Fraction(1, 10)
-    verdict = _erm_mode_three_verdict(toy_task, toy_erm_config)
+    verdict = _erm_mode_three_verdict(toy_task, toy_classifiers)
     assert verdict.status == cl.SUPPORTED_AT_HORIZON
     stages = {wv.world_id: wv.threshold_stage for wv in verdict.worlds}
     _report(9, time.perf_counter() - t0, 120, f"supported with N per world {stages}")
 
 
-def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config, monkeypatch):
+def test_c10_determinism_across_worker_counts(toy_task, toy_classifiers, monkeypatch):
     t0 = time.perf_counter()
     submitted = []  # per work-item map: the items it was given
     map_items = convergence._map_items
@@ -256,12 +256,12 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config, monkeypa
             workers=workers,
         )
 
-    erm_problem = cl.binary_classification(toy_task)
+    erm_problem = cl.binary_classification(**toy_task)
 
     def erm_curve(workers):  # on the two four-token laws, n = 40 and 120 sample rows; n = 10 is a histogram
         return cl.success_curve(
             erm_problem,
-            cl.erm_method(toy_erm_config),
+            cl.erm_method(toy_classifiers),
             erm_problem.worlds,
             cl.within(0.05),
             120,
@@ -279,9 +279,9 @@ def test_c10_determinism_across_worker_counts(toy_task, toy_erm_config, monkeypa
             assert submitted == [[], []], label
         elif label == "erm":  # 8 workers share the four row-sampling draws
             assert [[n for _, n in keys] for keys in submitted] == [[40, 120, 40, 120]] * 2
-    v1 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=1)
+    v1 = _erm_mode_three_verdict(toy_task, toy_classifiers, workers=1)
     submitted.clear()
-    v8 = _erm_mode_three_verdict(toy_task, toy_erm_config, workers=8)
+    v8 = _erm_mode_three_verdict(toy_task, toy_classifiers, workers=8)
     assert len(submitted[0]) == 10  # n = 50 through 500 on the two four-token laws
     assert cli.curve_csv(v1.curve) == cli.curve_csv(v8.curve)
     assert v1 == v8

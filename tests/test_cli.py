@@ -417,6 +417,36 @@ class TestExitCodes:
         assert "classifiers.labels: expected an object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    ALL_0, ALL_1 = ERM_CONFIG["problem"]["params"]["classifiers"]
+
+    @pytest.mark.parametrize(
+        "key, value, err",
+        [
+            # Rows summing to 1.25, of which a mapping would keep only the last ("a", 0) row.
+            ("distributions", [[["a", 0, 0.25], ["a", 0, 0.5], ["b", 1, 0.5]]], "pair ['a', 0] listed twice"),
+            ("classifiers", [ALL_0, ALL_1, {"name": "all-0", "labels": {"a": 1, "b": 0}}], "must each be distinct"),
+            ("features", ["a", "b", "a"], "must each be distinct"),
+            ("distributions", [[["a", True, 0.5], ["b", 0, 0.5]]], "outside the example space"),
+            ("distributions", [[["a", 1.0, 0.5], ["b", 0, 0.5]]], "outside the example space"),
+            ("classifiers", [ALL_0, {"name": "all-1", "labels": {"a": True, "b": 1.0}}], "the integers 0/1"),
+        ],
+        ids=["repeated-row", "repeated-classifier", "repeated-feature", "true-label", "float-label", "classifier-labels"],
+    )
+    def test_ambiguous_classification_params_exit_2(self, tmp_path, capsys, key, value, err):
+        params = dict(ERM_CONFIG["problem"]["params"], **{key: value})
+        doc = dict(ERM_CONFIG, problem={"name": "binary-classification", "params": params})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert err in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_hypothesis_order_naming_a_classifier_twice_exits_2(self, tmp_path, capsys):
+        doc = dict(ERM_CONFIG, method={"name": "erm", "params": {"hypothesis_order": ["all-0", "all-0"]}})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "hypothesis order must list each classifier once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eps", ["1e999", 10**400], ids=["string", "integer"])
     def test_an_epsilon_past_the_largest_float_exits_2_before_any_work(self, tmp_path, capsys, eps, monkeypatch):
         def no_work(*args, **kwargs):

@@ -193,11 +193,11 @@ class TestExactSuccessProb:
         w1 = fg.world("p=1")
         assert cl.exact_success_prob(fg, cl.raven_rule, w1, 9, cl.EXACT) == 1
 
-    def test_budget_exhaustion_points_to_monte_carlo(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
+    def test_budget_exhaustion_points_to_monte_carlo(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
         with pytest.raises(cl.ResourceBudgetError, match="mc_success_prob"):
             cl.exact_success_prob(
-                prob, cl.erm_method(toy_erm_config), prob.world("D1"), 40, cl.within(0.05)
+                prob, cl.erm_method(toy_classifiers), prob.world("D1"), 40, cl.within(0.05)
             )
 
     def test_requires_a_measure(self):
@@ -311,10 +311,10 @@ class TestSuccessMemo:
 
     @pytest.mark.parametrize("path", ["multinomial-exact", "enum-exact", "mc-histogram", "mc-block"])
     def test_erm_paths_evaluate_each_pool_classifier_at_most_once(
-        self, loss_calls, path, toy_task, toy_erm_config
+        self, loss_calls, path, toy_task, toy_classifiers
     ):
-        prob = cl.binary_classification(toy_task)
-        erm = cl.erm_method(toy_erm_config)
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
         if path == "enum-exact":
             erm = replace(erm, decide_count_block=None)
         w = prob.world("D2")
@@ -325,7 +325,7 @@ class TestSuccessMemo:
         else:
             assert _plan(erm, w, 6, Budget()) == path
             cl.exact_success_prob(prob, erm, w, 6, cl.within(0.05))
-        assert 0 < len(loss_calls) <= len(toy_erm_config.hypothesis_order)
+        assert 0 < len(loss_calls) <= len(toy_classifiers)
 
     def test_fair_coin_binomial_scan_evaluates_each_verdict_at_most_once(self, loss_calls):
         fc = cl.fair_coin()
@@ -745,16 +745,16 @@ class TestMcSuccessProb:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 17])
     @pytest.mark.parametrize("which", ["erm", "majority"])
     def test_mc_block_flags_decide_on_the_drawn_counts_and_estimate_the_multinomial_sum(
-        self, which, n, crit, toy_task, toy_classifiers, toy_erm_config
+        self, which, n, crit, toy_task, toy_classifiers
     ):
         # On every toy world, each drawn row's flag is decide's on a sequence
         # with that row's counts, and the weighted estimate lies within 5
         # standard errors (of the exact law) of the multinomial sum.  Every
         # draw at 4000 trials is a histogram; at 300, n = 17 samples rows on
         # the four-token laws.
-        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
+        prob = cl.binary_classification(**_with_a_zero_entry(toy_task))
         if which == "erm":
-            method = cl.erm_method(toy_erm_config)
+            method = cl.erm_method(toy_classifiers)
         else:
             method = TestMultinomialExact._majority(toy_classifiers)
         paths = set()
@@ -795,7 +795,7 @@ class TestHistogramDraw:
         return draw["rows"], draw["weights"]
 
     def test_each_drawn_count_vector_once_with_weights_summing_to_trials(self, toy_task):
-        laws = [w.measure for w in cl.binary_classification(_with_a_zero_entry(toy_task)).worlds]
+        laws = [w.measure for w in cl.binary_classification(**_with_a_zero_entry(toy_task)).worlds]
         for m in laws + [cl.Measure.iid_bernoulli(Fraction(3, 10))]:
             zero = [j for j, (_, pr) in enumerate(m.token_probs) if pr == 0]
             for n in (1, 4, 9, 25):
@@ -821,9 +821,9 @@ class TestHistogramDraw:
                 est = cl.mc_success_prob(cb, method, w, n, cl.within(0.1), 5000, seed=13)
                 assert abs(est.value - exact) <= 5 * math.sqrt(exact * (1 - exact) / 5000), (w.id, n)
 
-    def test_four_token_estimates_agree_with_the_multinomial_sum(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
-        erm = cl.erm_method(toy_erm_config)
+    def test_four_token_estimates_agree_with_the_multinomial_sum(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
         for w in prob.worlds[1:]:  # the two four-token laws
             for n in (3, 8, 20):  # C(n + 3, 3) <= 4000 count vectors
                 self._draw(w.measure, n, 4000)
@@ -833,15 +833,15 @@ class TestHistogramDraw:
 
 
 def _with_a_zero_entry(task):
-    """The task plus a law whose table lists a (feature, label) pair at probability 0."""
-    law = ((("a", 1), Fraction(1, 2)), (("a", 0), Fraction(0)), (("b", 0), Fraction(1, 2)))
-    return replace(task, distribution_grid=task.distribution_grid + (law,))
+    """The toy problem's arguments plus a law whose table lists a (feature, label) pair at probability 0."""
+    law = {("a", 1): Fraction(1, 2), ("a", 0): Fraction(0), ("b", 0): Fraction(1, 2)}
+    return dict(task, distributions=[*task["distributions"], law])
 
 
 class TestEnumExact:
     def test_measure_support_holds_each_positive_token_over_one_denominator(self, toy_task):
         laws = [cl.Measure.iid_bernoulli(th) for th in (0, Fraction(3, 10), 1)]
-        laws.append(cl.binary_classification(_with_a_zero_entry(toy_task)).world("D3").measure)
+        laws.append(cl.binary_classification(**_with_a_zero_entry(toy_task)).world("D3").measure)
         laws.append(cl.Measure.iid_examples({"x": "1/3", "z": 0, "y": "1/4", "v": "1/4", "w": "1/6"}))  # q = 12, not 6
         got = [m.support for m in laws]
         assert got == [
@@ -855,15 +855,15 @@ class TestEnumExact:
             positive = [(tok, pr) for tok, pr in m.token_probs if pr != 0]
             assert list(zip(tokens, (Fraction(a, q) for a in nums))) == positive
 
-    def test_enumeration_sums_prefix_prob_over_the_success_set(self, toy_task, toy_erm_config):
+    def test_enumeration_sums_prefix_prob_over_the_success_set(self, toy_task, toy_classifiers):
         # The reference reads every token the law lists, zero-probability ones included (they weigh 0).
         cb = cl.coin_bias([0, Fraction(3, 10)])
         fg = cl.fine_grained_raven([Fraction(3, 5)])
-        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
+        prob = cl.binary_classification(**_with_a_zero_entry(toy_task))
         cases = [
             (cb, replace(cl.frequency_estimator, decide_counts=None), cb.worlds[:2], cl.within(Fraction(1, 5))),
             (fg, replace(cl.raven_rule, decide_counts=None), fg.worlds, cl.EXACT),
-            (prob, replace(cl.erm_method(toy_erm_config), decide_count_block=None), prob.worlds, cl.within(0.05)),
+            (prob, replace(cl.erm_method(toy_classifiers), decide_count_block=None), prob.worlds, cl.within(0.05)),
         ]
         for problem, method, worlds, crit in cases:
             for w in worlds:
@@ -882,11 +882,11 @@ class TestEnumExact:
 class TestMultinomialExact:
     MULTINOMIAL_CRITS = [cl.EXACT, cl.within(0.05), cl.within(0.3)]
 
-    def test_equals_enumeration_on_every_toy_world(self, toy_task, toy_erm_config):
+    def test_equals_enumeration_on_every_toy_world(self, toy_task, toy_classifiers):
         # D0's table leaves two of the four pairs out and D3 lists one at
         # probability 0: supports smaller than the alphabet.
-        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
-        erm = cl.erm_method(toy_erm_config)
+        prob = cl.binary_classification(**_with_a_zero_entry(toy_task))
+        erm = cl.erm_method(toy_classifiers)
         plodding = replace(erm, decide_count_block=None)
         for w in prob.worlds:
             for crit in self.MULTINOMIAL_CRITS:
@@ -897,9 +897,9 @@ class TestMultinomialExact:
                     assert isinstance(fast, Fraction)
                     assert fast == cl.exact_success_prob(prob, plodding, w, n, crit), (w.id, crit, n)
 
-    def test_the_block_sees_only_positive_probability_tokens(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(_with_a_zero_entry(toy_task))
-        erm = cl.erm_method(toy_erm_config)
+    def test_the_block_sees_only_positive_probability_tokens(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**_with_a_zero_entry(toy_task))
+        erm = cl.erm_method(toy_classifiers)
         seen = []
 
         def block(tokens, counts):
@@ -919,9 +919,9 @@ class TestMultinomialExact:
             assert len(rows) == math.comb(n + t - 1, t - 1) == len(set(map(tuple, rows)))
             assert all(len(r) == t and sum(r) == n and min(r) >= 0 for r in rows)
 
-    def test_curve_equals_the_enumerated_curve(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
-        erm = cl.erm_method(toy_erm_config)
+    def test_curve_equals_the_enumerated_curve(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
         plodding = replace(erm, decide_count_block=None)
         curves = [cl.success_curve(prob, m, prob.worlds, cl.within(0.05), 6) for m in (erm, plodding)]
         assert all(pt.exact and isinstance(pt.estimate, Fraction) for pt in curves[0].points)
@@ -944,7 +944,7 @@ class TestMultinomialExact:
         return cl.InferenceMethod("majority", decide, decide_count_block=block)
 
     def test_a_user_block_method_takes_the_path(self, toy_task, toy_classifiers):
-        prob = cl.binary_classification(toy_task)
+        prob = cl.binary_classification(**toy_task)
         method = self._majority(toy_classifiers)
         plodding = replace(method, decide_count_block=None)
         for w in prob.worlds:
@@ -957,7 +957,7 @@ class TestMultinomialExact:
     def test_a_block_that_disagrees_with_decide_fails_the_comparison(self, toy_task, toy_classifiers):
         # Negative control: the block breaks ties toward all-0, decide toward
         # all-1; in D2 (best: all-0) a tied sample has positive probability.
-        prob = cl.binary_classification(toy_task)
+        prob = cl.binary_classification(**toy_task)
         honest = self._majority(toy_classifiers)
         liar = replace(honest, decide_count_block=self._majority(toy_classifiers, False).decide_count_block)
         w = prob.world("D2")
@@ -1034,12 +1034,12 @@ class TestSuccessCurve:
         )
         assert one == eight
 
-    def test_the_pool_gets_exactly_the_keys_planned_mc_block(self, monkeypatch, toy_task, toy_erm_config):
+    def test_the_pool_gets_exactly_the_keys_planned_mc_block(self, monkeypatch, toy_task, toy_classifiers):
         submitted = []
         map_items = convergence._map_items
         monkeypatch.setattr(convergence, "_map_items", lambda fn, keys, w: submitted.append(keys) or map_items(fn, keys, w))
-        prob = cl.binary_classification(toy_task)
-        erm = cl.erm_method(toy_erm_config)
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
         stages = (1, 3, 4, 5, 9)
         budget = Budget(strategy="auto", exact_enum_cap=8, trials=50)
         cl.success_curve(prob, erm, prob.worlds, cl.within(0.05), 9, budget=budget, stages=stages, workers=2)
@@ -1047,12 +1047,12 @@ class TestSuccessCurve:
         planned = [(wi, n) for wi, w in enumerate(prob.worlds) for n in stages if _plan(erm, w, n, budget) == "mc-block"]
         assert keys == planned and {n for _, n in planned} == {5, 9}
 
-    def test_exact_strategy_refuses_to_fall_back(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
+    def test_exact_strategy_refuses_to_fall_back(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
         with pytest.raises(cl.ResourceBudgetError):
             cl.success_curve(
                 prob,
-                cl.erm_method(toy_erm_config),
+                cl.erm_method(toy_classifiers),
                 [prob.world("D0")],
                 cl.within(0.05),
                 40,
@@ -1121,14 +1121,14 @@ class TestSuccessCurve:
         curve = self._library_call_curve(flagless, (40,), 30, "mc-block")
         assert any(0 < pt.estimate < 1 for pt in curve.points)
 
-    def test_a_many_stage_curve_drops_each_draw_once_judged(self, toy_task, toy_erm_config):
+    def test_a_many_stage_curve_drops_each_draw_once_judged(self, toy_task, toy_classifiers):
         # Stages 1..150 on the toy ERM's two four-token laws: about 140 of them sample 2000 rows each
         # (64 KB, plus the decided index).  Held until the curve returns they would take over 10 MB.
-        prob = cl.binary_classification(toy_task)
+        prob = cl.binary_classification(**toy_task)
         budget = Budget(strategy="mc", trials=2000)
         tracemalloc.start()
         try:
-            cl.success_curve(prob, cl.erm_method(toy_erm_config), prob.worlds, cl.within(0.05), 150,
+            cl.success_curve(prob, cl.erm_method(toy_classifiers), prob.worlds, cl.within(0.05), 150,
                              budget=budget, seed=3, workers=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1265,7 +1265,7 @@ def _frequency_block(tokens, counts):
     return [cl.frequency_estimator.decide_counts(n, k) for k in range(n + 1)], counts[:, list(tokens).index(1)]
 
 
-def _plan_case(case, toy_task, toy_erm_config):
+def _plan_case(case, toy_task, toy_classifiers):
     if case.startswith("bernoulli"):
         cb = cl.coin_bias([0.3])
         method = cl.frequency_estimator
@@ -1275,8 +1275,8 @@ def _plan_case(case, toy_task, toy_erm_config):
             method = replace(method, decide_counts=None, decide_count_block=_frequency_block)
         return cb, method, cb.world("theta=0.3"), cl.within(0.25)
     if case.startswith("examples"):
-        prob = cl.binary_classification(toy_task)
-        method = cl.erm_method(toy_erm_config)
+        prob = cl.binary_classification(**toy_task)
+        method = cl.erm_method(toy_classifiers)
         if case.endswith("flagless"):
             method = replace(method, decide_count_block=None)
         return prob, method, prob.world("D1"), cl.within(0.05)
@@ -1288,8 +1288,8 @@ class TestPlan:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("strategy", ["auto", "exact", "mc"])
     @pytest.mark.parametrize("case", sorted(PLAN_TABLE))
-    def test_path_table(self, case, strategy, n, toy_task, toy_erm_config):
-        problem, method, world, crit = _plan_case(case, toy_task, toy_erm_config)
+    def test_path_table(self, case, strategy, n, toy_task, toy_classifiers):
+        problem, method, world, crit = _plan_case(case, toy_task, toy_classifiers)
         budget = Budget(strategy=strategy, symmetric_exact_cap=4, exact_enum_cap=2**6, trials=50)
         want = PLAN_TABLE[case]["mc" if strategy == "mc" else "auto"][n - 3]
 
@@ -1319,9 +1319,9 @@ class TestPlan:
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     @pytest.mark.parametrize("case, t", [("bernoulli/block", 2), ("examples/block", 4)])
     def test_the_histogram_ends_where_the_count_vectors_outnumber_the_trials(
-        self, case, t, n, toy_task, toy_erm_config
+        self, case, t, n, toy_task, toy_classifiers
     ):
-        _, method, world, _ = _plan_case(case, toy_task, toy_erm_config)
+        _, method, world, _ = _plan_case(case, toy_task, toy_classifiers)
         assert sum(pr > 0 for _, pr in world.measure.token_probs) == t
         vectors = math.comb(n + t - 1, t - 1)
         for strategy in ("auto", "mc"):  # "auto" past both exact caps
@@ -1384,9 +1384,9 @@ class TestCountBlock:
         assert convergence._count_block(cl.raven_rule) is not None
         assert convergence._count_block(replace(cl.raven_rule, decide_counts=None)) is None
 
-    def test_erm_scans_make_one_block_call_per_world_and_no_decide_call(self, toy_task, toy_erm_config):
-        prob = cl.binary_classification(toy_task)
-        erm = cl.erm_method(toy_erm_config)
+    def test_erm_scans_make_one_block_call_per_world_and_no_decide_call(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
         calls = []
 
         def block(tokens, counts):
@@ -1988,8 +1988,8 @@ class TestCardinalityWitness:
         assert cl.cardinality_witness(cl.frequency_estimator, np.int64(4)) == Fraction(1, 8)
         assert cl.cardinality_witness_report(cl.frequency_estimator, np.int64(4))["depth"] == 4
 
-    def test_a_block_method_with_non_real_outputs_is_refused_before_its_block_runs(self, toy_erm_config):
-        erm = cl.erm_method(toy_erm_config)
+    def test_a_block_method_with_non_real_outputs_is_refused_before_its_block_runs(self, toy_classifiers):
+        erm = cl.erm_method(toy_classifiers)
         calls = []
 
         def block(tokens, counts):

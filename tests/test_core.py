@@ -207,7 +207,7 @@ def test_sampler_frequencies_match_prefix_probabilities():
     m = Measure.iid_bernoulli(Fraction(3, 10))
     rng = seeding.generator(123, "freq-check")
     trials = 20_000
-    hits = sum(m.sample_prefix(rng, 1)[0] for _ in range(trials))
+    hits = sum(next(m.sample_prefixes(rng, 1, 1))[0] for _ in range(trials))
     p_hat = hits / trials
     se = math.sqrt(0.3 * 0.7 / trials)
     assert abs(p_hat - 0.3) < 4 * se
@@ -326,7 +326,7 @@ class TestIidSampler:
         trials, n = shape
         ours, single, theirs = (seeding.generator(5, law) for _ in range(3))
         prefixes = list(m.sample_prefixes(ours, trials, n))
-        assert prefixes == [m.sample_prefix(single, n) for _ in range(trials)]
+        assert prefixes == [next(m.sample_prefixes(single, 1, n)) for _ in range(trials)]
         tokens = [tok for tok, _ in m.token_probs]
         assert prefixes == [tuple(tokens[i] for i in row) for row in self._choice(m, theirs, shape)]
         assert ours.random() == single.random() == theirs.random()
@@ -353,9 +353,11 @@ class TestIidSampler:
 
     def test_point_mass_has_no_iid_stream(self):
         m = Measure.point_mass(cl.constant_branch(1))
-        assert m.sample_prefix(seeding.generator(0), 3) == (1, 1, 1)
+        assert m.point.prefix(3) == (1, 1, 1)
         with pytest.raises(cl.PreconditionError):
             m.sample_count_block(seeding.generator(0), 2, 3)
+        with pytest.raises(cl.PreconditionError):
+            next(m.sample_prefixes(seeding.generator(0), 2, 3))
 
 
 def test_decide_is_deterministic_and_validates_tokens():
@@ -376,8 +378,8 @@ def test_method_needs_decide_or_counts_and_derives_decide_from_counts():
     assert not plain.count_symmetric and plain.decide([1, 1]) == 2
 
 
-def test_success_block_is_a_read_only_name_for_the_count_block(toy_erm_config):
-    erm = cl.erm_method(toy_erm_config)
+def test_success_block_is_a_read_only_name_for_the_count_block(toy_classifiers):
+    erm = cl.erm_method(toy_classifiers)
     assert erm.success_block is erm.decide_count_block is not None
     with pytest.raises(TypeError):
         cl.InferenceMethod("x", lambda seq: 0, success_block=lambda *a: None)

@@ -128,31 +128,34 @@ def test_count_symmetry_exhaustive_up_to_length_12(method):
 
 
 class TestErm:
-    def test_spec_values(self, toy_classifiers, toy_erm_config):
+    def test_spec_values(self, toy_classifiers):
         all0, all1, ident = toy_classifiers
-        assert cl.erm([("a", 1), ("b", 0)], toy_erm_config) is ident
-        assert cl.erm([("a", 1), ("a", 1), ("b", 1)], toy_erm_config) is all1
-        assert cl.erm([], toy_erm_config) is all0
+        assert cl.erm([("a", 1), ("b", 0)], toy_classifiers) is ident
+        assert cl.erm([("a", 1), ("a", 1), ("b", 1)], toy_classifiers) is all1
+        assert cl.erm([], toy_classifiers) is all0
 
-    def test_rejects_unknown_features_and_labels(self, toy_erm_config):
+    def test_rejects_unknown_features_and_labels(self, toy_classifiers):
         with pytest.raises(cl.InputDomainError):
-            cl.erm([("c", 1)], toy_erm_config)
+            cl.erm([("c", 1)], toy_classifiers)
         with pytest.raises(cl.InputDomainError):
-            cl.erm([("a", 2)], toy_erm_config)
+            cl.erm([("a", 2)], toy_classifiers)
 
     @given(data=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1)), max_size=25))
-    def test_winner_minimizes_empirical_risk(self, toy_erm_config, data):
-        winner = cl.erm(data, toy_erm_config)
-        best = min(cl.empirical_risk(h, data) for h in toy_erm_config.hypothesis_order)
+    def test_winner_minimizes_empirical_risk(self, toy_classifiers, data):
+        winner = cl.erm(data, toy_classifiers)
+        best = min(cl.empirical_risk(h, data) for h in toy_classifiers)
         assert cl.empirical_risk(winner, data) == best
 
     def test_tie_break_follows_declared_order(self, toy_classifiers):
         all0, all1, ident = toy_classifiers
-        reordered = cl.ErmConfig((ident, all1, all0))
-        assert cl.erm([], reordered) is ident
+        assert cl.erm([], (ident, all1, all0)) is ident
 
-    def test_not_count_symmetric(self, toy_erm_config):
-        assert not cl.erm_method(toy_erm_config).count_symmetric
+    def test_method_order_lists_each_classifier_once(self, toy_classifiers):
+        with pytest.raises(cl.InputDomainError, match="each classifier once"):
+            cl.erm_method([*toy_classifiers, toy_classifiers[0]])
+
+    def test_not_count_symmetric(self, toy_classifiers):
+        assert not cl.erm_method(toy_classifiers).count_symmetric
 
     @given(
         data=st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 1)), max_size=25),
@@ -160,16 +163,16 @@ class TestErm:
     )
     def test_count_block_decides_as_erm(self, toy_classifiers, data, order):
         # One row per example multiset: the data's counts, and a row of zeros.
-        cfg = cl.ErmConfig(tuple(toy_classifiers[i] for i in order))
+        pool = tuple(toy_classifiers[i] for i in order)
         tokens = [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
         counts = np.array([[data.count(tok) for tok in tokens], [0] * 4])
-        outputs, index = cl.erm_method(cfg).decide_count_block(tokens, counts)
-        assert outputs[index[0]] is cl.erm(data, cfg) and outputs[index[1]] is cl.erm([], cfg)
+        outputs, index = cl.erm_method(pool).decide_count_block(tokens, counts)
+        assert outputs[index[0]] is cl.erm(data, pool) and outputs[index[1]] is cl.erm([], pool)
 
-    def test_count_block_rejects_a_drawn_label_outside_0_1(self, toy_erm_config):
-        block = cl.erm_method(toy_erm_config).decide_count_block
+    def test_count_block_rejects_a_drawn_label_outside_0_1(self, toy_classifiers):
+        block = cl.erm_method(toy_classifiers).decide_count_block
         tokens = [("a", 1), ("a", 2)]
         outputs, index = block(tokens, np.array([[3, 0]]))
-        assert outputs[index[0]] is cl.erm([("a", 1)] * 3, toy_erm_config)
+        assert outputs[index[0]] is cl.erm([("a", 1)] * 3, toy_classifiers)
         with pytest.raises(cl.InputDomainError):
             block(tokens, np.array([[2, 1]]))

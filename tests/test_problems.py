@@ -156,22 +156,22 @@ class TestClassification:
         parts = [{("a", 1): d[("a", 1)]}, {("b", 1): d[("b", 1)]}]
         assert cl.risk(all0, d) == sum(cl.risk(all0, part) for part in parts)
 
-    def test_risk_stays_in_the_unit_interval(self, toy_task):
-        for table in toy_task.distribution_grid:
-            for h in toy_task.classifiers:
+    def test_risk_stays_in_the_unit_interval(self, toy_task, toy_classifiers):
+        for table in toy_task["distributions"]:
+            for h in toy_classifiers:
                 assert 0 <= cl.risk(h, table) <= 1
 
-    def test_worlds_and_excess_risk(self, toy_task):
-        prob = cl.binary_classification(toy_task)
+    def test_worlds_and_excess_risk(self, toy_task, toy_classifiers):
+        prob = cl.binary_classification(**toy_task)
         assert [w.id for w in prob.worlds] == ["D0", "D1", "D2"]
         w0 = prob.world("D0")
-        all0, all1, ident = toy_task.classifiers
+        all0, all1, ident = toy_classifiers
         assert w0.truth is ident
         assert prob.loss.eval(all0, w0) == Fraction(1, 2)
         assert prob.loss.eval(ident, w0) == 0
         # excess risk has minimum exactly 0 in every world, over the whole pool
         for w in prob.worlds:
-            losses = [prob.loss.eval(h, w) for h in toy_task.classifiers]
+            losses = [prob.loss.eval(h, w) for h in toy_classifiers]
             assert min(losses) == 0
             assert all(x >= 0 for x in losses)
         assert cl.validate_problem(prob).all_ok
@@ -179,14 +179,13 @@ class TestClassification:
     def test_risk_ties_designate_the_lowest_index_truth(self, toy_classifiers):
         all0, all1, ident = toy_classifiers
         # uniform over the whole example space: every classifier has risk 1/2
-        task = cl.classification_task(
+        prob = cl.binary_classification(
             features=["a", "b"],
             classifiers=toy_classifiers,
             distributions=[
                 {("a", 0): "0.25", ("a", 1): "0.25", ("b", 0): "0.25", ("b", 1): "0.25"}
             ],
         )
-        prob = cl.binary_classification(task)
         assert prob.world("D0").truth is all0
         # the uniqueness spot check reports the tie instead of hiding it
         report = cl.validate_problem(prob)
@@ -194,23 +193,47 @@ class TestClassification:
         assert report.checks[0].rival_zero_loss is not None
 
     def test_bad_distributions_rejected(self, toy_classifiers):
-        with pytest.raises(cl.ConfigurationError):
-            cl.classification_task(
-                ["a", "b"], toy_classifiers, [{("a", 1): "0.7", ("b", 0): "0.7"}]
-            )
-        with pytest.raises(cl.ConfigurationError):
-            cl.classification_task(["a", "b"], toy_classifiers, [{("c", 1): "1"}])
-        with pytest.raises(cl.ConfigurationError, match="nonnegative"):
-            cl.classification_task(["a", "b"], toy_classifiers, [{("a", 1): "1.5", ("b", 0): "-0.5"}])
+        # Measure.iid_examples is the one reader of the probabilities.
+        with pytest.raises(cl.InputDomainError, match="sum to 1"):
+            cl.binary_classification(["a", "b"], toy_classifiers, [{("a", 1): "0.7", ("b", 0): "0.7"}])
+        with pytest.raises(cl.ConfigurationError, match="outside the example space"):
+            cl.binary_classification(["a", "b"], toy_classifiers, [{("c", 1): "1"}])
+        with pytest.raises(cl.InputDomainError, match="nonnegative"):
+            cl.binary_classification(["a", "b"], toy_classifiers, [{("a", 1): "1.5", ("b", 0): "-0.5"}])
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1", 2], ids=["bool", "float", "string", "two"])
+    def test_an_example_label_other_than_the_integers_0_and_1_is_outside_the_example_space(
+        self, toy_classifiers, label
+    ):
+        with pytest.raises(cl.ConfigurationError, match="outside the example space"):
+            cl.binary_classification(["a", "b"], toy_classifiers, [{("a", label): "0.5", ("b", 0): "0.5"}])
+
+    def test_a_numpy_integer_label_is_a_label(self, toy_classifiers):
+        prob = cl.binary_classification(["a", "b"], toy_classifiers, [{("a", np.int64(1)): "0.5", ("b", 0): "0.5"}])
+        assert prob.world("D0").truth is toy_classifiers[2]
 
     def test_empty_features_rejected(self, toy_classifiers):
         with pytest.raises(cl.ConfigurationError, match="nonempty features"):
-            cl.classification_task([], toy_classifiers, [])
+            cl.binary_classification([], toy_classifiers, [])
 
     def test_partial_classifier_rejected(self):
         partial = Classifier.from_mapping("partial", {"a": 1})
         with pytest.raises(cl.ConfigurationError):
-            cl.classification_task(["a", "b"], [partial], [{("a", 1): "1"}])
+            cl.binary_classification(["a", "b"], [partial], [{("a", 1): "1"}])
+
+    def test_repeated_features_and_classifier_names_rejected(self, toy_classifiers):
+        law = [{("a", 1): "0.5", ("b", 0): "0.5"}]
+        with pytest.raises(cl.ConfigurationError, match="distinct"):
+            cl.binary_classification(["a", "b", "a"], toy_classifiers, law)
+        twin = Classifier.from_mapping("all-0", {"a": 1, "b": 0})
+        with pytest.raises(cl.ConfigurationError, match="distinct"):
+            cl.binary_classification(["a", "b"], [*toy_classifiers, twin], law)
+
+    @pytest.mark.parametrize("label", [True, 1.0, 2], ids=["bool", "float", "two"])
+    def test_classifier_labels_are_the_integers_0_and_1(self, label):
+        with pytest.raises(cl.InputDomainError, match="integers 0/1"):
+            Classifier.from_mapping("h", {"a": label, "b": 1})
+        assert Classifier.from_mapping("h", {"a": np.int64(0), "b": 1})("a") == 0
 
 
 def test_every_catalog_problem_passes_validation(toy_task):
@@ -219,7 +242,7 @@ def test_every_catalog_problem_passes_validation(toy_task):
         cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0]),
         cl.fair_coin(),
         cl.coin_bias(),
-        cl.binary_classification(toy_task),
+        cl.binary_classification(**toy_task),
     ]
     for p in problems:
         assert cl.validate_problem(p).all_ok, p.name
