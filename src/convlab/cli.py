@@ -104,7 +104,9 @@ def _classification(params: dict) -> EmpiricalProblem:
     return binary_classification(
         features=params.pop("features"),
         classifiers=[
-            Classifier.from_mapping(c["name"], _typed(c["labels"], "classifiers.labels", dict))
+            Classifier.from_mapping(
+                _typed(c["name"], "classifiers.name", str), _typed(c["labels"], "classifiers.labels", dict)
+            )
             for c in params.pop("classifiers")
         ],
         distributions=[_distribution(rows) for rows in params.pop("distributions")],

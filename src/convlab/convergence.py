@@ -2,9 +2,10 @@
 
 The engine evaluates, per world and sample size, the probability that a
 method's output meets a success criterion (zero loss, or loss within
-epsilon).  Probabilities are computed exactly where the budget allows --
-enumeration of the evidence tree level as an integer sum of its succeeding
-leaves' weights over q**n (``Measure.support``), or for an exchangeable method
+epsilon).  Probabilities are computed exactly where the budget allows -- the
+indicator of a world with no measure (deterministic: the point mass on its
+branch), enumeration of the evidence tree level as an integer sum of its
+succeeding leaves' weights over q**n (``Measure.support``), or for an exchangeable method
 (read only through its count block, ``_count_block``) a binomial sum over the
 count of 1s under IID-Bernoulli data off cumulative-sum cursors that a ``sums``
 dict carries along a curve's stages, or a multinomial sum over the token-count
@@ -37,7 +38,6 @@ from . import seeding
 from .core import (
     FAIR,
     KIND_IID_BERNOULLI,
-    KIND_POINT_MASS,
     SUSPEND,
     EmpiricalProblem,
     InferenceMethod,
@@ -309,9 +309,10 @@ def _count_block(method):
 def _plan(method, world, n, budget: Budget) -> str:
     """The evaluation path of the success probability at (world, n) under the budget; it reads only the measure.
 
-    Unless the strategy is "mc", an exact path wins where it fits its cap:
-    symmetric_exact_cap on n for a count-block method's binomial sum on
-    IID-Bernoulli data, then exact_enum_cap on the tree level's leaves, which
+    A world with no measure is the point mass on its branch (point-mass).
+    Otherwise, unless the strategy is "mc", an exact path wins where it fits
+    its cap: symmetric_exact_cap on n for a count-block method's binomial sum
+    on IID-Bernoulli data, then exact_enum_cap on the tree level's leaves, which
     also caps the multinomial sum that stands in for enumeration; past the
     caps "auto" samples and "exact" raises.  Sampling decides a count-block
     method on the trials' histogram over the C(n+t-1, t-1) count vectors of
@@ -320,10 +321,8 @@ def _plan(method, world, n, budget: Budget) -> str:
     any other on whole prefixes (mc-generic): one law, not one stream of draws.
     """
     m = world.measure
-    if m is None:
-        raise PreconditionError(f"world {world.id!r} carries no measure")
     _integer(n, "sample size", 0)
-    if m.kind == KIND_POINT_MASS:
+    if m is None:
         return POINT_MASS
     block = _count_block(method) is not None
     t = len(m.support[0])
@@ -378,7 +377,7 @@ def _success_test(problem, world, crit):
 
 def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
     met = _success_test(problem, world, crit)
-    return Fraction(1) if met(method.decide(world.measure.point.prefix(n))) else Fraction(0)
+    return Fraction(1) if met(method.decide(world.branch.prefix(n))) else Fraction(0)
 
 
 def _window(problem, method, world, n, crit) -> Optional[list[range]]:
@@ -597,7 +596,7 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
     A ``draws`` dict shared by calls for one method keeps each (measure, n,
     trials, seed) draw, so every world on a measure is judged on the same
     trials, each against its own truth; sharing it changes no estimate.
-    Point-mass worlds report their deterministic indicator.
+    A world with no measure reports its deterministic indicator.
     """
     path, n = _plan(method, world, n, Budget(strategy="mc", trials=trials)), int(n)  # numpy's integers too
     if path == POINT_MASS:
@@ -797,10 +796,11 @@ def check_mode(
     horizon, else refuted where the last stage fails, else inconclusive.
     Mode I's stages are the prefixes of the world's frozen branch, passing
     at zero loss; it reads only the horizon and world_ids, ignores delta
-    and epsilon, and rejects stages.  Modes II and III require every grid
-    world to carry a measure; a stage passes where its success probability
-    exceeds 1 - delta, with a sampling margin (estimate - margin*stderr) on
-    Monte Carlo entries, and a stage inside the margin neither passes nor fails.
+    and epsilon, and rejects stages.  Modes II and III judge a world with no
+    measure as the point mass on its branch; a stage passes where its success
+    probability exceeds 1 - delta, with a sampling margin (estimate -
+    margin*stderr) on Monte Carlo entries, and a stage inside the margin
+    neither passes nor fails.
     """
     budget = budget or Budget()
     workers = resolve_workers(workers)
@@ -824,11 +824,6 @@ def check_mode(
             world_verdicts.append(_world_verdict(w.id, n0, "pass" if losses[-1] == 0 else "fail", note))
         return _verdict(params.mode, horizon, world_verdicts)
 
-    missing = [w.id for w in worlds if w.measure is None]
-    if missing:
-        raise PreconditionError(
-            f"stochastic mode checks need a measure in every world; missing in {missing}"
-        )
     crit = EXACT if params.mode == MODE_STOCHASTIC_IDENTIFICATION else within(params.epsilon)
     curve = success_curve(
         problem, method, worlds, crit, horizon, budget=budget, seed=seed, stages=params.stages, workers=workers
@@ -866,19 +861,17 @@ def lock_time(problem, method, world, horizon: int) -> Optional[int]:
 def _set_plan(problem, method, world, strategy: str) -> str:
     """The evaluation path of the success-set (lock-stage) probabilities in one world.
 
-    A point-mass world has one branch, so its lock stage is exact under
-    every strategy.  Otherwise, unless the strategy is "mc", a closed form
-    wins where one exists, or "exact" raises; lock stages are sampled, from
+    A world with no measure has one branch, so its lock stage is exact under
+    every strategy (point-mass).  Otherwise, unless the strategy is "mc", a
+    closed form wins where one exists, or "exact" raises; lock stages are sampled, from
     the geometric first-zero law where the method declares it, else by a prefix scan.
     """
     m = world.measure
-    if m is None:
-        raise PreconditionError(f"world {world.id!r} carries no measure")
     if problem.truth_of_prefix is None:
         raise PreconditionError(
             "success-set machinery needs a problem whose branches determine truths one-to-one"
         )
-    if m.kind == KIND_POINT_MASS:
+    if m is None:
         return POINT_MASS
     geometric = method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI
     if strategy != "mc":
@@ -959,12 +952,12 @@ def success_set_curve(
 ) -> SuccessCurve:
     """Lock-by-stage-n probability per (world, n), along each world's one planned path.
 
-    Exact in a point-mass world under every strategy, and by the closed form 1 - p**n + [p = 1] for
-    first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc"; sampled otherwise.  All
-    stages of one world read the cumulative sums of one lock-stage histogram, derived from (seed, world
-    id, horizon), so the sampled curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer
-    stages (in [0, horizon]) are checked once per call.  Worlds are evaluated in the calling thread, one
-    after another.
+    Exact in a world with no measure (the point mass on its branch) under every strategy, and by the closed
+    form 1 - p**n + [p = 1] for first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc";
+    sampled otherwise.  All stages of one world read the cumulative sums of one lock-stage histogram,
+    derived from (seed, world id, horizon), so the sampled curve is nondecreasing.  Strategy, trials,
+    horizon (>= 1) and the integer stages (in [0, horizon]) are checked once per call.  Worlds are
+    evaluated in the calling thread, one after another.
     """
     Budget(strategy=strategy, trials=trials)
     horizon, stage_list = _stage_list(horizon, stages, 0)
@@ -974,9 +967,8 @@ def success_set_curve(
         if path == GEOMETRIC_EXACT:
             theta = w.measure.theta  # at theta = 1 the all-1s branch, truth Yes, is locked from stage 0
             ests = [Estimate(1 - theta**n + (theta == 1), 0.0, True) for n in stage_list]
-        elif path == POINT_MASS:  # judged against the truth the branch itself determines (coherence)
-            truth = problem.truth_of_prefix(w.measure.point.prefix(horizon))
-            lock = lock_time(problem, method, replace(w, truth=truth), horizon)
+        elif path == POINT_MASS:  # the world's one branch, judged against its own truth at every horizon
+            lock = lock_time(problem, method, w, horizon)
             ests = [Estimate(Fraction(int(lock is not None and lock <= n)), 0.0, True) for n in stage_list]
         else:
             # locked[n]: the branches locked by stage n, one cumulative count for every stage.

@@ -50,6 +50,11 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_label(y) -> bool:
+    """Whether y is a binary label: the integer 0 or 1, a numpy one too, never a bool or a float."""
+    return _is_integer(y) and y in (0, 1)
+
+
 def _integer(value, name: str, least: int) -> int:
     """value as an int, or InputDomainError unless it is an integer (_is_integer) >= least."""
     if not _is_integer(value):
@@ -171,22 +176,18 @@ def _cached_sampled_branch(branch_id, draw_block):
 
 KIND_IID_BERNOULLI = "iid-bernoulli"
 KIND_IID_EXAMPLES = "iid-examples"
-KIND_POINT_MASS = "point-mass"
+KIND_POINT_MASS = "point-mass"  # no Measure kind: bench/tracer.py imports it, and it goes with the tracer
 # Uniforms per chunk of IID token draws; a chunk holds whole rows.
 _CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
 class Measure:
-    """A tree measure over the evidence tree, of one of the catalog kinds.
-
-    IID kinds carry an exact per-token distribution; point-mass carries the
-    single branch it concentrates on.
-    """
+    """An IID tree measure over the evidence tree, of one of the two catalog kinds, with an exact per-token
+    distribution.  A deterministic world carries none (World.measure is None)."""
 
     kind: str
-    token_probs: Optional[tuple[tuple[Token, Fraction], ...]] = None
-    point: Optional[Branch] = None
+    token_probs: tuple[tuple[Token, Fraction], ...]
 
     @staticmethod
     def iid_bernoulli(theta) -> "Measure":
@@ -203,16 +204,10 @@ class Measure:
             raise InputDomainError("example distribution must be nonnegative and sum to 1")
         return Measure(KIND_IID_EXAMPLES, token_probs=items)
 
-    @staticmethod
-    def point_mass(branch: Branch) -> "Measure":
-        return Measure(KIND_POINT_MASS, point=branch)
-
     @cached_property
     def support(self) -> tuple[tuple, tuple[int, ...], int]:
-        """An IID measure's positive-probability tokens in token_probs order, and nums and q: token j has chance
-        nums[j] / q.  Computed once into the instance __dict__, no field: equality, hash and replace() skip it."""
-        if self.token_probs is None:
-            raise PreconditionError("token probabilities are only defined for IID measures")
+        """The positive-probability tokens in token_probs order, and nums and q: token j has chance nums[j] / q.
+        Computed once into the instance __dict__, no field: equality, hash and replace() skip it."""
         positive = [(tok, pr) for tok, pr in self.token_probs if pr > 0]
         q = math.lcm(*(pr.denominator for _, pr in positive))
         return tuple(tok for tok, _ in positive), tuple(pr.numerator * q // pr.denominator for _, pr in positive), q
@@ -233,13 +228,10 @@ class Measure:
 
     def prefix_prob(self, seq: Sequence[Token]) -> Fraction:
         """Probability mass of the evidence-tree node ``seq``; 1 at the root."""
-        seq = tuple(seq)
-        if self.kind in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-            p = Fraction(1)
-            for tok in seq:
-                p *= self.token_prob(tok)
-            return p
-        return Fraction(1) if seq == self.point.prefix(len(seq)) else Fraction(0)
+        p = Fraction(1)
+        for tok in seq:
+            p *= self.token_prob(tok)
+        return p
 
     def sample_prefixes(self, rng, trials: int, n: int):
         """Yield ``trials`` sampled length-n prefixes: the rows of ``rng.choice(len(tokens), (trials, n), p=probs)``.
@@ -248,8 +240,6 @@ class Measure:
         drawing those uniforms a few whole rows at a time advances rng alike, so
         ``trials`` prefixes drawn at once equal as many drawn one at a time.
         """
-        if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-            raise PreconditionError("IID sampling requires an IID catalog measure")
         import numpy as np
 
         tokens = np.fromiter((tok for tok, _ in self.token_probs), dtype=object)
@@ -267,8 +257,6 @@ class Measure:
         undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.
         A binary measure's one draw is rng.binomial(n, theta).
         """
-        if self.kind not in (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES):
-            raise PreconditionError("IID sampling requires an IID catalog measure")
         import numpy as np
 
         counts = np.zeros((trials, len(self.token_probs)), dtype=np.int64)
@@ -287,8 +275,6 @@ class Measure:
         The key is checked here (seeding.check_key); the generator is built at the
         first token read, so a branch never read never loads numpy.
         """
-        if self.kind == KIND_POINT_MASS:
-            return self.point
         seeding.check_key(master_seed, *key)
         rng = None
 
@@ -314,7 +300,7 @@ class Classifier:
     def from_mapping(name: str, mapping: Mapping[Hashable, int]) -> "Classifier":
         items = tuple(sorted(mapping.items(), key=lambda kv: repr(kv[0])))
         for _, y in items:
-            if not (_is_integer(y) and y in (0, 1)):  # True and 1.0 equal 1 but are no label
+            if not _is_label(y):
                 raise InputDomainError(f"classifier labels must be the integers 0/1, got {y!r}")
         return Classifier(name, items)
 
@@ -354,7 +340,8 @@ HypothesisSpace = Union[FiniteHypothesisSpace, IntervalHypothesisSpace]
 @dataclass(frozen=True)
 class World:
     """An id, the branch of data it streams, the hypothesis true in it, and the measure generating
-    the branch when the world is statistical (None otherwise)."""
+    the branch when the world is statistical.  A world with no measure is deterministic: modes II and
+    III judge it as the point mass on its branch."""
 
     id: str
     branch: Branch

@@ -24,6 +24,7 @@ from .core import (
     IntervalHypothesisSpace,
     MethodOutput,
     _integer,
+    _is_label,
     absolute_error_loss,
     identification_loss,
 )
@@ -141,7 +142,7 @@ def erm(seq, order) -> MethodOutput:
     """The first classifier in order with minimal training error: earlier entries win ties."""
     examples = tuple(seq)
     for x, y in examples:
-        if y not in (0, 1):
+        if not _is_label(y):
             raise InputDomainError(f"example label must be 0/1, got {y!r}")
     best = None
     best_risk = math.inf
@@ -156,7 +157,7 @@ def _erm_winners(order, tokens, counts):
     """Per count row, as an int array, the index of the first classifier in order with the fewest mistakes."""
     import numpy as np
 
-    bad = [j for j, (_, y) in enumerate(tokens) if y not in (0, 1)]
+    bad = [j for j, (_, y) in enumerate(tokens) if not _is_label(y)]
     if bad and counts[:, bad].any():  # erm raises on any sequence holding such a token
         raise InputDomainError(f"example label must be 0/1, got {tokens[bad[0]][1]!r}")
     err = np.array([[1 if h(x) != y else 0 for h in order] for x, y in tokens], dtype=np.int64)
@@ -166,8 +167,8 @@ def _erm_winners(order, tokens, counts):
 def erm_method(order) -> InferenceMethod:
     """ERM as an inference method over the classifier pool in order, which lists each classifier once."""
     order = tuple(order)
-    if len(set(order)) != len(order):
-        raise InputDomainError("hypothesis order must list each classifier once")
+    if not order or len(set(order)) != len(order):
+        raise InputDomainError("hypothesis order must list each classifier once, and at least one")
     return InferenceMethod(
         "erm",
         lambda seq: erm(seq, order),

@@ -32,7 +32,7 @@ from .core import (
     Measure,
     World,
     _integer,
-    _is_integer,
+    _is_label,
     absolute_error_loss,
     alternating_branch,
     as_fraction,
@@ -104,20 +104,17 @@ def fine_grained_raven(p_grid: Sequence, seed: int = 0) -> EmpiricalProblem:
     """The raven question with each world carrying an IID color measure.
 
     Each grid value p is the chance of observing a 1.  p = 1 yields the
-    trivial extension: the all-1 branch under a point mass, truth Yes.  For
-    p < 1 the frozen branch is sampled from the world's measure, as in the
-    coin problems; it contains a 0 with probability one, so its truth is No
-    by coherence.  Hypotheses and loss are unchanged from the plain
-    raven problem.
+    trivial extension: the deterministic all-1 world with no measure, truth
+    Yes, the same world as easy-raven's all-ones.  For p < 1 the frozen
+    branch is sampled from the world's measure, as in the coin problems; it
+    contains a 0 with probability one, so its truth is No by coherence.
+    Hypotheses and loss are unchanged from the plain raven problem.
     """
     ps = [as_fraction(p) for p in p_grid]
     if not ps:
         raise ConfigurationError("p grid must be nonempty")
-    all_ones = Measure.point_mass(constant_branch(1, "all-ones"))
-    worlds = []
-    for p in ps:
-        truth, measure = (YES, all_ones) if p == 1 else (NO, Measure.iid_bernoulli(p))
-        worlds.append(_sampled_world(f"p={_num_str(p)}", truth, measure, seed))
+    all_ones = World("p=1", constant_branch(1, "all-ones"), YES)
+    worlds = [all_ones if p == 1 else _sampled_world(f"p={_num_str(p)}", NO, Measure.iid_bernoulli(p), seed) for p in ps]
     return EmpiricalProblem(
         name="fine-grained-raven",
         hypothesis_space=FiniteHypothesisSpace((YES, NO)),
@@ -233,7 +230,7 @@ def binary_classification(features, classifiers, distributions, seed: int = 0) -
     worlds = []
     for i, table in enumerate(distributions):
         for x, y in table:
-            if not (_is_integer(y) and (x, y) in alphabet):  # a bool or float label equals 0 or 1 too
+            if not (_is_label(y) and (x, y) in alphabet):
                 raise ConfigurationError(f"pair {(x, y)!r} outside the example space")
         measure = Measure.iid_examples(table)
         risks = [risk(h, measure.token_probs) for h in classifiers]

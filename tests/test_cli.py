@@ -132,6 +132,20 @@ class TestRun:
         assert record["version"] == cl.__version__
         assert record["curves"] == []  # mode I has no probability curve
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_stochastic_modes_run_on_worlds_without_a_measure(self, tmp_path, literal):
+        # Each easy-raven world is the point mass on its branch: mode II reads mode I's stages from 1.
+        problem = {"name": "easy-raven", "params": {"max_first_zero": 10, "literal": literal}}
+        doc = dict(RAVEN_CONFIG, problem=problem, mode={"mode": "II", "delta": 0.05, "horizon": 20})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "raven-mode1-record.json").read_text())
+        assert record["status"] == (cl.REFUTED_AT_HORIZON if literal else cl.SUPPORTED_AT_HORIZON)
+        stages = {row["world_id"]: row["threshold_stage"] for row in record["verdicts"]}
+        assert stages["first-zero-at-7"] == 7 and stages["all-ones"] == 1
+        rows = (tmp_path / "raven-mode1-curve.csv").read_text().strip().splitlines()[1:]
+        assert {line.split(",")[7] for line in rows} == {"true"}
+
     def test_config_digest_matches_the_file_bytes(self, tmp_path):
         path = write_config(tmp_path, FGR_CONFIG)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
@@ -440,6 +454,24 @@ class TestExitCodes:
         assert err in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_an_empty_hypothesis_order_exits_2(self, tmp_path, capsys):
+        doc = dict(ERM_CONFIG, method={"name": "erm", "params": {"hypothesis_order": []}})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "hypothesis order must list each classifier once, and at least one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [5, None], ids=["number", "null"])
+    def test_a_classifier_name_that_is_not_a_string_exits_2(self, tmp_path, capsys, name):
+        # hypothesis_order names classifiers by string, so it could never name such a classifier.
+        params = json.loads(json.dumps(ERM_CONFIG["problem"]["params"]))
+        params["classifiers"][1]["name"] = name
+        doc = dict(ERM_CONFIG, problem={"name": "binary-classification", "params": params})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"classifiers.name: expected a string, got {name!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_a_hypothesis_order_naming_a_classifier_twice_exits_2(self, tmp_path, capsys):
         doc = dict(ERM_CONFIG, method={"name": "erm", "params": {"hypothesis_order": ["all-0", "all-0"]}})
         path = write_config(tmp_path, doc)
@@ -710,6 +742,20 @@ class TestOtherSubcommands:
         point_mass = {(r["estimate"], r["exact"]) for r in rows if r["world_id"] == "p=1"}
         assert point_mass == {("1.0", "true")}
         assert {r["exact"] for r in rows if r["world_id"] != "p=1"} == {"false"}
+
+    def test_curve_success_set_on_worlds_without_a_measure(self, tmp_path):
+        # Each world's rows are its exact lock indicator: first-zero-at-k locks at stage k.
+        problem = {"name": "easy-raven", "params": {"max_first_zero": 4}}
+        doc = dict(RAVEN_CONFIG, problem=problem, mode={"mode": "II", "delta": 0.05, "horizon": 6, "stages": [2, 4]})
+        path = write_config(tmp_path, doc)
+        assert cli.main(["curve", "--config", str(path), "--kind", "success-set", "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in (tmp_path / "raven-mode1-curve.csv").read_text().strip().splitlines()[1:]]
+        assert [(r[2], r[3], r[5], r[7]) for r in rows if r[2] in ("first-zero-at-3", "all-ones")] == [
+            ("first-zero-at-3", "2", "0.0", "true"),
+            ("first-zero-at-3", "4", "1.0", "true"),
+            ("all-ones", "2", "1.0", "true"),
+            ("all-ones", "4", "1.0", "true"),
+        ]
 
     def test_success_set_curve_reads_a_mode_one_configs_stages(self, tmp_path):
         path = write_config(tmp_path, dict(FGR_CONFIG, mode={"mode": "I", "horizon": 20, "stages": [10, 20]}))

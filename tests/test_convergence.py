@@ -200,10 +200,15 @@ class TestExactSuccessProb:
                 prob, cl.erm_method(toy_classifiers), prob.world("D1"), 40, cl.within(0.05)
             )
 
-    def test_requires_a_measure(self):
+    def test_a_world_without_a_measure_is_its_branch_indicator(self):
+        # Deterministic: the point mass on the branch 11110111..., where the raven rule says No from stage 5.
         er = cl.easy_raven()
-        with pytest.raises(cl.PreconditionError):
-            cl.exact_success_prob(er, cl.raven_rule, er.world("all-ones"), 3, cl.EXACT)
+        w = er.world("first-zero-at-5")
+        assert cl.exact_success_prob(er, cl.raven_rule, w, 3, cl.EXACT) == 0
+        assert cl.exact_success_prob(er, cl.raven_rule, w, 5, cl.EXACT) == 1
+        assert cl.mc_success_prob(er, cl.raven_rule, w, 5, cl.EXACT, 100, seed=0) == (1.0, 0.0, True)
+        for strategy in ("auto", "exact", "mc"):
+            assert _plan(cl.raven_rule, w, 5, Budget(strategy=strategy)) == "point-mass"
 
 
 def _direct_sum(theta, n, ks) -> Fraction:
@@ -987,6 +992,18 @@ class TestMultinomialExact:
 
 
 class TestSuccessCurve:
+    @pytest.mark.parametrize("strategy", ["auto", "mc"])
+    def test_worlds_without_a_measure_each_get_their_own_indicator(self, strategy):
+        # success_curve groups worlds by measure, so every world here shares the key None; each point is
+        # still its own world's indicator on its own branch.
+        er = cl.easy_raven(max_first_zero=6, literal=True)
+        curve = cl.success_curve(er, cl.raven_rule, er.worlds, cl.EXACT, 8, budget=Budget(strategy=strategy))
+        assert len(curve.points) == len(er.worlds) * 8
+        for pt in curve.points:
+            k = int(pt.world_id.split("/")[0].removeprefix("first-zero-at-")) if pt.world_id != "all-ones" else 0
+            want = int(pt.n < k) if pt.world_id.endswith("/literal-yes") else int(pt.n >= k)
+            assert (pt.estimate, pt.stderr, pt.exact) == (want, 0.0, True)
+
     def test_exact_dominates_the_analytic_bound(self):
         cb = cl.coin_bias([Fraction(1, 2)])
         curve = cl.success_curve(
@@ -1514,11 +1531,6 @@ class TestCheckMode:
         for wv in v.worlds:
             assert wv.threshold_stage <= max(s for s in params.stages if s <= certified + 50)
 
-    def test_stochastic_modes_need_measures_everywhere(self):
-        er = cl.easy_raven()
-        with pytest.raises(cl.PreconditionError):
-            cl.check_mode(er, cl.raven_rule, cl.mode_params("II", 10, delta=0.1))
-
     def test_mode_params_validation(self):
         with pytest.raises(cl.InputDomainError):
             cl.mode_params("IV", 10)
@@ -1893,13 +1905,25 @@ class TestSuccessSets:
         with pytest.raises(cl.InputDomainError, match="unknown strategy"):
             cl.success_set_prob(fg, cl.raven_rule, w, 5, strategy="exactly")
 
-    def test_requires_branch_unique_problem_and_measure(self):
+    def test_requires_a_branch_unique_problem(self):
         fc = cl.fair_coin()
         with pytest.raises(cl.PreconditionError):
             cl.success_set_prob(fc, cl.fair_coin_test, fc.world("theta=0.5"), 3)
-        er = cl.easy_raven()
+        literal = cl.easy_raven(literal=True)  # a world without a measure, in a problem with no branch-to-truth map
         with pytest.raises(cl.PreconditionError):
-            cl.success_set_prob(er, cl.raven_rule, er.world("all-ones"), 3)
+            cl.success_set_prob(literal, cl.raven_rule, literal.world("all-ones"), 3)
+
+    def test_a_world_without_a_measure_is_its_lock_indicator(self):
+        # Judged against the world's own truth, so first-zero-at-k reads 0 before stage k even where the
+        # horizon (max(n, 1) by default) ends before its zero.
+        er = cl.easy_raven(max_first_zero=6)
+        for w in er.worlds:
+            lock = cl.lock_time(er, cl.raven_rule, w, 6)
+            assert lock == (0 if w.id == "all-ones" else int(w.id.removeprefix("first-zero-at-")))
+            for n in range(8):
+                for strategy in ("auto", "exact", "mc"):
+                    est = cl.success_set_prob(er, cl.raven_rule, w, n, strategy=strategy)
+                    assert est == (int(n >= lock), 0.0, True)
 
 
 class TestUnderdeterminationWitness:
@@ -2027,14 +2051,26 @@ class TestCardinalityWitness:
         assert rep["distinct_outputs"] == 7
 
 
-def test_hierarchy_mode_one_implies_the_stochastic_modes():
-    fg = cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0])
-    v1 = cl.check_mode(fg, cl.raven_rule, cl.mode_params("I", 60))
-    v2 = cl.check_mode(fg, cl.raven_rule, cl.mode_params("II", 60, delta=0.05))
-    v3 = cl.check_mode(fg, cl.raven_rule, cl.mode_params("III", 60, delta=0.05, epsilon=0.5))
-    assert v1.status == cl.SUPPORTED_AT_HORIZON
-    assert v2.status == cl.SUPPORTED_AT_HORIZON
-    assert v3.status == cl.SUPPORTED_AT_HORIZON
+@pytest.mark.parametrize(
+    "problem",
+    [cl.fine_grained_raven([0.3, 0.5, 0.9, 1.0]), cl.easy_raven(), cl.easy_raven(literal=True)],
+    ids=["fine-grained-raven", "easy-raven", "easy-raven-literal"],
+)
+def test_hierarchy_mode_one_implies_the_stochastic_modes(problem):
+    v1 = cl.check_mode(problem, cl.raven_rule, cl.mode_params("I", 60))
+    v2 = cl.check_mode(problem, cl.raven_rule, cl.mode_params("II", 60, delta=0.05))
+    v3 = cl.check_mode(problem, cl.raven_rule, cl.mode_params("III", 60, delta=0.05, epsilon=0.5))
+    twins = {w.id for w in problem.worlds if w.id.endswith("/literal-yes")}  # each refuted in all three modes
+    for v in (v1, v2, v3):
+        assert v.status == (cl.REFUTED_AT_HORIZON if twins else cl.SUPPORTED_AT_HORIZON)
+        assert {wv.world_id for wv in v.worlds if wv.status == "refuted"} == twins
+    # A world without a measure is the point mass on its branch, so modes II and III judge it as mode I
+    # does, from stage max(N_I, 1): their stages start at 1.
+    for v in (v2, v3):
+        for w, one, wv in zip(problem.worlds, v1.worlds, v.worlds, strict=True):
+            assert (wv.world_id, wv.status) == (w.id, one.status)
+            if w.measure is None and one.threshold_stage is not None:
+                assert wv.threshold_stage == max(one.threshold_stage, 1)
 
 
 def test_lock_samples_share_across_stages():

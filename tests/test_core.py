@@ -4,7 +4,7 @@ import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +16,12 @@ import convlab as cl
 from convlab import seeding
 from convlab.core import (
     _CHUNK_DRAWS,
+    KIND_IID_BERNOULLI,
     SUSPEND,
     Branch,
     Measure,
     World,
+    _is_label,
     as_fraction,
     binary_sequence,
     identification_loss,
@@ -187,18 +189,23 @@ class TestFiniteHypothesisSpaceMembership:
         assert nan in space and float("nan") not in space
 
 
-def test_point_mass_prefix_probability_is_an_indicator():
-    b = cl.constant_branch(1, "all-ones")
-    m = Measure.point_mass(b)
-    assert m.prefix_prob((1, 1, 1)) == 1
-    assert m.prefix_prob((1, 0)) == 0
+def test_a_measure_is_one_of_the_iid_kinds_with_a_token_table():
+    # A deterministic world carries no measure, so no point-mass kind or branch field remains.
+    assert [f.name for f in fields(Measure)] == ["kind", "token_probs"]
+    assert not hasattr(Measure, "point_mass")
+    with pytest.raises(TypeError):
+        Measure(KIND_IID_BERNOULLI)
+    assert cl.easy_raven().world("all-ones").measure is None
 
 
-def test_point_mass_has_no_token_table():
-    m = Measure.point_mass(cl.constant_branch(1))
-    for read in (lambda: m.support, lambda: m.token_prob(1)):
-        with pytest.raises(cl.PreconditionError, match="only defined for IID measures"):
-            read()
+class TestIsLabel:
+    @pytest.mark.parametrize("y", [0, 1, np.int64(0), np.uint8(1)])
+    def test_the_integers_0_and_1_are_labels(self, y):
+        assert _is_label(y)
+
+    @pytest.mark.parametrize("y", [True, False, 1.0, 0.0, np.float64(1), Fraction(1), 2, -1, "1", None])
+    def test_a_bool_float_or_other_value_is_no_label(self, y):
+        assert not _is_label(y)
 
 
 def test_sampler_frequencies_match_prefix_probabilities():
@@ -350,14 +357,6 @@ class TestIidSampler:
             tracemalloc.stop()
         assert (counts.sum(axis=1) == 500).all()
         assert peak < 8 * 2**20
-
-    def test_point_mass_has_no_iid_stream(self):
-        m = Measure.point_mass(cl.constant_branch(1))
-        assert m.point.prefix(3) == (1, 1, 1)
-        with pytest.raises(cl.PreconditionError):
-            m.sample_count_block(seeding.generator(0), 2, 3)
-        with pytest.raises(cl.PreconditionError):
-            next(m.sample_prefixes(seeding.generator(0), 2, 3))
 
 
 def test_decide_is_deterministic_and_validates_tokens():

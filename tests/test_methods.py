@@ -154,6 +154,25 @@ class TestErm:
         with pytest.raises(cl.InputDomainError, match="each classifier once"):
             cl.erm_method([*toy_classifiers, toy_classifiers[0]])
 
+    def test_method_order_is_nonempty(self):
+        # An empty pool has no first minimizer: its count block had no column to take an argmin over.
+        with pytest.raises(cl.InputDomainError, match="and at least one"):
+            cl.erm_method(())
+
+    def test_a_bool_or_float_label_is_no_label(self, toy_classifiers):
+        # True and 1.0 equal 1, but a label is the integer 0 or 1, as Classifier.from_mapping reads it.
+        all0, all1, _ = toy_classifiers
+        for data in ([("a", True), ("b", 1.0)], [("a", True)], [("b", 1.0)], [("a", np.float64(0))]):
+            with pytest.raises(cl.InputDomainError, match="example label must be 0/1"):
+                cl.erm(data, (all0, all1))
+        assert cl.erm([("a", np.int64(1)), ("b", np.uint8(1))], (all0, all1)) is all1
+        block = cl.erm_method((all0, all1)).decide_count_block
+        for bad in (True, 1.0):
+            with pytest.raises(cl.InputDomainError, match="example label must be 0/1"):
+                block([("a", bad), ("b", 0)], np.array([[1, 0]]))
+            outputs, index = block([("a", bad), ("b", 0)], np.array([[0, 2]]))  # an undrawn token decides nothing
+            assert outputs[index[0]] is all0
+
     def test_not_count_symmetric(self, toy_classifiers):
         assert not cl.erm_method(toy_classifiers).count_symmetric
 

@@ -48,12 +48,13 @@ class TestEasyRaven:
 
 
 class TestFineGrainedRaven:
-    def test_p_one_is_the_trivial_point_mass_extension(self):
+    def test_p_one_is_easy_ravens_deterministic_all_ones_world(self):
         fg = cl.fine_grained_raven([0.5, 1.0])
         w1 = fg.world("p=1")
-        assert w1.truth == cl.YES
-        assert w1.measure.kind == "point-mass"
         er_all_ones = cl.easy_raven().world("all-ones")
+        assert w1.truth == er_all_ones.truth == cl.YES
+        assert w1.measure is None and er_all_ones.measure is None
+        assert w1.branch.id == er_all_ones.branch.id == "all-ones"
         assert w1.branch.prefix(60) == er_all_ones.branch.prefix(60)
 
     def test_bernoulli_prefix_probability(self):
