@@ -44,6 +44,7 @@ from .core import (
     Classifier,
     ConfigurationError,
     EmpiricalProblem,
+    FiniteHypothesisSpace,
     InferenceMethod,
     InputDomainError,
     PreconditionError,
@@ -155,7 +156,8 @@ def build_method(name: str, params: dict, problem: EmpiricalProblem) -> Inferenc
     if name in _CATALOG_METHODS:
         method = _CATALOG_METHODS[name]
     elif name == "erm":
-        pool = tuple(problem.hypothesis_space)
+        space = problem.hypothesis_space
+        pool = tuple(space) if isinstance(space, FiniteHypothesisSpace) else ()
         if not pool or not all(isinstance(h, Classifier) for h in pool):
             raise ConfigurationError("method.name: erm needs a classification problem")
         order_names = params.pop("hypothesis_order", None)

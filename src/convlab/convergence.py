@@ -6,7 +6,7 @@ epsilon).  Probabilities are computed exactly where the budget allows -- the
 indicator of a world with no measure (deterministic: the point mass on its
 branch), enumeration of the evidence tree level as an integer sum of its
 succeeding leaves' weights over q**n (``Measure.support``), or for an exchangeable method
-(read only through its count block, ``_count_block``) a binomial sum over the
+(read only through its ``decide_count_block``) a binomial sum over the
 count of 1s under IID-Bernoulli data off cumulative-sum cursors that a ``sums``
 dict carries along a curve's stages, or a multinomial sum over the token-count
 vectors under any IID world -- and by seeded Monte Carlo otherwise; one planner
@@ -281,31 +281,6 @@ GEOMETRIC_MC = "geometric-mc"
 MC = "mc"
 
 
-def _count_block(method):
-    """The method's count block: decide_count_block, else one derived from decide_counts, else None.
-
-    The derived block reads (n, k) off either order of the tokens 0 and 1, decides each distinct (n, k)
-    once, and raises as the derived decide does on a non-binary token with a positive count.  Derived
-    here, not stored, so that replace(method, decide_counts=None) leaves no block behind.
-    """
-    if method.decide_count_block is not None or method.decide_counts is None:
-        return method.decide_count_block
-
-    def block(tokens, counts):
-        import numpy as np
-
-        for j, tok in enumerate(tokens):
-            if tok not in (0, 1) and counts[:, j].any():
-                raise InputDomainError(f"non-binary token {tok!r}")
-        n = counts.sum(axis=1)
-        k = counts[:, [j for j, tok in enumerate(tokens) if tok == 1]].sum(axis=1)
-        base = int(n.max(initial=0)) + 1
-        keys, index = np.unique(n * base + k, return_inverse=True)  # a 1-D key: far cheaper than unique rows
-        return [method.decide_counts(*divmod(key, base)) for key in keys.tolist()], index
-
-    return block
-
-
 def _plan(method, world, n, budget: Budget) -> str:
     """The evaluation path of the success probability at (world, n) under the budget; it reads only the measure.
 
@@ -324,7 +299,7 @@ def _plan(method, world, n, budget: Budget) -> str:
     _integer(n, "sample size", 0)
     if m is None:
         return POINT_MASS
-    block = _count_block(method) is not None
+    block = method.decide_count_block is not None
     t = len(m.support[0])
     if budget.strategy != "mc":
         if block and m.kind == KIND_IID_BERNOULLI and n <= budget.symmetric_exact_cap:
@@ -430,7 +405,7 @@ def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
         import numpy as np
 
         k = np.arange(ks[0], ks[-1] + 1)
-        decided = _count_block(method)((0, 1), np.stack([n - k, k], axis=1))
+        decided = method.decide_count_block((0, 1), np.stack([n - k, k], axis=1))
         flags = _count_block_flags(problem, world, crit, decided)
         # The edges of the zero-padded flags alternate between the starts and the stops of runs of hits.
         edges = (np.flatnonzero(np.diff(flags, prepend=False, append=False)) + ks[0]).tolist()
@@ -493,7 +468,7 @@ def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
     tokens, nums, q = world.measure.support
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(tokens))
-    flags = _count_block_flags(problem, world, crit, _count_block(method)(tokens, counts))
+    flags = _count_block_flags(problem, world, crit, method.decide_count_block(tokens, counts))
     num = 0
     for cs in counts[flags].tolist():
         weight = fact[n]
@@ -582,7 +557,7 @@ def _mc_flags(problem, method, world, n, crit, draw: dict):
     if "decided" not in draw:  # the block decides the positive columns, once for every world on the draw
         probs = world.measure.token_probs
         positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
-        draw["decided"] = _count_block(method)([probs[j][0] for j in positive], rows[:, positive])
+        draw["decided"] = method.decide_count_block([probs[j][0] for j in positive], rows[:, positive])
     return _count_block_flags(problem, world, crit, draw["decided"])
 
 
@@ -730,7 +705,7 @@ def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list
 
     A count-block method is decided in one call on the running token counts, row s for prefix[:s].
     """
-    block = _count_block(method)
+    block = method.decide_count_block
     if block is None:
         outs = [method.decide(prefix[:s]) for s in range(len(prefix) + 1)]
     else:
@@ -1015,14 +990,19 @@ def underdetermination_witness(
 
 def _enumerate_outputs(method, depth: int):
     yield method.decide(())  # first: a method whose outputs are not reals is refused before any block call
-    block = _count_block(method)
-    if block is not None:  # every binary input's counts: the (n - k, k) rows on tokens (0, 1)
+    block = method.decide_count_block
+    # One budget on both paths, every binary sequence to depth 20: a block decides one (n - k, k) row per length
+    # and count of 1s, decide each of the 2**(depth + 1) - 1 sequences (capped, so a huge depth compares cheaply).
+    inputs = (depth + 1) * (depth + 2) // 2 if block is not None else 2 ** min(depth + 1, 22) - 1
+    if inputs > 2**21 - 1:
+        raise ResourceBudgetError(f"depth {depth}: enumerating its inputs exceeds the budget of 2**21 - 1")
+    if block is not None:
         import numpy as np
 
-        outputs, index = block((0, 1), np.array([(n - k, k) for n in range(depth + 1) for k in range(n + 1)]))
+        n = np.repeat(np.arange(depth + 1), np.arange(1, depth + 2))
+        k = np.arange(len(n)) - n * (n + 1) // 2  # length n's rows start at n(n + 1)/2
+        outputs, index = block((0, 1), np.stack([n - k, k], axis=1))
         yield from (outputs[i] for i in index.tolist())
-    elif depth > 20:
-        raise ResourceBudgetError("enumerating 2**(depth+1) inputs exceeds the budget")
     else:
         yield from (method.decide(seq) for n in range(depth + 1) for seq in itertools.product((0, 1), repeat=n))
 

@@ -420,15 +420,17 @@ class InferenceMethod:
     """A deterministic map from finite data sequences to a hypothesis or SUSPEND.
 
     A method gives ``decide``, or ``decide_counts`` when it is count-symmetric:
-    on binary data its output depends only on (length, number of 1 tokens),
-    and ``decide`` is derived from it.  ``decide_count_block(tokens, counts)``
-    declares an exchangeable method on any finite alphabet: given distinct
-    tokens and an (m, len(tokens)) int array of their counts, it returns
-    ``(outputs, index)``, row i's output being ``outputs[index[i]]`` -- the
-    output ``decide`` gives on any sequence with those counts.  A counts
-    method is the two-token case, whose block the engine derives from
-    ``decide_counts``: its exact sums, Monte Carlo and scans read every
-    exchangeable method through the block.  ``laws`` declares a counts
+    on binary data its output depends only on (length, number of 1 tokens).
+    ``decide_count_block(tokens, counts)`` declares an exchangeable method on
+    any finite alphabet: given distinct tokens and an (m, len(tokens)) int
+    array of their counts, it returns ``(outputs, index)``, row i's output
+    being ``outputs[index[i]]`` -- the output ``decide`` gives on any sequence
+    with those counts.  The engine's exact sums, Monte Carlo and scans read
+    every exchangeable method through the block.  Given ``decide_counts``,
+    construction derives ``decide`` and the two-token block from it and stores
+    both, replacing any passed alongside, so ``replace(m, decide_counts=g)``
+    re-derives both and they always agree; ``InferenceMethod(m.name,
+    m.decide)`` is the same rule with no block.  ``laws`` declares a counts
     method's success windows and bound; ``locks_at_first_zero`` marks methods
     whose output settles permanently at the first 0 token.
     """
@@ -441,19 +443,32 @@ class InferenceMethod:
     decide_count_block: Optional[Callable] = None  # (tokens, counts array) -> (outputs, index array)
 
     def __post_init__(self):
-        if self.decide is not None:
+        rule = self.decide_counts
+        if rule is None:
+            if self.decide is None:
+                raise ConfigurationError(f"method {self.name!r} needs decide or decide_counts")
             return
-        counts = self.decide_counts
-        if counts is None:
-            raise ConfigurationError(f"method {self.name!r} needs decide or decide_counts")
 
-        # Closes over this counts function, so the derived decide survives
-        # replace(method, decide_counts=None).
         def decide(seq) -> MethodOutput:
             tokens = binary_sequence(seq)
-            return counts(len(tokens), sum(tokens))
+            return rule(len(tokens), sum(tokens))
+
+        def block(tokens, counts):
+            # (n, k) off either order of the tokens 0 and 1, each distinct (n, k) decided once; a
+            # non-binary token with a positive count raises as decide does.
+            import numpy as np
+
+            for j, tok in enumerate(tokens):
+                if tok not in (0, 1) and counts[:, j].any():
+                    raise InputDomainError(f"non-binary token {tok!r}")
+            n = counts.sum(axis=1)
+            k = counts[:, [j for j, tok in enumerate(tokens) if tok == 1]].sum(axis=1)
+            base = int(n.max(initial=0)) + 1
+            keys, index = np.unique(n * base + k, return_inverse=True)  # a 1-D key: far cheaper than unique rows
+            return [rule(*divmod(key, base)) for key in keys.tolist()], index
 
         object.__setattr__(self, "decide", decide)
+        object.__setattr__(self, "decide_count_block", block)
 
     @property
     def count_symmetric(self) -> bool:

@@ -144,12 +144,9 @@ def erm(seq, order) -> MethodOutput:
     for x, y in examples:
         if not _is_label(y):
             raise InputDomainError(f"example label must be 0/1, got {y!r}")
-    best = None
-    best_risk = math.inf
-    for h in order:
-        r = empirical_risk(h, examples)
-        if r < best_risk:
-            best, best_risk = h, r
+    best = min(order, key=lambda h: empirical_risk(h, examples), default=None)  # min keeps the first minimum
+    if best is None:
+        raise InputDomainError("erm needs at least one classifier")
     return best
 
 

@@ -404,6 +404,28 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert err in capsys.readouterr().err
 
+    def test_erm_on_a_problem_without_a_classifier_pool_exits_2(self, tmp_path, capsys):
+        # coin-bias's hypothesis space is an interval, which holds no classifiers to iterate.
+        doc = {"name": "cb-erm", "problem": {"name": "coin-bias"}, "method": {"name": "erm"},
+               "mode": {"mode": "II", "delta": 0.1, "horizon": 5}}
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        assert "erm needs a classification problem" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main(["witness", "--problem", "coin-bias", "--method", "erm", "--depth", "3"]) == 2
+        assert "erm needs a classification problem" in capsys.readouterr().err
+
+    def test_a_cardinality_witness_past_the_enumeration_budget_exits_3(self, capsys, monkeypatch):
+        # 2047 is the least depth whose (n - k, k) count rows outnumber 2**21 - 1: refused before any block call.
+        def block(tokens, counts):
+            raise AssertionError("the witness enumerated past its budget")
+
+        spy = cl.InferenceMethod("frequency-estimator", cl.frequency_estimator.decide, decide_count_block=block)
+        monkeypatch.setitem(cli._CATALOG_METHODS, "frequency-estimator", spy)
+        argv = ["witness", "--problem", "coin-bias", "--method", "frequency-estimator", "--depth", "2047"]
+        assert cli.main(argv) == 3
+        assert "depth 2047: enumerating its inputs exceeds the budget of 2**21 - 1" in capsys.readouterr().err
+
     def test_erm_cardinality_witness_exits_2(self, tmp_path, capsys):
         # ERM reads (feature, label) examples, not the witness's binary tokens.
         path = write_config(tmp_path, ERM_CONFIG)

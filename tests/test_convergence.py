@@ -135,7 +135,7 @@ class TestExactSuccessProb:
             "frequency-estimator": cl.coin_bias([theta]),
         }[method.name]
         world = next(w for w in problem.worlds if w.measure == cl.Measure.iid_bernoulli(theta))
-        plodding = replace(method, decide_counts=None)
+        plodding = cl.InferenceMethod(method.name, method.decide)
         for n in range(13):
             fast = cl.exact_success_prob(problem, method, world, n, crit)
             slow = cl.exact_success_prob(problem, plodding, world, n, crit)
@@ -161,7 +161,7 @@ class TestExactSuccessProb:
         else:
             problem = cl.fair_coin() if method is cl.fair_coin_test else cl.coin_bias()
             world = problem.world(f"theta={theta}")
-        plodding = replace(method, decide_counts=None)
+        plodding = cl.InferenceMethod(method.name, method.decide)
         for n in (0, 1, 7):
             assert _plan(method, world, n, Budget()) == "binomial-exact"
             assert cl.exact_success_prob(problem, method, world, n, crit) == cl.exact_success_prob(
@@ -741,7 +741,7 @@ class TestMcSuccessProb:
         # strip the fast-path metadata so sampling walks token by token
         cb = cl.coin_bias([Fraction(3, 10)])
         w = cb.world("theta=0.3")
-        plodding = replace(cl.frequency_estimator, decide_counts=None)
+        plodding = cl.InferenceMethod("plodding", cl.frequency_estimator.decide)
         exact = float(cl.exact_success_prob(cb, cl.frequency_estimator, w, 6, cl.within(0.2)))
         est = cl.mc_success_prob(cb, plodding, w, 6, cl.within(0.2), 20_000, seed=3)
         assert abs(est.value - exact) <= 4 * est.stderr + 1e-9
@@ -866,8 +866,8 @@ class TestEnumExact:
         fg = cl.fine_grained_raven([Fraction(3, 5)])
         prob = cl.binary_classification(**_with_a_zero_entry(toy_task))
         cases = [
-            (cb, replace(cl.frequency_estimator, decide_counts=None), cb.worlds[:2], cl.within(Fraction(1, 5))),
-            (fg, replace(cl.raven_rule, decide_counts=None), fg.worlds, cl.EXACT),
+            (cb, cl.InferenceMethod("plodding", cl.frequency_estimator.decide), cb.worlds[:2], cl.within(Fraction(1, 5))),
+            (fg, cl.InferenceMethod("plodding", cl.raven_rule.decide), fg.worlds, cl.EXACT),
             (prob, replace(cl.erm_method(toy_classifiers), decide_count_block=None), prob.worlds, cl.within(0.05)),
         ]
         for problem, method, worlds, crit in cases:
@@ -1287,9 +1287,9 @@ def _plan_case(case, toy_task, toy_classifiers):
         cb = cl.coin_bias([0.3])
         method = cl.frequency_estimator
         if case.endswith("flagless"):
-            method = replace(method, decide_counts=None)
+            method = cl.InferenceMethod(method.name, method.decide)
         if case.endswith("block"):
-            method = replace(method, decide_counts=None, decide_count_block=_frequency_block)
+            method = cl.InferenceMethod(method.name, method.decide, laws=method.laws, decide_count_block=_frequency_block)
         return cb, method, cb.world("theta=0.3"), cl.within(0.25)
     if case.startswith("examples"):
         prob = cl.binary_classification(**toy_task)
@@ -1377,7 +1377,7 @@ class TestCountBlock:
             decided.append((n, k))
             return method.decide_counts(n, k)
 
-        outputs, index = convergence._count_block(replace(method, decide_counts=decide_counts))(tokens, rows)
+        outputs, index = replace(method, decide_counts=decide_counts).decide_count_block(tokens, rows)
         assert len(index) == len(rows)
         for row, i in zip(rows.tolist(), index.tolist()):
             seq = [tok for tok, c in zip(tokens, row) for _ in range(c)]
@@ -1386,7 +1386,7 @@ class TestCountBlock:
         assert all(type(n) is int and type(k) is int for n, k in decided)
 
     def test_derived_block_rejects_a_non_binary_token_only_where_it_is_counted(self):
-        block = convergence._count_block(cl.frequency_estimator)
+        block = cl.frequency_estimator.decide_count_block
         outputs, index = block((0, "x", 1), np.array([[3, 0, 1], [0, 0, 2], [0, 0, 0]]))
         assert [outputs[i] for i in index.tolist()] == [Fraction(1, 4), Fraction(1), cl.SUSPEND]
         for tokens, rows in [((0, "x", 1), [[3, 0, 1], [0, 1, 2]]), ((2,), [[1]]), ((1, 0.5), [[1, 1]])]:
@@ -1395,11 +1395,29 @@ class TestCountBlock:
         with pytest.raises(cl.InputDomainError, match="non-binary token"):
             cl.frequency_estimator.decide([0, "x", 1])
 
-    def test_the_derived_block_is_not_stored_on_the_method(self):
-        # A stored block would survive replace and put slow references on the fast path.
-        assert cl.raven_rule.decide_count_block is None
-        assert convergence._count_block(cl.raven_rule) is not None
-        assert convergence._count_block(replace(cl.raven_rule, decide_counts=None)) is None
+    def test_a_counts_method_is_one_rule_on_every_path(self):
+        # replace(m, decide_counts=g) re-derives decide and the block from g, over any passed alongside.
+        never = replace(cl.raven_rule, decide_counts=lambda n, k: cl.NO)
+        assert never.decide((1, 1, 1)) == cl.NO
+        outputs, index = never.decide_count_block((0, 1), np.array([[0, 3], [1, 2]]))
+        assert [outputs[i] for i in index.tolist()] == [cl.NO, cl.NO]
+        er = cl.easy_raven(max_first_zero=3)
+        assert cl.exact_success_prob(er, never, er.world("all-ones"), 3, cl.EXACT) == 0
+        verdict = cl.check_mode(er, never, cl.mode_params("I", 10, world_ids=["all-ones"]))
+        assert [wv.status for wv in verdict.worlds] == ["refuted"]
+        yes_block = lambda tokens, counts: ([cl.YES], np.zeros(len(counts), dtype=np.int64))  # noqa: E731
+        passed = cl.InferenceMethod("x", lambda seq: cl.YES, decide_counts=lambda n, k: cl.NO, decide_count_block=yes_block)
+        outputs, index = passed.decide_count_block((0, 1), np.array([[0, 2]]))
+        assert passed.decide("11") == outputs[index[0]] == cl.NO
+
+    def test_the_slow_reference_has_no_block_and_plans_per_sequence(self):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.world("theta=0.3")
+        plodding = cl.InferenceMethod("plodding", cl.frequency_estimator.decide)
+        assert plodding.decide_count_block is None and cl.frequency_estimator.decide_count_block is not None
+        assert _plan(plodding, w, 5, Budget()) == "enum-exact"
+        assert _plan(plodding, w, 5, Budget(strategy="mc")) == "mc-generic"
+        assert _plan(cl.frequency_estimator, w, 5, Budget()) == "binomial-exact"
 
     def test_erm_scans_make_one_block_call_per_world_and_no_decide_call(self, toy_task, toy_classifiers):
         prob = cl.binary_classification(**toy_task)
@@ -1434,7 +1452,7 @@ class TestCountBlock:
             (cl.fair_coin(thetas), cl.fair_coin_test),
             (cl.coin_bias(thetas), cl.frequency_estimator),
         ):
-            plodding = replace(method, decide_counts=None, locks_at_first_zero=False, laws=None)
+            plodding = cl.InferenceMethod(method.name, method.decide)
             params = cl.mode_params("I", 40)
             assert cl.check_mode(problem, method, params) == cl.check_mode(problem, plodding, params)
             for w in problem.worlds:
@@ -1443,12 +1461,12 @@ class TestCountBlock:
         w = fg.world("p=0.3")
         first_zero_free = replace(cl.raven_rule, locks_at_first_zero=False)
         locks = _lock_stage_samples(fg, first_zero_free, w, 30, 200, 9, "mc")
-        slow = _lock_stage_samples(fg, replace(first_zero_free, decide_counts=None), w, 30, 200, 9, "mc")
+        slow = _lock_stage_samples(fg, cl.InferenceMethod("plodding", cl.raven_rule.decide), w, 30, 200, 9, "mc")
         assert locks.tolist() == slow.tolist()
 
     def test_a_block_only_method_on_a_coin_takes_the_binomial_sum(self):
         cb = cl.coin_bias([Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)])
-        method = replace(cl.frequency_estimator, decide_counts=None, laws=None, decide_count_block=_frequency_block)
+        method = cl.InferenceMethod("block-only", cl.frequency_estimator.decide, decide_count_block=_frequency_block)
         plodding = replace(method, decide_count_block=None)
         for w in (w for w in cb.worlds if "/" not in w.id):
             for crit in (cl.EXACT, cl.within(Fraction(1, 4))):
@@ -1644,7 +1662,7 @@ class TestLockTime:
         ids=["easy-raven", "easy-raven-literal", "fair-coin", "coin-bias"],
     )
     def test_counts_scan_agrees_with_the_per_sequence_scan(self, problem, method):
-        plodding = replace(method, decide_counts=None, locks_at_first_zero=False)
+        plodding = cl.InferenceMethod(method.name, method.decide, laws=method.laws)
 
         def mode1(m, T):
             v = cl.check_mode(problem, m, cl.mode_params("I", T))
@@ -2024,6 +2042,41 @@ class TestCardinalityWitness:
         with pytest.raises(TypeError, match="needs real-valued outputs, got Classifier"):
             cl.cardinality_witness(spy, 3)
         assert calls == []
+
+    def test_one_enumeration_budget_on_both_paths(self):
+        # 2**21 - 1 inputs: every binary sequence to depth 20, or every (n - k, k) row to depth 2046.
+        class Reached(Exception):
+            pass
+
+        calls = []
+
+        def block(tokens, counts):
+            calls.append(len(counts))
+            raise Reached
+
+        spy = cl.InferenceMethod("spy", cl.frequency_estimator.decide, decide_count_block=block)
+        for depth in (2047, 10**30):
+            with pytest.raises(cl.ResourceBudgetError, match="exceeds the budget of 2\\*\\*21 - 1"):
+                cl.cardinality_witness(spy, depth)
+        assert calls == []
+        with pytest.raises(Reached):
+            cl.cardinality_witness(spy, 2046)
+        assert calls == [2047 * 2048 // 2] and calls[0] <= 2**21 - 1
+        flagless = cl.InferenceMethod("flagless", lambda seq: 0 if seq else cl.SUSPEND)
+        for depth in (21, 10**30):
+            with pytest.raises(cl.ResourceBudgetError, match="exceeds the budget of 2\\*\\*21 - 1"):
+                cl.cardinality_witness(flagless, depth)
+
+    def test_the_block_enumerates_every_count_row_in_order(self):
+        rows = []
+
+        def block(tokens, counts):
+            rows.extend(map(tuple, counts.tolist()))
+            return cl.frequency_estimator.decide_count_block(tokens, counts)
+
+        spy = cl.InferenceMethod("spy", cl.frequency_estimator.decide, decide_count_block=block)
+        assert cl.cardinality_witness(spy, 6) == cl.cardinality_witness(cl.InferenceMethod("p", spy.decide), 6)
+        assert rows == [(n - k, k) for n in range(7) for k in range(n + 1)]
 
     @given(depth=st.integers(0, 8))
     @settings(max_examples=9, deadline=None)

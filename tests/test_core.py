@@ -372,9 +372,9 @@ def test_method_needs_decide_or_counts_and_derives_decide_from_counts():
         cl.InferenceMethod("x")
     ones = cl.InferenceMethod("ones", decide_counts=lambda n, k: k)
     assert ones.count_symmetric and ones.decide("1101") == 3
-    # the derived decide survives dropping the counts
-    plain = replace(ones, decide_counts=None)
-    assert not plain.count_symmetric and plain.decide([1, 1]) == 2
+    # the same rule with no counts and no block: the slow reference
+    plain = cl.InferenceMethod(ones.name, ones.decide)
+    assert not plain.count_symmetric and plain.decide_count_block is None and plain.decide([1, 1]) == 2
 
 
 def test_success_block_is_a_read_only_name_for_the_count_block(toy_classifiers):

@@ -154,6 +154,14 @@ class TestErm:
         with pytest.raises(cl.InputDomainError, match="each classifier once"):
             cl.erm_method([*toy_classifiers, toy_classifiers[0]])
 
+    def test_an_empty_pool_is_refused(self):
+        # No classifier has minimal risk, so there is no hypothesis to return.
+        for data in ([("a", 1)], []):
+            with pytest.raises(cl.InputDomainError, match="at least one classifier"):
+                cl.erm(data, ())
+            with pytest.raises(cl.InputDomainError, match="at least one classifier"):
+                cl.erm(data, iter(()))
+
     def test_method_order_is_nonempty(self):
         # An empty pool has no first minimizer: its count block had no column to take an argmin over.
         with pytest.raises(cl.InputDomainError, match="and at least one"):
