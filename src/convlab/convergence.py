@@ -699,24 +699,25 @@ def _trailing_pass_start(stages, statuses) -> Optional[int]:
     return start
 
 
-def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list]:
-    """Start of the trailing zero-loss run of outputs on prefix[:s], s = 0..len(prefix),
-    or None when the last loss is positive; and every stage's loss.
-
-    A count-block method is decided in one call on the running token counts, row s for prefix[:s].
-    """
+def _stage_outputs(method, prefix, first: int = 0) -> list:
+    """The outputs on prefix[:s], s = first..len(prefix); a count-block method is decided in one call
+    on the running token counts, row s for prefix[:s]."""
     block = method.decide_count_block
     if block is None:
-        outs = [method.decide(prefix[:s]) for s in range(len(prefix) + 1)]
-    else:
-        import numpy as np
+        return [method.decide(prefix[:s]) for s in range(first, len(prefix) + 1)]
+    import numpy as np
 
-        column = {tok: j for j, tok in enumerate(dict.fromkeys(prefix))}
-        steps = np.zeros((len(prefix) + 1, len(column)), dtype=np.int64)
-        steps[np.arange(1, len(prefix) + 1), [column[tok] for tok in prefix]] = 1
-        outputs, index = block(list(column), steps.cumsum(axis=0))
-        outs = [outputs[i] for i in index.tolist()]
-    losses = list(map(_output_memo(lambda out: loss_of(problem, out, world)), outs))
+    column = {tok: j for j, tok in enumerate(dict.fromkeys(prefix))}
+    steps = np.zeros((len(prefix) + 1, len(column)), dtype=np.int64)
+    steps[np.arange(1, len(prefix) + 1), [column[tok] for tok in prefix]] = 1
+    outputs, index = block(list(column), steps.cumsum(axis=0))
+    return [outputs[i] for i in index[first:].tolist()]
+
+
+def _zero_loss_scan(problem, method, world, prefix) -> tuple[Optional[int], list]:
+    """Start of the trailing zero-loss run of outputs on prefix[:s], s = 0..len(prefix),
+    or None when the last loss is positive; and every stage's loss."""
+    losses = list(map(_output_memo(lambda out: loss_of(problem, out, world)), _stage_outputs(method, prefix)))
     statuses = ["pass" if L == 0 else "fail" for L in losses]
     return _trailing_pass_start(range(len(losses)), statuses), losses
 
@@ -862,9 +863,13 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str
     cell j < horizon + 1 counts the branches locked at stage j, the last cell those unlocked by the horizon.
 
     On the planned path GEOMETRIC_MC, one multinomial draw over the cells of the geometric first-zero law;
-    on MC, the starts of the branches' trailing zero-loss runs through the horizon.  The sample is derived
-    from (seed, world id, horizon) only, so all stages n share it and the estimated lock probability is
-    nondecreasing in n.
+    on MC, the starts of the branches' trailing zero-loss runs through the horizon, each scanned back from
+    the horizon.  MC holds the branches as rows of token indices (a byte each on a small alphabet), takes
+    them in lexicographic order of index (tokens need not be orderable) and keeps the outputs on the prefix
+    shared with the row before, so a method with no count block decides each distinct sampled prefix once
+    (decide is deterministic); a count-block method makes one block call per branch.  The sample is
+    derived from (seed, world id, horizon) only, so all stages n share it and the estimated lock
+    probability is nondecreasing in n.
     """
     import numpy as np
 
@@ -883,11 +888,19 @@ def _lock_stage_samples(problem, method, world, horizon, trials, seed, path: str
             cells[1:] = np.diff(-np.expm1(np.arange(1, horizon + 1) * log_th), prepend=0.0, append=1.0)
         return rng.multinomial(trials, cells)
 
-    locks = np.empty(trials, dtype=np.int64)
-    for t, prefix in enumerate(m.sample_prefixes(rng, trials, horizon)):
+    column = {tok: j for j, (tok, _) in enumerate(m.token_probs)}
+    tokens, drawn = list(column), itertools.chain.from_iterable(m.sample_prefixes(rng, trials, horizon))
+    keys = np.fromiter(map(column.__getitem__, drawn), np.min_scalar_type(len(tokens))).reshape(trials, horizon)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    fresh = keys[1:] != keys[:-1]  # firsts: per sorted row, the first stage off the row before
+    firsts, outs, locks = [0, *np.where(fresh.any(axis=1), fresh.argmax(axis=1) + 1, horizon + 1).tolist()], [], []
+    for row, first in zip(keys, firsts):
+        prefix = tuple(map(tokens.__getitem__, row.tolist()))
+        outs[first:] = _stage_outputs(method, prefix, first)
         ephemeral = replace(world, truth=problem.truth_of_prefix(prefix))
-        n0, _ = _zero_loss_scan(problem, method, ephemeral, prefix)
-        locks[t] = n0 if n0 is not None else horizon + 1
+        loss = _output_memo(lambda out: loss_of(problem, out, ephemeral))
+        # One past the last positive loss: horizon + 1, the unlocked cell, when the last stage's loss is positive.
+        locks.append(next((s + 1 for s in range(horizon, -1, -1) if loss(outs[s]) != 0), 0))
     return np.bincount(locks, minlength=horizon + 2)
 
 
@@ -929,10 +942,11 @@ def success_set_curve(
 
     Exact in a world with no measure (the point mass on its branch) under every strategy, and by the closed
     form 1 - p**n + [p = 1] for first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc";
-    sampled otherwise.  All stages of one world read the cumulative sums of one lock-stage histogram,
-    derived from (seed, world id, horizon), so the sampled curve is nondecreasing.  Strategy, trials,
-    horizon (>= 1) and the integer stages (in [0, horizon]) are checked once per call.  Worlds are
-    evaluated in the calling thread, one after another.
+    sampled otherwise, where a method with no count block decides each distinct sampled prefix once.  All
+    stages of one world read the cumulative sums of one lock-stage histogram, derived from (seed, world id,
+    horizon), so the sampled curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer
+    stages (in [0, horizon]) are checked once per call.  Worlds are evaluated in the calling thread, one
+    after another.
     """
     Budget(strategy=strategy, trials=trials)
     horizon, stage_list = _stage_list(horizon, stages, 0)
@@ -1023,7 +1037,8 @@ def _output_gap(method, depth: int):
     for out in _enumerate_outputs(method, depth):
         if out is not SUSPEND:
             add(out)
-    points = sorted(values | {Fraction(0), Fraction(1)})
+    # Sorted in C: float() of a Fraction is correctly rounded, so monotone, and the Fraction breaks float ties.
+    points = sorted(values | {Fraction(0), Fraction(1)}, key=lambda v: (float(v), v))
     lo, hi = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])  # max keeps the first: the lowest
     return lo, hi, values
 

@@ -234,7 +234,8 @@ class Measure:
         return p
 
     def sample_prefixes(self, rng, trials: int, n: int):
-        """Yield ``trials`` sampled length-n prefixes: the rows of ``rng.choice(len(tokens), (trials, n), p=probs)``.
+        """Yield ``trials`` sampled length-n prefixes: the rows of ``rng.choice(len(tokens), (trials, n), p=probs)``
+        as tuples of the measure's own tokens, from C-level lists: the index rows where each token is its int index.
 
         choice maps each u of ``rng.random((trials, n))`` to ``cdf.searchsorted(u, side="right")``;
         drawing those uniforms a few whole rows at a time advances rng alike, so
@@ -246,9 +247,10 @@ class Measure:
         cdf = np.array([float(p) for _, p in self.token_probs]).cumsum()
         cdf /= cdf[-1]
         rows = max(1, _CHUNK_DRAWS // max(n, 1))
+        indices = all(type(tok) is int and tok == j for j, tok in enumerate(tokens))
         for t in range(0, trials, rows):
-            u = rng.random((min(rows, trials - t), n))
-            yield from map(tuple, tokens[cdf.searchsorted(u, side="right")])
+            idx = cdf.searchsorted(rng.random((min(rows, trials - t), n)), side="right")
+            yield from map(tuple, (idx if indices else tokens[idx]).tolist())
 
     def sample_count_block(self, rng, trials: int, n: int):
         """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples.
@@ -450,8 +452,11 @@ class InferenceMethod:
             return
 
         def decide(seq) -> MethodOutput:
-            tokens = binary_sequence(seq)
-            return rule(len(tokens), sum(tokens))
+            items = tuple(seq)
+            k = items.count(1)  # checked in C below; binary_sequence reads "0101" or names a bad token
+            if items.count(0) + k != len(items):
+                return rule(len(items), sum(binary_sequence(seq if isinstance(seq, str) else items)))
+            return rule(len(items), k)
 
         def block(tokens, counts):
             # (n, k) off either order of the tokens 0 and 1, each distinct (n, k) decided once; a

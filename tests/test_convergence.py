@@ -1943,6 +1943,28 @@ class TestSuccessSets:
                     est = cl.success_set_prob(er, cl.raven_rule, w, n, strategy=strategy)
                     assert est == (int(n >= lock), 0.0, True)
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_the_generic_sampler_decides_each_distinct_sampled_prefix_once(self, seed):
+        fg = cl.fine_grained_raven([Fraction(9, 10)])
+        w, horizon, trials = fg.worlds[0], 40, 300
+        calls = []
+
+        def decide(seq):
+            calls.append(seq)
+            return cl.raven_rule.decide(seq)
+
+        hist = _lock_stage_samples(fg, cl.InferenceMethod("spy-raven", decide), w, horizon, trials, seed, "mc")
+        rng = seeding.generator(seed, "success-set", w.id, horizon)
+        branches = list(w.measure.sample_prefixes(rng, trials, horizon))
+        distinct = {b[:s] for b in branches for s in range(horizon + 1)}
+        assert len(calls) == len(distinct) < trials * (horizon + 1) and set(calls) == distinct
+        # The histogram of a per-branch scan of every stage.
+        reference = np.zeros(horizon + 2, dtype=np.int64)
+        for b in branches:
+            n0, _ = convergence._zero_loss_scan(fg, cl.raven_rule, replace(w, truth=fg.truth_of_prefix(b)), b)
+            reference[horizon + 1 if n0 is None else n0] += 1
+        assert hist.tolist() == reference.tolist()
+
 
 class TestUnderdeterminationWitness:
     def test_fair_coin_pair(self):
@@ -2066,6 +2088,28 @@ class TestCardinalityWitness:
         for depth in (21, 10**30):
             with pytest.raises(cl.ResourceBudgetError, match="exceeds the budget of 2\\*\\*21 - 1"):
                 cl.cardinality_witness(flagless, depth)
+
+    @staticmethod
+    def _plainly_sorted_report(outputs, depth):
+        values = {Fraction(out) for out in outputs if out is not cl.SUSPEND}
+        points = sorted(values | {Fraction(0), Fraction(1)})  # Fraction comparisons only
+        lo, hi = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])
+        mid = (lo + hi) / 2
+        return dict(witness=str(mid), witness_float=float(mid), gap=[str(lo), str(hi)], depth=depth,
+                    distinct_outputs=len(values))
+
+    def test_the_report_equals_a_plainly_sorted_reference(self):
+        ratios = [Fraction(k, n) for n in range(1, 61) for k in range(n + 1)]
+        want = self._plainly_sorted_report(ratios, 60)
+        assert cl.cardinality_witness_report(cl.frequency_estimator, 60) == want
+        # Three outputs equal as floats: only the exact tie-break makes the largest, b, the low end of the widest gap.
+        a = Fraction(1, 3)
+        b, c = a + Fraction(1, 10**30), a - Fraction(1, 10**30)
+        assert float(a) == float(b) == float(c)
+        colliding = cl.InferenceMethod("colliding", lambda seq: [c, b, a][sum(seq) % 3] if seq else cl.SUSPEND)
+        outputs = [colliding.decide(seq) for n in range(7) for seq in itertools.product((0, 1), repeat=n)]
+        report = cl.cardinality_witness_report(colliding, 6)
+        assert report == self._plainly_sorted_report(outputs, 6) and report["gap"] == [str(b), "1"]
 
     def test_the_block_enumerates_every_count_row_in_order(self):
         rows = []

@@ -283,6 +283,26 @@ class TestIidSampler:
         probs = [float(p) for _, p in law.token_probs]
         return rng.choice(len(probs), size=size, p=probs)
 
+    @pytest.mark.parametrize("shape", [(7, 0), (2 * (_CHUNK_DRAWS // 40) + 11, 40)])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Measure.iid_bernoulli(Fraction(3, 10)),
+            Measure.iid_examples({("a", 1): "0.2", ("a", 0): "0.3", ("b", 0): "0.5"}),
+            Measure.iid_examples({0.0: "0.4", 1.0: "0.6"}),  # float tokens equal to their indices stay floats
+            Measure.iid_examples({"a": "0.4", "b": "0.6"}),
+        ],
+        ids=["bernoulli", "tuples", "floats", "strings"],
+    )
+    def test_prefixes_keep_the_measures_token_values_and_types(self, law, shape):
+        trials, n = shape
+        prefixes = list(law.sample_prefixes(seeding.generator(6, "types"), trials, n))
+        tokens = [tok for tok, _ in law.token_probs]
+        want = [tuple(tokens[i] for i in row) for row in self._choice(law, seeding.generator(6, "types"), shape)]
+        assert prefixes == want and len(prefixes) == trials
+        typed = lambda rows: [tuple(map(type, row)) for row in rows]  # noqa: E731
+        assert all(type(p) is tuple for p in prefixes) and typed(prefixes) == typed(want)
+
     @pytest.mark.parametrize("n", [0, 1, 50, 1000])
     @pytest.mark.parametrize("theta", ["0", "1", "3/10", "1/2", "9/20", "1/10", "7/9"])
     def test_binary_count_column_is_the_binomial_stream(self, theta, n):

@@ -127,6 +127,35 @@ def test_count_symmetry_exhaustive_up_to_length_12(method):
             assert method.decide(seq) == method.decide_counts(n, sum(seq))
 
 
+class TestDerivedDecide:
+    """A counts method's derived decide reads k as count(1), checked against count(0): the rule it wraps on
+    every input kind (every binary tuple to length 12: test_count_symmetry_exhaustive_up_to_length_12)."""
+
+    METHODS = [cl.raven_rule, cl.fair_coin_test, cl.frequency_estimator]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lists_arrays_bools_and_strings(self, method):
+        for t in [(), (1,), (0, 1, 1), (1, 1, 0, 1, 0, 0, 1), (1,) * 9, (0,) * 5]:
+            want = method.decide_counts(len(t), sum(t))
+            assert method.decide(list(t)) == want
+            assert method.decide(np.array(t, dtype=np.int64)) == want
+            assert method.decide(tuple(map(bool, t))) == want
+            assert method.decide("".join(map(str, t))) == want
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_non_binary_token_is_named(self, method):
+        for bad, shown in [((0, 1, 2), "2"), ([1, "1"], "'1'"), ((1, 0.5), "0.5"), ("0120", "'0120'")]:
+            with pytest.raises(cl.InputDomainError, match=f"non-binary .*{shown}"):
+                method.decide(bad)
+
+    def test_float_tokens_give_the_rule_an_int_count(self):
+        seen = []
+        method = cl.InferenceMethod("spy", decide_counts=lambda n, k: seen.append((n, k)) or cl.YES)
+        method.decide((1.0, 0.0, 1.0))
+        method.decide(np.array([True, False, True]))
+        assert seen == [(3, 2), (3, 2)] and all(type(k) is int for _, k in seen)
+
+
 class TestErm:
     def test_spec_values(self, toy_classifiers):
         all0, all1, ident = toy_classifiers
