@@ -12,7 +12,8 @@ dict carries along a curve's stages, or a multinomial sum over the token-count
 vectors under any IID world -- and by seeded Monte Carlo otherwise; one planner
 (``_plan``) names that path per (measure, n), and Monte Carlo judges every
 world on a measure on one draw per n: mc-histogram over the count vectors where
-they number at most the trials, else mc-block rows, the only items the worker
+they number at most the trials (a curve builds them once per stage for all its
+measures), else mc-block rows, the only items the worker
 pool runs, or mc-generic prefixes.  Mode checks aggregate these into
 finite-horizon verdicts: a horizon-stamped verdict is evidence about the limit
 behaviour, not a proof.  Analytic lower bounds are reported per curve row; no
@@ -96,6 +97,12 @@ def within(eps) -> SuccessCriterion:
     return SuccessCriterion("within", as_fraction(eps))
 
 
+def _check_trials(trials) -> None:
+    """InputDomainError unless trials is an integer in [1, 2**63 - 1], numpy's int64 bound, which rng.multinomial takes."""
+    if _integer(trials, "trials", 1) > 2**63 - 1:
+        raise InputDomainError(f"trials must be at most 2**63 - 1, got {trials!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """Caps on exact computation, and Monte Carlo trial/margin settings.
@@ -113,8 +120,7 @@ class Budget:
     def __post_init__(self):
         if self.strategy not in ("auto", "exact", "mc"):
             raise InputDomainError(f"unknown strategy {self.strategy!r}")
-        if _integer(self.trials, "trials", 1) > 2**63 - 1:  # numpy's int64 bound, which rng.multinomial takes
-            raise InputDomainError(f"trials must be at most 2**63 - 1, got {self.trials!r}")
+        _check_trials(self.trials)
         _integer(self.exact_enum_cap, "exact_enum_cap", 1)
         _integer(self.symmetric_exact_cap, "symmetric_exact_cap", 0)
         m = self.mc_margin
@@ -310,20 +316,32 @@ def _plan(method, world, n, budget: Budget) -> str:
             raise ResourceBudgetError(
                 f"exact strategy: no exact path for world {world.id!r} at n={n}"
             )
-    if not block:
+    return _mc_path(method, m, n, budget.trials)
+
+
+def _mc_path(method, measure, n: int, trials: int) -> str:
+    """_plan's sampled path at (measure, n) for the trials."""
+    if method.decide_count_block is None:
         return MC_GENERIC
-    return MC_HISTOGRAM if math.comb(n + t - 1, t - 1) <= budget.trials else MC_BLOCK
+    t = len(measure.support[0])
+    return MC_HISTOGRAM if math.comb(n + t - 1, t - 1) <= trials else MC_BLOCK
 
 
-# Distinct outputs whose function one evaluation-path call remembers.
+# Distinct outputs an output memo holds at once.
 _SUCCESS_MEMO_CAP = 256
+
+# Keys of the dicts success_curve passes as ``sums`` and ``draws``, apart from their own tuple keys: the curve's
+# success tests (one per world), and one stage's count tables.
+_TESTS, _TABLES = "success tests", "count tables"
 
 
 def _output_memo(fn):
-    """fn of a method output, remembered per (type(out), out) for the first _SUCCESS_MEMO_CAP outputs.
+    """fn of a method output, remembered per (type(out), out) for up to _SUCCESS_MEMO_CAP outputs at once: a full
+    memo empties before it takes the next, so a memo that outlives one stage keeps serving the later stages.
 
     An exact Fraction is keyed by its two ints, (Fraction, numerator, denominator): it is always in lowest
-    terms, so equal Fractions share the key, and no lookup runs Fraction's pure-Python hash or equality."""
+    terms, so equal Fractions share the key, and no lookup runs Fraction's pure-Python hash or equality.
+    Threads may share it: a race evaluates an output twice, never wrongly."""
     memo = {}
 
     def of(out):
@@ -334,24 +352,33 @@ def _output_memo(fn):
             entry = memo.get(key := id(out))
         if entry is None:
             entry = (out, fn(out))
-            if len(memo) < _SUCCESS_MEMO_CAP:
-                memo[key] = entry
+            if len(memo) >= _SUCCESS_MEMO_CAP:
+                memo.clear()
+            memo[key] = entry
         return entry[1]
 
     return of
 
 
-def _success_test(problem, world, crit):
+def _success_test(problem, world, crit, shared=None):
     """Whether a method output meets the criterion in the world.
 
-    Each distinct output's loss is evaluated once per call, keyed by type and value, so a loss must
-    give equal outputs of one type equal losses; unhashable outputs are keyed per object.
+    Each distinct output's loss is evaluated once per test (_output_memo), keyed by type and value, so a
+    loss must give equal outputs of one type equal losses; unhashable outputs are keyed per object.  Every
+    call on a shared dict holding success_curve's _TESTS reads one test per (problem, world, crit).
     """
-    return _output_memo(lambda out: crit.met(loss_of(problem, out, world)))
+    tests = None if shared is None else shared.get(_TESTS)
+    if tests is None:
+        return _output_memo(lambda out: crit.met(loss_of(problem, out, world)))
+    key = (id(problem), id(world), id(crit))
+    entry = tests.get(key)
+    if entry is None:  # the entry holds the three objects, so no id in a kept key is reused
+        entry = tests.setdefault(key, (problem, world, crit, _success_test(problem, world, crit)))
+    return entry[3]
 
 
-def _point_mass_exact(problem, method, world, n, crit) -> Fraction:
-    met = _success_test(problem, world, crit)
+def _point_mass_exact(problem, method, world, n, crit, sums=None) -> Fraction:
+    met = _success_test(problem, world, crit, sums)
     return Fraction(1) if met(method.decide(world.branch.prefix(n))) else Fraction(0)
 
 
@@ -406,7 +433,7 @@ def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
 
         k = np.arange(ks[0], ks[-1] + 1)
         decided = method.decide_count_block((0, 1), np.stack([n - k, k], axis=1))
-        flags = _count_block_flags(problem, world, crit, decided)
+        flags = _count_block_flags(problem, world, crit, decided, sums)
         # The edges of the zero-padded flags alternate between the starts and the stops of runs of hits.
         edges = (np.flatnonzero(np.diff(flags, prepend=False, append=False)) + ks[0]).tolist()
         ranges = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
@@ -423,9 +450,9 @@ def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
     return values[window]
 
 
-def _enum_exact(problem, method, world, n, crit) -> Fraction:
+def _enum_exact(problem, method, world, n, crit, sums=None) -> Fraction:
     # In lexicographic order, each leaf of the level weighs the product of its tokens' nums over q**n.
-    met = _success_test(problem, world, crit)
+    met = _success_test(problem, world, crit, sums)
     tokens, nums, q = world.measure.support
     leaves = zip(itertools.product(tokens, repeat=n), itertools.product(nums, repeat=n))
     return Fraction(sum(math.prod(weights) for seq, weights in leaves if met(method.decide(seq))), q**n)
@@ -447,28 +474,28 @@ def _compositions(n: int, t: int):
     return np.diff(edges, axis=1) - 1
 
 
-def _count_block_flags(problem, world, crit, decided):
+def _count_block_flags(problem, world, crit, decided, shared=None):
     """A bool array: per row of a count block's (outputs, index), whether its output meets the criterion in the world.
 
-    Tests each output some row picks once.
+    Tests each output some row picks once, on the world's test in the shared dict (_success_test).
     """
     import numpy as np
 
     outputs, index = decided
-    met = _success_test(problem, world, crit)
+    met = _success_test(problem, world, crit, shared)
     hits = np.zeros(len(outputs), dtype=bool)
     for i in np.flatnonzero(np.bincount(index, minlength=len(outputs))):
         hits[i] = met(outputs[i])
     return hits[index]
 
 
-def _multinomial_exact(problem, method, world, n, crit) -> Fraction:
+def _multinomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
     # An exchangeable method's output depends only on the token counts c, whose
     # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
     tokens, nums, q = world.measure.support
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(tokens))
-    flags = _count_block_flags(problem, world, crit, method.decide_count_block(tokens, counts))
+    flags = _count_block_flags(problem, world, crit, method.decide_count_block(tokens, counts), sums)
     num = 0
     for cs in counts[flags].tolist():
         weight = fact[n]
@@ -492,16 +519,16 @@ def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget]
     Takes the exact path the budget plans: the point-mass indicator, the
     binomial sum over success counts, the multinomial sum over token-count
     vectors, or enumeration of the tree level.  Calls sharing a ``sums`` dict
-    share the binomial sum's cursors and values; sharing changes no value.
+    share the binomial sum's cursors and values, keyed by the bias's two ints;
+    success_curve's dict also holds its worlds' success tests, one per world
+    for all its stages (_success_test).  Sharing changes no value.
     """
     path, n = _plan(method, world, n, budget or Budget()), int(n)  # numpy's integers too
     if path not in _EXACT_PATHS:
         raise ResourceBudgetError(
             f"no exact path for world {world.id!r} at n={n} within the budget; use mc_success_prob"
         )
-    if path == BINOMIAL_EXACT:
-        return _binomial_exact(problem, method, world, n, crit, sums)
-    return _EXACT_PATHS[path](problem, method, world, n, crit)
+    return _EXACT_PATHS[path](problem, method, world, n, crit, sums)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +540,27 @@ def _mc_estimate(hits: int, trials: int) -> Estimate:
     return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
+def _count_table(n: int, t: int, tables: dict):
+    """The C(n+t-1, t-1) count vectors of t tokens summing to n (_compositions) and their sums of log c_j!, the
+    part of a histogram draw at (n, t) that no probability enters, kept in tables per (n, t)."""
+    import numpy as np
+
+    table = tables.get((n, t))
+    if table is None:
+        vectors = _compositions(n, t)
+        log_fact = np.concatenate(([0.0], np.log(np.arange(1, n + 1)).cumsum()))  # log c! for c = 0..n
+        table = tables[n, t] = vectors, log_fact[vectors].sum(axis=1)
+    return table
+
+
+def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> dict:
     """The trials at (measure, n) that every world on the measure is judged on, with their weights.
 
     On the planned path: mc-generic decides each sampled prefix once, weight 1; mc-block draws
     Measure.sample_count_block's trials token-count rows, weight 1; mc-histogram draws the trials'
     histogram, one rng.multinomial(trials, P) over every count vector c with
-    P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.
+    P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.  Its count
+    vectors and their log-factorial sums come from _count_table, kept in tables (a dict) where given.
     """
     import numpy as np
 
@@ -530,23 +571,25 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng) -> dict:
         return {"rows": measure.sample_count_block(rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
     p = np.array([float(pr) for _, pr in measure.token_probs])
     cols = np.flatnonzero(p > 0)
-    vectors = _compositions(n, len(cols))
-    log_fact = np.concatenate(([0.0], np.log(np.arange(1, n + 1)).cumsum()))  # log c! for c = 0..n
-    log_pmf = vectors @ np.log(p[cols]) - log_fact[vectors].sum(axis=1)  # less the constant log n!
+    vectors, log_coef = _count_table(n, len(cols), {} if tables is None else tables)
+    log_pmf = vectors @ np.log(p[cols]) - log_coef  # less the constant log n!
     pmf = np.exp(log_pmf - log_pmf.max())
     weights = rng.multinomial(trials, pmf / pmf.sum())
-    rows = np.zeros((len(vectors), len(p)), dtype=np.int64)
-    rows[:, cols] = vectors  # a zero-probability token's column stays 0
-    return {"rows": rows[weights > 0], "weights": weights[weights > 0]}
+    drawn = np.flatnonzero(weights)
+    rows = np.zeros((len(drawn), len(p)), dtype=np.int64)
+    rows[:, cols] = vectors[drawn]  # a zero-probability token's column stays 0
+    return {"rows": rows, "weights": weights[drawn]}
 
 
-def _mc_flags(problem, method, world, n, crit, draw: dict):
-    """A bool array: per trial (row) of the draw, whether the method's output meets the criterion in the world."""
+def _mc_flags(problem, method, world, n, crit, draw: dict, shared=None):
+    """A bool array: per trial (row) of the draw, whether the method's output meets the criterion in the world,
+    on the world's test in the shared dict (_success_test)."""
     import numpy as np
 
     if "outputs" in draw:
         outputs = draw["outputs"]
-        return np.fromiter(map(_success_test(problem, world, crit), outputs), dtype=bool, count=len(outputs))
+        met = _success_test(problem, world, crit, shared)
+        return np.fromiter(map(met, outputs), dtype=bool, count=len(outputs))
     rows = draw["rows"]
     ranges = _window(problem, method, world, n, crit)
     if ranges is not None:  # a declared window flags column 1 (the count of 1s) and decides nothing
@@ -558,7 +601,7 @@ def _mc_flags(problem, method, world, n, crit, draw: dict):
         probs = world.measure.token_probs
         positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
         draw["decided"] = method.decide_count_block([probs[j][0] for j in positive], rows[:, positive])
-    return _count_block_flags(problem, world, crit, draw["decided"])
+    return _count_block_flags(problem, world, crit, draw["decided"], shared)
 
 
 def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, draws=None) -> Estimate:
@@ -571,18 +614,25 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
     A ``draws`` dict shared by calls for one method keeps each (measure, n,
     trials, seed) draw, so every world on a measure is judged on the same
     trials, each against its own truth; sharing it changes no estimate.
-    A world with no measure reports its deterministic indicator.
+    success_curve's dicts also hold its worlds' success tests, one per world
+    for all its stages, and the count tables (_count_table) of the stage it
+    judges; a call on any other dict builds its own.  A world with no
+    measure reports its deterministic indicator.  Trials are checked as
+    Budget checks them, and the seed on every path.
     """
-    path, n = _plan(method, world, n, Budget(strategy="mc", trials=trials)), int(n)  # numpy's integers too
-    if path == POINT_MASS:
-        return Estimate(float(_point_mass_exact(problem, method, world, n, crit)), 0.0, True)
+    _check_trials(trials)
+    n = _integer(n, "sample size", 0)  # numpy's integers too
+    seeding.check_key(seed)
     draws = {} if draws is None else draws
-    key = (world.measure, n, trials, seed)
-    if key not in draws:
-        rng = seeding.generator(seed, "mc", *(pr for _, pr in world.measure.token_probs), n)
-        draws[key] = _mc_draw(method, world.measure, n, path, trials, rng)
-    draw = draws[key]
-    return _mc_estimate(int(draw["weights"][_mc_flags(problem, method, world, n, crit, draw)].sum()), trials)
+    m = world.measure
+    if m is None:
+        return Estimate(float(_point_mass_exact(problem, method, world, n, crit, draws)), 0.0, True)
+    key = (m, n, trials, seed)
+    draw = draws.get(key)
+    if draw is None:
+        rng = seeding.generator(seed, "mc", *(pr for _, pr in m.token_probs), n)
+        draw = draws[key] = _mc_draw(method, m, n, _mc_path(method, m, n, trials), trials, rng, draws.get(_TABLES))
+    return _mc_estimate(int(draw["weights"][_mc_flags(problem, method, world, n, crit, draw, draws)].sum()), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +698,14 @@ def success_curve(
     equals that call whatever the grid.  Only the (measure, n) planned mc-block go to
     the worker pool, whose threads each hold one draw at a time, as numpy's
     binomials release the GIL; the rest are GIL-bound and judged in the
-    calling thread.  Rows carry the analytic bound where one applies.
-    Identical (arguments, seed) give identical curves at any worker count.
+    calling thread, exact points measure by measure and the other sampled
+    points stage by stage.  The sums dict and every draws dict hold one
+    dict of success tests, one per world for all its points, which the
+    pool's threads read too; a stage's draws dicts also share its count
+    tables, dropped when the stage is judged, and each measure's draw is
+    dropped once its worlds are.  Rows carry the analytic bound where one
+    applies.  Identical (arguments, seed) give identical curves at any
+    worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
@@ -659,14 +715,15 @@ def success_curve(
     groups = {}  # measure -> the (index, world) pairs on it, in grid order
     for wi, w in enumerate(worlds):
         groups.setdefault(w.measure, []).append((wi, w))
-    groups = list(groups.items())  # keyed by position below: hashing a measure hashes its Fractions
+    groups = list(groups.items())  # keyed by position below
     paths = {(g, n): _plan(method, ws[0][1], n, budget) for g, (_, ws) in enumerate(groups) for n in stage_list}
-    sums = {}  # read only by exact points, which the calling thread judges
+    tests = {}
+    sums = {_TESTS: tests}  # its cursors are read only by exact points, which the calling thread judges
 
-    def judge(key):  # every world of group g at n, as ((world index, n), point) pairs
+    def judge(key, tables=None):  # every world of group g at n, as ((world index, n), point) pairs
         g, n = key
         path = paths[key]
-        draws = {}  # the worlds at (g, n) share one draw, dropped on return
+        draws = {_TESTS: tests, _TABLES: tables}  # the worlds at (g, n) share one draw, dropped on return
         out = []
         for wi, w in groups[g][1]:
             if path in _EXACT_PATHS:
@@ -678,7 +735,10 @@ def success_curve(
         return out
 
     results = _map_items(judge, [key for key, path in paths.items() if path == MC_BLOCK], workers)
-    results.update((key, judge(key)) for key in paths if key not in results)
+    results.update((key, judge(key)) for key, path in paths.items() if path in _EXACT_PATHS)  # measure by measure
+    for n in stage_list:
+        tables = {}  # this stage's count tables, for every measure judged at it
+        results.update((key, judge(key, tables)) for g in range(len(groups)) if (key := (g, n)) not in results)
     at = dict(pair for pairs in results.values() for pair in pairs)
     points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
     return SuccessCurve(problem.name, method.name, crit.label, points)
@@ -944,12 +1004,13 @@ def success_set_curve(
     form 1 - p**n + [p = 1] for first-zero-locking methods under IID-Bernoulli(p) unless strategy="mc";
     sampled otherwise, where a method with no count block decides each distinct sampled prefix once.  All
     stages of one world read the cumulative sums of one lock-stage histogram, derived from (seed, world id,
-    horizon), so the sampled curve is nondecreasing.  Strategy, trials, horizon (>= 1) and the integer
-    stages (in [0, horizon]) are checked once per call.  Worlds are evaluated in the calling thread, one
-    after another.
+    horizon), so the sampled curve is nondecreasing.  Strategy, trials, horizon (>= 1), the integer
+    stages (in [0, horizon]) and the seed are checked once per call, on every path.  Worlds are evaluated
+    in the calling thread, one after another.
     """
     Budget(strategy=strategy, trials=trials)
     horizon, stage_list = _stage_list(horizon, stages, 0)
+    seeding.check_key(seed)
 
     def evaluate(w):
         path = _set_plan(problem, method, w, strategy)
@@ -1022,25 +1083,38 @@ def _enumerate_outputs(method, depth: int):
 
 
 def _output_gap(method, depth: int):
+    """The widest gap (lo, hi) between the method's distinct outputs to depth, 0 and 1, the lowest of equal gaps, and
+    those outputs as (numerator, denominator) pairs in lowest terms: all in integers, no Fraction arithmetic."""
     depth = _integer(depth, "depth", 0)
     values = set()
 
-    @_output_memo  # each distinct output is validated once
-    def add(out):
+    @_output_memo  # each distinct output that is no exact Fraction is checked once
+    def ratio(out):
         if isinstance(out, bool) or not isinstance(out, (int, float, Fraction)):
             raise TypeError(f"cardinality witness needs real-valued outputs, got {out!r}")
-        v = Fraction(out)
-        if not 0 <= v <= 1:
-            raise InputDomainError(f"output {out!r} outside [0, 1]")
-        values.add(v)
+        return out.as_integer_ratio()  # lowest terms; a NaN or infinite float raises as Fraction(out) would
 
     for out in _enumerate_outputs(method, depth):
-        if out is not SUSPEND:
-            add(out)
-    # Sorted in C: float() of a Fraction is correctly rounded, so monotone, and the Fraction breaks float ties.
-    points = sorted(values | {Fraction(0), Fraction(1)}, key=lambda v: (float(v), v))
-    lo, hi = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])  # max keeps the first: the lowest
-    return lo, hi, values
+        if type(out) is Fraction:
+            v = out.numerator, out.denominator
+        elif out is SUSPEND:
+            continue
+        else:
+            v = ratio(out)
+        if v not in values:
+            if not 0 <= v[0] <= v[1]:  # the denominator is positive
+                raise InputDomainError(f"output {out!r} outside [0, 1]")
+            values.add(v)
+    # a / b is correctly rounded, so the float order is the exact order wherever no two floats tie.
+    points = sorted(values | {(0, 1), (1, 1)}, key=lambda v: v[0] / v[1])
+    if any(a / b == c / d for (a, b), (c, d) in zip(points, points[1:])):
+        points.sort(key=lambda v: (v[0] / v[1], Fraction(*v)))
+    gap = lo = hi = None
+    for (a, b), (c, d) in zip(points, points[1:]):
+        width = c * b - a * d, b * d  # c/d - a/b
+        if gap is None or width[0] * gap[1] > gap[0] * width[1]:  # strictly wider: a tie keeps the lower gap
+            gap, lo, hi = width, (a, b), (c, d)
+    return Fraction(*lo), Fraction(*hi), values
 
 
 def cardinality_witness(method: InferenceMethod, depth: int = 15) -> Fraction:

@@ -212,6 +212,10 @@ class Measure:
         q = math.lcm(*(pr.denominator for _, pr in positive))
         return tuple(tok for tok, _ in positive), tuple(pr.numerator * q // pr.denominator for _, pr in positive), q
 
+    def __hash__(self):
+        # Off the integer support, which equal measures share: hashing token_probs hashes its Fractions, slowly.
+        return hash((self.kind, self.support))
+
     @property
     def theta(self) -> Fraction:
         if self.kind != KIND_IID_BERNOULLI:

@@ -737,8 +737,8 @@ EXACT_PIN_DIGESTS = {
 
 class TestExactCurveBytes:
     @staticmethod
-    def _digests(tmp_path, name) -> tuple[str, str]:
-        doc = dict(EXACT_PIN_CONFIGS[name], name=name, budget={"strategy": "auto"}, seed=1, workers=1)
+    def _digests(tmp_path, name, config=None, workers=1) -> tuple[str, str]:
+        doc = {"budget": {"strategy": "auto"}, **(config or EXACT_PIN_CONFIGS[name]), "name": name, "seed": 1, "workers": workers}
         path = write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
         record = json.loads((tmp_path / f"{name}-record.json").read_text())
@@ -749,6 +749,46 @@ class TestExactCurveBytes:
     @pytest.mark.parametrize("name", sorted(EXACT_PIN_CONFIGS))
     def test_exact_curve_and_verdict_bytes_are_pinned(self, tmp_path, name):
         assert self._digests(tmp_path, name) == EXACT_PIN_DIGESTS[name]
+
+
+# Two fixed Monte Carlo configs, pinned the same way at seed 1: a change to the draws, their order or the
+# float expressions behind them changes these bytes.  The fair-coin curve judges the default grid's 13
+# measures (theta = 0 and 1 among them) on histogram stages (n + 1 <= 250 count vectors) and one block
+# stage; the ERM ladder's four-token laws (one with a zero-probability token) take the histogram up to
+# n = 20 (C(n + 3, 3) <= 2000) and blocks above.  Each pin holds at one worker and at two.
+MC_PIN_CONFIGS = {
+    "fair-coin-mc": {
+        "problem": {"name": "fair-coin", "params": {"world_seed": 8}},
+        "method": {"name": "fair-coin-test", "params": {}},
+        "mode": {"mode": "II", "delta": 0.1, "horizon": 300, "stages": [20, 60, 120, 200, 240, 300]},
+        "budget": {"strategy": "mc", "trials": 250},
+    },
+    "erm-mc-ladder": {
+        "problem": EXACT_PIN_CONFIGS["erm-exact"]["problem"],
+        "method": {"name": "erm", "params": {}},
+        "mode": {"mode": "III", "delta": 0.1, "epsilon": 0.05, "horizon": 100, "stages": [1, 2, 5, 10, 20, 50, 100]},
+        "budget": {"strategy": "mc", "trials": 2000},
+    },
+}
+
+MC_PIN_DIGESTS = {
+    "erm-mc-ladder": (
+        "811cc249f783efe41308bbcf51c87f09ebbe3da59edf943bac7ae4f069dff47e",
+        "314da3c4db2fabf293133dda89ea62c917562ba3e4da2381e807b4e79ecc07a0",
+    ),
+    "fair-coin-mc": (
+        "90310c6dda24565441fcb5b954ed20234875d52c7f7c3270d22868463b89c5c4",
+        "86817a6cab2fbab1b32e38ed6dafff7995cea490ad96c75b18db8806a3ee67df",
+    ),
+}
+
+
+class TestMonteCarloCurveBytes:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(MC_PIN_CONFIGS))
+    def test_mc_curve_and_verdict_bytes_are_pinned(self, tmp_path, name, workers):
+        digests = TestExactCurveBytes._digests(tmp_path, name, MC_PIN_CONFIGS[name], workers)
+        assert digests == MC_PIN_DIGESTS[name]
 
 
 class TestOtherSubcommands:

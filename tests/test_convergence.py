@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -411,6 +412,20 @@ class TestSuccessMemo:
             run()
             assert len(fraction_calls) <= 2 * distinct
 
+    def test_a_curve_long_success_test_keeps_memoising_past_the_cap(self, loss_calls):
+        # A flagless frequency estimator's outputs k/n over stages 1..60 take over 1,000 distinct values, past
+        # the memo's 256: a full memo empties and refills, so the curve, whose points read one test per world,
+        # evaluates no more losses than the points' own library calls, each on a fresh test.
+        cb = cl.coin_bias([Fraction(3, 10)])
+        user, crit, stages = self._user_frequency(), cl.within(0.1), range(1, 61)
+        cl.success_curve(cb, user, cb.worlds, crit, 60, budget=Budget(strategy="mc", trials=300), seed=3, stages=stages)
+        shared = len(loss_calls)
+        del loss_calls[:]
+        for w in cb.worlds:
+            for n in stages:
+                cl.mc_success_prob(cb, user, w, n, crit, 300, 3)
+        assert 0 < shared <= len(loss_calls)
+
     def test_enum_exact_evaluates_each_distinct_fresh_output_once(self, loss_calls):
         cb = cl.coin_bias([Fraction(3, 10)])
         w = cb.world("theta=0.3")
@@ -664,14 +679,34 @@ class TestCountLaws:
 
 
 class TestSeedType:
-    @pytest.mark.parametrize("seed", [2.5, True, "3"])
+    @pytest.mark.parametrize("seed", [2.5, True, "3", "x"])
     def test_a_seed_that_is_not_an_integer_is_rejected(self, seed):
         fc, fgr = cl.fair_coin([0.5, 0.9]), cl.fine_grained_raven([0.5])
+        er = cl.easy_raven(3)
         mc = cl.Budget(strategy="mc", trials=100)
+        user = cl.InferenceMethod("user-fair-coin-test", cl.fair_coin_test.decide)
+        user_raven = cl.InferenceMethod("user-raven", cl.raven_rule.decide)
         calls = {
             "fair_coin": lambda: cl.fair_coin([0.5, 0.9], seed=seed),
-            "mc_success_prob": lambda: cl.mc_success_prob(
-                fc, cl.fair_coin_test, fc.worlds[0], 10, cl.EXACT, 100, seed
+            # Every path of a Monte Carlo point: histogram (11 count vectors), block (101 > 100), generic, and
+            # a world with no measure, whose indicator draws nothing.
+            **{
+                f"mc_success_prob {path}": lambda method=method, n=n: cl.mc_success_prob(
+                    fc, method, fc.worlds[0], n, cl.EXACT, 100, seed
+                )
+                for path, method, n in [("mc-histogram", cl.fair_coin_test, 10), ("mc-block", cl.fair_coin_test, 100),
+                                        ("mc-generic", user, 10)]
+            },
+            "mc_success_prob point-mass": lambda: cl.mc_success_prob(er, cl.raven_rule, er.worlds[0], 5, cl.EXACT, 100, seed),
+            "success_curve": lambda: cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 5, seed=seed),
+            # Success sets on every path: point-mass and geometric-exact draw nothing.
+            "success_set_curve point-mass": lambda: cl.success_set_curve(
+                er, cl.raven_rule, er.worlds, [1, 5], horizon=5, trials=100, seed=seed
+            ),
+            "success_set_prob point-mass": lambda: cl.success_set_prob(er, cl.raven_rule, er.worlds[0], 5, seed=seed),
+            "success_set_prob geometric-exact": lambda: cl.success_set_prob(fgr, cl.raven_rule, fgr.worlds[0], 5, seed=seed),
+            "success_set_prob mc": lambda: cl.success_set_prob(
+                fgr, user_raven, fgr.worlds[0], 5, trials=100, seed=seed, strategy="mc"
             ),
             "check_mode": lambda: cl.check_mode(
                 fc, cl.fair_coin_test, cl.mode_params("II", 5, delta=0.1), budget=mc, seed=seed
@@ -685,9 +720,10 @@ class TestSeedType:
                 fgr, cl.raven_rule, fgr.worlds, [1, 5], horizon=5, trials=100, seed=seed, strategy="mc"
             ),
         }
-        for call in calls.values():
+        for name, call in calls.items():
             with pytest.raises(cl.InputDomainError, match="seed must be an integer"):
                 call()
+                pytest.fail(name)
 
     def test_a_numpy_integer_seed_is_that_integer(self):
         def draw(seed):
@@ -776,6 +812,24 @@ class TestMcSuccessProb:
             exact = float(_multinomial_exact(prob, method, w, n, crit))
             assert abs(estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
         assert paths == ({"mc-histogram", "mc-block"} if n == 17 else {"mc-histogram"})
+
+    def test_trials_are_checked_as_budget_checks_them_without_building_one(self, monkeypatch):
+        fc, er = cl.fair_coin([0.5, 0.9]), cl.easy_raven(3)
+        cases = [(fc, cl.fair_coin_test, fc.worlds[0]), (er, cl.raven_rule, er.worlds[0])]  # and no measure
+        for trials in (0, -3, 2.5, True, "5", Fraction(5), 2**63):
+            with pytest.raises(cl.InputDomainError) as want:
+                Budget(strategy="mc", trials=trials)
+            for problem, method, w in cases:
+                with pytest.raises(cl.InputDomainError) as got:
+                    cl.mc_success_prob(problem, method, w, 5, cl.EXACT, trials, 1)
+                assert str(got.value) == str(want.value)
+        est = cl.mc_success_prob(fc, cl.fair_coin_test, fc.worlds[0], 5, cl.EXACT, 100, 1)
+
+        def no_budget(*args, **kwargs):
+            raise AssertionError("mc_success_prob built a Budget")
+
+        monkeypatch.setattr(convergence, "Budget", no_budget)
+        assert cl.mc_success_prob(fc, cl.fair_coin_test, fc.worlds[0], 5, cl.EXACT, np.int64(100), 1) == est
 
     @pytest.mark.parametrize("flagless", [False, True], ids=["mc-block", "mc-generic"])
     def test_a_numpy_integer_n_is_its_int_and_bools_and_non_integers_raise(self, flagless):
@@ -1095,9 +1149,9 @@ class TestSuccessCurve:
         draws = []
         draw = convergence._mc_draw
 
-        def spy(method, measure, n, path, trials, rng):
+        def spy(method, measure, n, *args):
             draws.append((measure.theta, n))
-            return draw(method, measure, n, path, trials, rng)
+            return draw(method, measure, n, *args)
 
         monkeypatch.setattr(convergence, "_mc_draw", spy)
         fc = cl.fair_coin([0.5, 0.9])  # five worlds on two measures
@@ -1151,6 +1205,76 @@ class TestSuccessCurve:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 1024 * 1024
+
+    def test_one_count_table_per_stage_serves_every_measure(self, monkeypatch):
+        # The default grid's 13 measures: theta = 0 and 1 on one positive token, the other 11 on two.
+        built = []
+        compositions = convergence._compositions
+
+        def spy(n, t):
+            built.append((n, t))
+            return compositions(n, t)
+
+        monkeypatch.setattr(convergence, "_compositions", spy)
+        fc = cl.fair_coin()
+        stages = (5, 40, 200)
+        curve = self._mc_curve(fc, cl.fair_coin_test, fc.worlds, stages=stages, horizon=200)
+        assert sorted(built) == sorted((n, t) for n in stages for t in (1, 2))
+        monkeypatch.setattr(convergence, "_compositions", compositions)
+        assert curve == self._mc_curve(fc, cl.fair_coin_test, fc.worlds, stages=stages, horizon=200)
+
+    def test_a_many_measure_many_stage_histogram_curve_keeps_one_stage_of_tables(self):
+        # 13 measures on 30 histogram stages to n = 3000: one stage's tables take about 72 KB at n = 3000 (3,001
+        # count vectors with their log-factorial sums), all of them over 2 MB.
+        fc = cl.fair_coin()
+        budget = Budget(strategy="mc", trials=5000)
+        tracemalloc.start()
+        try:
+            cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3000, budget=budget, seed=3,
+                             stages=range(100, 3001, 100))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
+    @pytest.mark.parametrize("strategy", ["auto", "mc"])
+    def test_a_many_stage_erm_curve_evaluates_each_classifier_once_per_world(
+        self, monkeypatch, strategy, toy_task, toy_classifiers
+    ):
+        # Under "auto" stages 1..10 sum the multinomial law exactly (4**10 <= exact_enum_cap) and the rest
+        # sample; under "mc" every stage samples, histograms to n = 20 (C(n + 3, 3) <= 2000), rows above,
+        # those in the pool's two threads.  Every point of a world reads one success test.
+        calls = []
+        loss_of = convergence.loss_of
+
+        def counted(problem, out, world):
+            calls.append((world.id, out.name))
+            return loss_of(problem, out, world)
+
+        monkeypatch.setattr(convergence, "loss_of", counted)
+        prob = cl.binary_classification(**toy_task)
+        budget = Budget(strategy=strategy, trials=2000)
+        curve = cl.success_curve(prob, cl.erm_method(toy_classifiers), prob.worlds, cl.within(0.05), 40,
+                                 budget=budget, seed=3, workers=2)
+        assert {pt.exact for pt in curve.points} == ({True, False} if strategy == "auto" else {False})
+        assert 0 < len(calls) == len(set(calls)) <= len(prob.worlds) * len(toy_classifiers)
+
+    def test_pool_threads_sharing_the_success_tests_give_the_one_worker_curve(self, toy_task, toy_classifiers):
+        # Eight threads on the block stages, switching every microsecond, read and fill one dict of success
+        # tests and their memos: a race may test an output twice, but every point must stay the library's.
+        prob = cl.binary_classification(**toy_task)
+        erm = cl.erm_method(toy_classifiers)
+        kwargs = dict(budget=Budget(strategy="mc", trials=300), seed=5, stages=range(10, 121, 10))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = cl.success_curve(prob, erm, prob.worlds, cl.within(0.05), 120, workers=8, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == cl.success_curve(prob, erm, prob.worlds, cl.within(0.05), 120, workers=1, **kwargs)
+        for pt in pooled.points[::7]:
+            est = cl.mc_success_prob(prob, erm, prob.world(pt.world_id), pt.n, cl.within(0.05), 300, 5)
+            assert (pt.estimate, pt.stderr, pt.exact) == tuple(est)
 
     def test_a_world_ids_subset_gives_the_full_grid_rows(self):
         fc = cl.fair_coin()
@@ -2110,6 +2234,36 @@ class TestCardinalityWitness:
         outputs = [colliding.decide(seq) for n in range(7) for seq in itertools.product((0, 1), repeat=n)]
         report = cl.cardinality_witness_report(colliding, 6)
         assert report == self._plainly_sorted_report(outputs, 6) and report["gap"] == [str(b), "1"]
+
+    @pytest.mark.parametrize(
+        "values, gap",
+        [
+            ([0, 1, 0.25, Fraction(1, 4), 0.75, Fraction(3, 4)], ["1/4", "3/4"]),  # one value of three types
+            ([Fraction(1, 3), Fraction(2, 3)], ["0", "1/3"]),  # three equal gaps: the lowest
+            ([Fraction(1, 3) + Fraction(1, 10**30), Fraction(1, 3), 0.5], ["1/2", "1"]),  # a float tie below
+            ([Fraction(1, 10**400), Fraction(2, 10**400)], ["1/5000" + "0" * 396, "1"]),  # all round to 0.0
+        ],
+    )
+    def test_mixed_types_and_tied_gaps_match_the_reference(self, values, gap):
+        method = cl.InferenceMethod("cycle", lambda seq: values[len(seq) % len(values)])
+        outputs = [values[n % len(values)] for n in range(len(values))]
+        report = cl.cardinality_witness_report(method, len(values) - 1)
+        assert report == self._plainly_sorted_report(outputs, len(values) - 1) and report["gap"] == gap
+
+    @pytest.mark.parametrize(
+        "out, error",
+        [
+            (-0.5, cl.InputDomainError), (1.5, cl.InputDomainError), (2, cl.InputDomainError), (-1, cl.InputDomainError),
+            (Fraction(-1, 2), cl.InputDomainError), (Fraction(3, 2), cl.InputDomainError),
+            (math.nan, ValueError), (math.inf, OverflowError),  # as Fraction(out) raises
+            (True, TypeError), ("1/2", TypeError), (None, TypeError), (0.5j, TypeError),
+        ],
+    )
+    def test_an_output_outside_the_unit_interval_or_not_real_is_refused(self, out, error):
+        # The bad output comes after valid ones of every type, at one length only.
+        method = cl.InferenceMethod("bad", lambda seq: out if len(seq) == 2 else [0, 0.5, None, Fraction(1, 3)][len(seq)])
+        with pytest.raises(error):
+            cl.cardinality_witness(method, 3)
 
     def test_the_block_enumerates_every_count_row_in_order(self):
         rows = []

@@ -170,6 +170,17 @@ class TestMeasureSupport:
         assert "support" not in vars(fresh) and fresh.support == ((0, 1), (1, 1), 2)
         assert replace(m).support == m.support
 
+    def test_the_hash_reads_the_integer_support_and_agrees_with_equality(self, monkeypatch):
+        measures = self.MEASURES + [Measure.iid_bernoulli("3/10"), Measure.iid_examples({"x": 1})]
+        for m in measures:
+            for other in measures:
+                assert (m == other) <= (hash(m) == hash(other))
+            m.support
+        hashed = []
+        monkeypatch.setattr(Fraction, "__hash__", lambda frac: hashed.append(frac) or 0)
+        assert len({m: None for m in measures}) == len(measures) - 1  # the two IID-Bernoulli(3/10) are one key
+        assert hashed == []
+
 
 class TestFiniteHypothesisSpaceMembership:
     def test_equal_values_are_members_whatever_their_identity(self, toy_classifiers):
