@@ -540,27 +540,31 @@ def _mc_estimate(hits: int, trials: int) -> Estimate:
     return Estimate(p_hat, math.sqrt(max(0.0, p_hat * (1.0 - p_hat)) / trials), False)
 
 
-def _count_table(n: int, t: int, tables: dict):
-    """The C(n+t-1, t-1) count vectors of t tokens summing to n (_compositions) and their sums of log c_j!, the
-    part of a histogram draw at (n, t) that no probability enters, kept in tables per (n, t)."""
+def _count_table(n: int, p, tables: dict):
+    """The C(n+t-1, t-1) count vectors of t = len(p) tokens summing to n (_compositions) and their multinomial
+    probabilities n!/prod(c_j!) * prod(p_j**c_j) under the positive floats p, from log-factorials, summing to 1.
+    The vectors and their sums of log c_j!, which no probability enters, are kept in tables per (n, t)."""
     import numpy as np
 
-    table = tables.get((n, t))
+    table = tables.get((n, len(p)))
     if table is None:
-        vectors = _compositions(n, t)
+        vectors = _compositions(n, len(p))
         log_fact = np.concatenate(([0.0], np.log(np.arange(1, n + 1)).cumsum()))  # log c! for c = 0..n
-        table = tables[n, t] = vectors, log_fact[vectors].sum(axis=1)
-    return table
+        table = tables[n, len(p)] = vectors, log_fact[vectors].sum(axis=1)
+    vectors, log_coef = table
+    log_pmf = vectors @ np.log(p) - log_coef  # less the constant log n!
+    pmf = np.exp(log_pmf - log_pmf.max())
+    return vectors, pmf / pmf.sum()
 
 
 def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> dict:
     """The trials at (measure, n) that every world on the measure is judged on, with their weights.
 
     On the planned path: mc-generic decides each sampled prefix once, weight 1; mc-block draws
-    Measure.sample_count_block's trials token-count rows, weight 1; mc-histogram draws the trials'
-    histogram, one rng.multinomial(trials, P) over every count vector c with
+    Measure.sample_count_block's trials token-count rows, weight 1, in an order no flag reads; mc-histogram
+    draws the trials' histogram, one rng.multinomial(trials, P) over every count vector c with
     P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.  Its count
-    vectors and their log-factorial sums come from _count_table, kept in tables (a dict) where given.
+    vectors and P come from _count_table, which keeps their log-factorial sums in tables (a dict) where given.
     """
     import numpy as np
 
@@ -571,10 +575,8 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> di
         return {"rows": measure.sample_count_block(rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
     p = np.array([float(pr) for _, pr in measure.token_probs])
     cols = np.flatnonzero(p > 0)
-    vectors, log_coef = _count_table(n, len(cols), {} if tables is None else tables)
-    log_pmf = vectors @ np.log(p[cols]) - log_coef  # less the constant log n!
-    pmf = np.exp(log_pmf - log_pmf.max())
-    weights = rng.multinomial(trials, pmf / pmf.sum())
+    vectors, pmf = _count_table(n, p[cols], {} if tables is None else tables)
+    weights = rng.multinomial(trials, pmf)
     drawn = np.flatnonzero(weights)
     rows = np.zeros((len(drawn), len(p)), dtype=np.int64)
     rows[:, cols] = vectors[drawn]  # a zero-probability token's column stays 0

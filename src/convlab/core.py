@@ -52,6 +52,8 @@ def _is_integer(v) -> bool:
 
 def _is_label(y) -> bool:
     """Whether y is a binary label: the integer 0 or 1, a numpy one too, never a bool or a float."""
+    if type(y) is int:  # the common case, without the ABC checks of _is_integer
+        return y == 0 or y == 1
     return _is_integer(y) and y in (0, 1)
 
 
@@ -260,18 +262,26 @@ class Measure:
         """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples.
 
         Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
-        undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.
-        A binary measure's one draw is rng.binomial(n, theta).
+        undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.  The first drawn column, if another
+        follows and n + 1 <= trials, is one rng.multinomial(trials, Binomial(n, p_j) pmf) over its counts
+        0..n, so rows come sorted by it: each is Multinomial(n, p) and their multiset is that of trials IID
+        rows, all a consumer reads (flags sum weights).  A binary measure's one draw is rng.binomial(n, theta).
         """
         import numpy as np
 
+        from .convergence import _count_table
+
         counts = np.zeros((trials, len(self.token_probs)), dtype=np.int64)
         rest, mass = n, Fraction(1)
-        for j in range(len(self.token_probs) - 1, 0, -1):
+        drawn = [j for j in range(len(self.token_probs) - 1, 0, -1) if self.token_probs[j][1]]
+        for j in drawn:
             p = self.token_probs[j][1]
-            if p:
+            if j == drawn[0] and len(drawn) > 1 and n + 1 <= trials:  # one histogram of Binomial(n, p_j)
+                _, pmf = _count_table(n, np.array([float(p), float(1 - p)]), {})
+                counts[:, j] = np.repeat(np.arange(n + 1), rng.multinomial(trials, pmf))
+            else:
                 counts[:, j] = rng.binomial(rest, float(p / mass), size=trials)
-                rest, mass = rest - counts[:, j], mass - p
+            rest, mass = rest - counts[:, j], mass - p
         counts[:, 0] = rest
         return counts
 

@@ -164,6 +164,9 @@ def _erm_winners(order, tokens, counts):
 def erm_method(order) -> InferenceMethod:
     """ERM as an inference method over the classifier pool in order, which lists each classifier once."""
     order = tuple(order)
+    bad = [h for h in order if not callable(h)]
+    if bad:
+        raise InputDomainError(f"hypothesis order must list classifiers, got {bad[0]!r}")
     if not order or len(set(order)) != len(order):
         raise InputDomainError("hypothesis order must list each classifier once, and at least one")
     return InferenceMethod(

@@ -773,7 +773,7 @@ MC_PIN_CONFIGS = {
 
 MC_PIN_DIGESTS = {
     "erm-mc-ladder": (
-        "811cc249f783efe41308bbcf51c87f09ebbe3da59edf943bac7ae4f069dff47e",
+        "c72e80490f8b3088be220a453d887ace278c1efd4f3cbbe1de22c1b17f6a65d8",
         "314da3c4db2fabf293133dda89ea62c917562ba3e4da2381e807b4e79ecc07a0",
     ),
     "fair-coin-mc": (

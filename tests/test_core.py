@@ -377,6 +377,66 @@ class TestIidSampler:
         want = tuple(tokens[i] for i in self._choice(m, seeding.generator(99, "x"), 64))
         assert m.sample_branch(99, "x", branch_id="s").prefix(64) == want
 
+    class _DrawSpy:
+        """A generator that records the element count of each binomial call and the cell count of each
+        multinomial call."""
+
+        def __init__(self, rng):
+            self.rng, self.binomials, self.multinomials = rng, [], []
+
+        def binomial(self, n, p, size=None):
+            out = self.rng.binomial(n, p, size=size)
+            self.binomials.append(np.size(out))
+            return out
+
+        def multinomial(self, n, pvals, size=None):
+            self.multinomials.append(len(pvals))
+            return self.rng.multinomial(n, pvals, size=size)
+
+    LADDER_LAW = Measure.iid_examples({"a": "0.35", "b": "0.05", "c": "0.45", "d": "0.15"})  # (7, 1, 9, 3) / 20
+
+    @pytest.mark.parametrize(
+        "law, trials, n, multinomials, binomials",
+        [
+            # The first drawn column is one histogram over n + 1 cells; the other two are drawn per trial.
+            ("ladder", 10_000, 500, [501], [10_000, 10_000]),
+            # A binary measure has one drawn column, the one binomial call of rng.binomial(n, theta).
+            ("binary", 10_000, 500, [], [10_000]),
+            # Past n + 1 = trials every column is drawn per trial.
+            ("ladder", 100, 100, [], [100, 100, 100]),
+            # At n = 0 the histogram has one cell, at any trial count.
+            ("ladder", 1, 0, [1], [1, 1]),
+            ("ladder", 5, 0, [1], [5, 5]),
+        ],
+    )
+    def test_count_block_draw_counts(self, law, trials, n, multinomials, binomials):
+        m = self.LADDER_LAW if law == "ladder" else Measure.iid_bernoulli(Fraction(3, 10))
+        spy = self._DrawSpy(seeding.generator(9, law, n))
+        counts = m.sample_count_block(spy, trials, n)
+        assert counts.shape == (trials, len(m.token_probs)) and (counts >= 0).all() and (counts.sum(axis=1) == n).all()
+        assert spy.multinomials == multinomials and spy.binomials == binomials
+
+    def test_a_zero_last_token_moves_the_histogram_to_the_next_positive_column(self):
+        m = self.COUNT_LAWS["zero-last"]  # (0.5, 0.3, 0.2, 0)
+        trials, n = 20_000, 40
+        spy = self._DrawSpy(seeding.generator(10, "zero-last"))
+        counts = m.sample_count_block(spy, trials, n)
+        assert spy.multinomials == [n + 1] and spy.binomials == [trials]
+        assert not counts[:, 3].any() and (counts.sum(axis=1) == n).all()
+        assert (np.diff(counts[:, 2]) >= 0).all()  # rows come ordered by the histogram column
+        for j, (_, p) in enumerate(m.token_probs[:3]):
+            assert abs(counts[:, j].mean() - n * p) < 4 * math.sqrt(n * p * (1 - p) / trials), j
+
+    @pytest.mark.parametrize("n, multinomials", [(9_999, [10_000]), (10_000, [])])
+    def test_count_block_law_holds_on_both_sides_of_n_plus_1_equal_trials(self, n, multinomials):
+        trials = 10_000
+        spy = self._DrawSpy(seeding.generator(11, n))
+        counts = self.LADDER_LAW.sample_count_block(spy, trials, n)
+        assert spy.multinomials == multinomials
+        assert counts.dtype == np.int64 and counts.shape == (trials, 4) and (counts.sum(axis=1) == n).all()
+        for j, (_, p) in enumerate(self.LADDER_LAW.token_probs):
+            assert abs(counts[:, j].mean() - n * p) < 4 * math.sqrt(n * p * (1 - p) / trials), j
+
     def test_count_block_builds_no_trials_by_n_array(self):
         m = Measure.iid_examples({("a", 1): "0.45", ("a", 0): "0.05", ("b", 0): "0.45", ("b", 1): "0.05"})
         rng = seeding.generator(6, "memory")

@@ -183,6 +183,12 @@ class TestErm:
         with pytest.raises(cl.InputDomainError, match="each classifier once"):
             cl.erm_method([*toy_classifiers, toy_classifiers[0]])
 
+    def test_method_order_lists_only_classifiers(self, toy_classifiers):
+        # A name or an unhashable entry is refused at construction, not at the first decide or block.
+        for order in (("all-0", "all-1", "identity"), (*toy_classifiers, "all-0"), (toy_classifiers[0], [1])):
+            with pytest.raises(cl.InputDomainError, match="must list classifiers"):
+                cl.erm_method(order)
+
     def test_an_empty_pool_is_refused(self):
         # No classifier has minimal risk, so there is no hypothesis to return.
         for data in ([("a", 1)], []):
