@@ -5,22 +5,22 @@ method's output meets a success criterion (zero loss, or loss within
 epsilon).  Probabilities are computed exactly where the budget allows -- the
 indicator of a world with no measure (deterministic: the point mass on its
 branch), enumeration of the evidence tree level as an integer sum of its
-succeeding leaves' weights over q**n (``Measure.support``), or for an exchangeable method
-(read only through its ``decide_count_block``) a binomial sum over the
-count of 1s under IID-Bernoulli data off cumulative-sum cursors that a ``sums``
-dict carries along a curve's stages, or a multinomial sum over the token-count
-vectors under any IID world -- and by seeded Monte Carlo otherwise; one planner
-(``_plan``) names that path per (measure, n), and Monte Carlo judges every
-world on a measure on one draw per n: mc-histogram over the count vectors where
-they number at most the trials (a curve builds them once per stage for all its
-measures), else mc-block rows, the only items the worker
-pool runs, or mc-generic prefixes.  Mode checks aggregate these into
-finite-horizon verdicts: a horizon-stamped verdict is evidence about the limit
-behaviour, not a proof.  Analytic lower bounds are reported per curve row; no
-verdict reads them yet, so none is certified beyond its horizon.  numpy is
-imported inside the functions that draw or decide count blocks, and the pool
-inside _map_items, so the exact coin paths, whose sums are pure integer
-arithmetic, never load either.
+succeeding leaves' weights over q**n (``Measure.support``), or for an
+exchangeable method (read only through its ``decide_count_block``) a binomial
+sum over the count of 1s under IID-Bernoulli data off cumulative-sum cursors,
+or a multinomial sum over the token-count vectors under any IID world -- and
+by seeded Monte Carlo otherwise; one planner (``_plan``) names that path per
+(measure, n), and Monte Carlo judges every world on a measure on one draw per
+n: mc-histogram over the count vectors where they number at most the trials,
+else mc-block rows, the only items the worker pool runs, or mc-generic
+prefixes.  A curve's points share one private context (_Shared): success
+tests, cursors, one stage's sums and count tables, and draws.  Mode checks
+aggregate these into finite-horizon verdicts: a horizon-stamped verdict is
+evidence about the limit behaviour, not a proof.  Analytic lower bounds are
+reported per curve row; no verdict reads them yet, so none is certified
+beyond its horizon.  numpy is imported inside the functions that draw or
+decide count blocks, and the pool inside _map_items, so the exact coin paths,
+whose sums are pure integer arithmetic, never load either.
 """
 
 from __future__ import annotations
@@ -265,6 +265,7 @@ def required_sample_size(eps, delta) -> int:
 
 def analytic_bound(problem, method, world, n, crit):
     """A certified lower bound on the success probability, where the method's laws declare one."""
+    n = _integer(n, "sample size", 0)
     m = world.measure
     laws = method.laws
     if m is None or m.kind != KIND_IID_BERNOULLI or n < 1 or laws is None or laws.bound is None:
@@ -298,7 +299,7 @@ def _plan(method, world, n, budget: Budget) -> str:
     caps "auto" samples and "exact" raises.  Sampling decides a count-block
     method on the trials' histogram over the C(n+t-1, t-1) count vectors of
     its t positive-probability tokens where they number at most budget.trials
-    (mc-histogram), else on Measure.sample_count_block's rows (mc-block), and
+    (mc-histogram), else on _sample_count_block's rows (mc-block), and
     any other on whole prefixes (mc-generic): one law, not one stream of draws.
     """
     m = world.measure
@@ -330,10 +331,6 @@ def _mc_path(method, measure, n: int, trials: int) -> str:
 # Distinct outputs an output memo holds at once.
 _SUCCESS_MEMO_CAP = 256
 
-# Keys of the dicts success_curve passes as ``sums`` and ``draws``, apart from their own tuple keys: the curve's
-# success tests (one per world), and one stage's count tables.
-_TESTS, _TABLES = "success tests", "count tables"
-
 
 def _output_memo(fn):
     """fn of a method output, remembered per (type(out), out) for up to _SUCCESS_MEMO_CAP outputs at once: a full
@@ -360,35 +357,40 @@ def _output_memo(fn):
     return of
 
 
-def _success_test(problem, world, crit, shared=None):
-    """Whether a method output meets the criterion in the world.
+class _Shared:
+    """What one curve's points share, on its problem and criterion; a library call builds its own.
 
-    Each distinct output's loss is evaluated once per test (_output_memo), keyed by type and value, so a
-    loss must give equal outputs of one type equal losses; unhashable outputs are keyed per object.  Every
-    call on a shared dict holding success_curve's _TESTS reads one test per (problem, world, crit).
+    tests: per id(world), the world (so its id is not reused) and its test.  cursors: _cumulative's per bias
+    (p, q).  values and tables: the current stage's binomial sums, keyed (p, q, n, window), and count tables
+    (_count_table).  draws: _mc_draw's per (measure, n, trials, seed).  Pool threads share tests and draws.
     """
-    tests = None if shared is None else shared.get(_TESTS)
-    if tests is None:
-        return _output_memo(lambda out: crit.met(loss_of(problem, out, world)))
-    key = (id(problem), id(world), id(crit))
-    entry = tests.get(key)
-    if entry is None:  # the entry holds the three objects, so no id in a kept key is reused
-        entry = tests.setdefault(key, (problem, world, crit, _success_test(problem, world, crit)))
-    return entry[3]
+
+    def __init__(self, problem, crit):
+        self.problem, self.crit = problem, crit
+        self.tests, self.cursors, self.values, self.tables, self.draws = {}, {}, {}, {}, {}
+
+    def test(self, world):
+        """Whether an output meets the criterion in the world, each distinct output's loss evaluated once
+        (_output_memo): keyed by type and value, so equal outputs of one type need equal losses."""
+        entry = self.tests.get(id(world))
+        if entry is None:
+            met = _output_memo(lambda out: self.crit.met(loss_of(self.problem, out, world)))
+            entry = self.tests.setdefault(id(world), (world, met))
+        return entry[1]
 
 
-def _point_mass_exact(problem, method, world, n, crit, sums=None) -> Fraction:
-    met = _success_test(problem, world, crit, sums)
+def _point_mass_exact(shared, method, world, n) -> Fraction:
+    met = shared.test(world)
     return Fraction(1) if met(method.decide(world.branch.prefix(n))) else Fraction(0)
 
 
-def _window(problem, method, world, n, crit) -> Optional[list[range]]:
+def _window(shared, method, world, n) -> Optional[list[range]]:
     """The success-count ranges at n of the declared CountLaws.window on an IID-Bernoulli world, or None."""
     laws = method.laws if world.measure.kind == KIND_IID_BERNOULLI else None
-    return None if laws is None else laws.window(problem, world, n, crit)
+    return None if laws is None else laws.window(shared.problem, world, n, shared.crit)
 
 
-_CURSOR_CAP = 8  # cursors a sums dict keeps per bias, the oldest dropped first: both edges of a few windows
+_CURSOR_CAP = 8  # cursors kept per bias, the oldest dropped first: both edges of a few windows
 
 
 def _cumulative(cursors: list, p: int, q: int, n: int, k: int) -> int:
@@ -420,39 +422,36 @@ def _cumulative(cursors: list, p: int, q: int, n: int, k: int) -> int:
     return g
 
 
-def _binomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
-    """The binomial mass of the success window at n, G(b - 1) - G(a - 1) per range [a, b) clipped to 0..n;
-    sums[(p, q)] keeps theta = p/q's cursors, and its values by window at the latest n only (bounded memory)."""
+def _binomial_exact(shared, method, world, n) -> Fraction:
+    """The binomial mass of the success window at n, G(b - 1) - G(a - 1) per range [a, b) clipped to 0..n,
+    off the shared cursors of theta = p/q and kept in the shared values by (p, q, n, window)."""
     th = world.measure.theta
     p, q = th.numerator, th.denominator  # theta's ints: hashing a Fraction is slow
     # At theta = 0 or 1 (q = 1) all mass sits on k = 0 or k = n, the one k tested.
     ks = range(n + 1) if p and q - p else (0 if p == 0 else n,)
-    ranges = _window(problem, method, world, n, crit)
+    ranges = _window(shared, method, world, n)
     if ranges is None:  # no declared window vouches: decide the (n - k, k) rows in one block call
         import numpy as np
 
         k = np.arange(ks[0], ks[-1] + 1)
         decided = method.decide_count_block((0, 1), np.stack([n - k, k], axis=1))
-        flags = _count_block_flags(problem, world, crit, decided, sums)
+        flags = _count_block_flags(shared, world, decided)
         # The edges of the zero-padded flags alternate between the starts and the stops of runs of hits.
         edges = (np.flatnonzero(np.diff(flags, prepend=False, append=False)) + ks[0]).tolist()
         ranges = [range(a, b) for a, b in zip(edges[::2], edges[1::2])]
     if len(ks) == 1:
         return Fraction(int(any(ks[0] in rg for rg in ranges)))
-    window = tuple((a, b) for rg in ranges if (a := max(rg.start, 0)) < (b := min(rg.stop, n + 1)))
-    cursors, at, values = entry = ({} if sums is None else sums).setdefault((p, q), [[], n, {}])
-    if at != n:  # another stage's values go
-        entry[1] = n
-        values.clear()
-    if window not in values:
-        G = (_cumulative(cursors, p, q, n, b - 1) - _cumulative(cursors, p, q, n, a - 1) for a, b in window)
-        values[window] = Fraction(sum(G), q**n)
-    return values[window]
+    key = (p, q, n, tuple((a, b) for rg in ranges if (a := max(rg.start, 0)) < (b := min(rg.stop, n + 1))))
+    if key not in shared.values:
+        cursors = shared.cursors.setdefault((p, q), [])
+        G = (_cumulative(cursors, p, q, n, b - 1) - _cumulative(cursors, p, q, n, a - 1) for a, b in key[3])
+        shared.values[key] = Fraction(sum(G), q**n)
+    return shared.values[key]
 
 
-def _enum_exact(problem, method, world, n, crit, sums=None) -> Fraction:
+def _enum_exact(shared, method, world, n) -> Fraction:
     # In lexicographic order, each leaf of the level weighs the product of its tokens' nums over q**n.
-    met = _success_test(problem, world, crit, sums)
+    met = shared.test(world)
     tokens, nums, q = world.measure.support
     leaves = zip(itertools.product(tokens, repeat=n), itertools.product(nums, repeat=n))
     return Fraction(sum(math.prod(weights) for seq, weights in leaves if met(method.decide(seq))), q**n)
@@ -474,28 +473,26 @@ def _compositions(n: int, t: int):
     return np.diff(edges, axis=1) - 1
 
 
-def _count_block_flags(problem, world, crit, decided, shared=None):
-    """A bool array: per row of a count block's (outputs, index), whether its output meets the criterion in the world.
-
-    Tests each output some row picks once, on the world's test in the shared dict (_success_test).
-    """
+def _count_block_flags(shared, world, decided):
+    """A bool array: per row of a count block's (outputs, index), whether its output meets the criterion in
+    the world; each output some row picks is tested once, on the world's shared test."""
     import numpy as np
 
     outputs, index = decided
-    met = _success_test(problem, world, crit, shared)
+    met = shared.test(world)
     hits = np.zeros(len(outputs), dtype=bool)
     for i in np.flatnonzero(np.bincount(index, minlength=len(outputs))):
         hits[i] = met(outputs[i])
     return hits[index]
 
 
-def _multinomial_exact(problem, method, world, n, crit, sums=None) -> Fraction:
+def _multinomial_exact(shared, method, world, n) -> Fraction:
     # An exchangeable method's output depends only on the token counts c, whose
     # law is multinomial: P(c) = n!/prod(c_j!) * prod(a_j**c_j) / q**n, p_j = a_j/q.
     tokens, nums, q = world.measure.support
     fact = [math.factorial(c) for c in range(n + 1)]
     counts = _compositions(n, len(tokens))
-    flags = _count_block_flags(problem, world, crit, method.decide_count_block(tokens, counts), sums)
+    flags = _count_block_flags(shared, world, method.decide_count_block(tokens, counts))
     num = 0
     for cs in counts[flags].tolist():
         weight = fact[n]
@@ -513,22 +510,20 @@ _EXACT_PATHS = {
 }
 
 
-def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None, *, sums=None) -> Fraction:
+def exact_success_prob(problem, method, world, n, crit, budget: Optional[Budget] = None, *, _shared=None) -> Fraction:
     """Exact probability mass of length-n sequences whose output meets the criterion.
 
     Takes the exact path the budget plans: the point-mass indicator, the
     binomial sum over success counts, the multinomial sum over token-count
-    vectors, or enumeration of the tree level.  Calls sharing a ``sums`` dict
-    share the binomial sum's cursors and values, keyed by the bias's two ints;
-    success_curve's dict also holds its worlds' success tests, one per world
-    for all its stages (_success_test).  Sharing changes no value.
+    vectors, or enumeration of the tree level.  success_curve passes its
+    context (_Shared) as _shared; sharing changes no value.
     """
     path, n = _plan(method, world, n, budget or Budget()), int(n)  # numpy's integers too
     if path not in _EXACT_PATHS:
         raise ResourceBudgetError(
             f"no exact path for world {world.id!r} at n={n} within the budget; use mc_success_prob"
         )
-    return _EXACT_PATHS[path](problem, method, world, n, crit, sums)
+    return _EXACT_PATHS[path](_shared or _Shared(problem, crit), method, world, n)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +552,37 @@ def _count_table(n: int, p, tables: dict):
     return vectors, pmf / pmf.sum()
 
 
+def _sample_count_block(measure, rng, trials: int, n: int):
+    """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples of the measure.
+
+    Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
+    undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.  The first drawn column, if another
+    follows and n + 1 <= trials, is one rng.multinomial(trials, Binomial(n, p_j) pmf) over its counts
+    0..n, so rows come sorted by it: each is Multinomial(n, p) and their multiset is that of trials IID
+    rows, all a consumer reads (flags sum weights).  A binary measure's one draw is rng.binomial(n, theta).
+    """
+    import numpy as np
+
+    counts = np.zeros((trials, len(measure.token_probs)), dtype=np.int64)
+    rest, mass = n, Fraction(1)
+    drawn = [j for j in range(len(measure.token_probs) - 1, 0, -1) if measure.token_probs[j][1]]
+    for j in drawn:
+        p = measure.token_probs[j][1]
+        if j == drawn[0] and len(drawn) > 1 and n + 1 <= trials:  # one histogram of Binomial(n, p_j)
+            _, pmf = _count_table(n, np.array([float(p), float(1 - p)]), {})  # its own tables: pool threads call it
+            counts[:, j] = np.repeat(np.arange(n + 1), rng.multinomial(trials, pmf))
+        else:
+            counts[:, j] = rng.binomial(rest, float(p / mass), size=trials)
+        rest, mass = rest - counts[:, j], mass - p
+    counts[:, 0] = rest
+    return counts
+
+
 def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> dict:
     """The trials at (measure, n) that every world on the measure is judged on, with their weights.
 
     On the planned path: mc-generic decides each sampled prefix once, weight 1; mc-block draws
-    Measure.sample_count_block's trials token-count rows, weight 1, in an order no flag reads; mc-histogram
+    _sample_count_block's trials token-count rows, weight 1, in an order no flag reads; mc-histogram
     draws the trials' histogram, one rng.multinomial(trials, P) over every count vector c with
     P(c) = n!/prod(c_j!) * prod(p_j**c_j) in floats, each drawn c once weighing its count.  Its count
     vectors and P come from _count_table, which keeps their log-factorial sums in tables (a dict) where given.
@@ -572,7 +593,7 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> di
         outputs = [method.decide(prefix) for prefix in measure.sample_prefixes(rng, trials, n)]
         return {"outputs": outputs, "weights": np.ones(trials, dtype=np.int64)}
     if path == MC_BLOCK:
-        return {"rows": measure.sample_count_block(rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
+        return {"rows": _sample_count_block(measure, rng, trials, n), "weights": np.ones(trials, dtype=np.int64)}
     p = np.array([float(pr) for _, pr in measure.token_probs])
     cols = np.flatnonzero(p > 0)
     vectors, pmf = _count_table(n, p[cols], {} if tables is None else tables)
@@ -583,17 +604,17 @@ def _mc_draw(method, measure, n, path: str, trials: int, rng, tables=None) -> di
     return {"rows": rows, "weights": weights[drawn]}
 
 
-def _mc_flags(problem, method, world, n, crit, draw: dict, shared=None):
+def _mc_flags(shared, method, world, n, draw: dict):
     """A bool array: per trial (row) of the draw, whether the method's output meets the criterion in the world,
-    on the world's test in the shared dict (_success_test)."""
+    on the world's shared test."""
     import numpy as np
 
     if "outputs" in draw:
         outputs = draw["outputs"]
-        met = _success_test(problem, world, crit, shared)
+        met = shared.test(world)
         return np.fromiter(map(met, outputs), dtype=bool, count=len(outputs))
     rows = draw["rows"]
-    ranges = _window(problem, method, world, n, crit)
+    ranges = _window(shared, method, world, n)
     if ranges is not None:  # a declared window flags column 1 (the count of 1s) and decides nothing
         hit = np.zeros(n + 1, dtype=bool)
         for rg in ranges:
@@ -603,38 +624,35 @@ def _mc_flags(problem, method, world, n, crit, draw: dict, shared=None):
         probs = world.measure.token_probs
         positive = [j for j, (_, pr) in enumerate(probs) if pr > 0]
         draw["decided"] = method.decide_count_block([probs[j][0] for j in positive], rows[:, positive])
-    return _count_block_flags(problem, world, crit, draw["decided"], shared)
+    return _count_block_flags(shared, world, draw["decided"])
 
 
-def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, draws=None) -> Estimate:
+def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, _shared=None) -> Estimate:
     """Seeded Monte Carlo estimate of the success probability at sample size n.
 
     The generator is derived from the world's law alone -- (seed, "mc", the
     measure's probabilities in token_probs order, n) -- so the estimate is
     reproducible for fixed arguments whichever worker evaluates it, in
     whichever order: the weight of the draw's (_mc_draw) hits over trials.
-    A ``draws`` dict shared by calls for one method keeps each (measure, n,
-    trials, seed) draw, so every world on a measure is judged on the same
-    trials, each against its own truth; sharing it changes no estimate.
-    success_curve's dicts also hold its worlds' success tests, one per world
-    for all its stages, and the count tables (_count_table) of the stage it
-    judges; a call on any other dict builds its own.  A world with no
-    measure reports its deterministic indicator.  Trials are checked as
-    Budget checks them, and the seed on every path.
+    success_curve passes its context (_Shared) as _shared, so every world on
+    a measure is judged on one draw, each against its own truth; sharing
+    changes no estimate.  A world with no measure reports its deterministic
+    indicator.  Trials are checked as Budget checks them, and the seed on
+    every path.
     """
     _check_trials(trials)
     n = _integer(n, "sample size", 0)  # numpy's integers too
     seeding.check_key(seed)
-    draws = {} if draws is None else draws
+    shared = _shared or _Shared(problem, crit)
     m = world.measure
     if m is None:
-        return Estimate(float(_point_mass_exact(problem, method, world, n, crit, draws)), 0.0, True)
+        return Estimate(float(_point_mass_exact(shared, method, world, n)), 0.0, True)
     key = (m, n, trials, seed)
-    draw = draws.get(key)
+    draw = shared.draws.get(key)
     if draw is None:
         rng = seeding.generator(seed, "mc", *(pr for _, pr in m.token_probs), n)
-        draw = draws[key] = _mc_draw(method, m, n, _mc_path(method, m, n, trials), trials, rng, draws.get(_TABLES))
-    return _mc_estimate(int(draw["weights"][_mc_flags(problem, method, world, n, crit, draw, draws)].sum()), trials)
+        draw = shared.draws[key] = _mc_draw(method, m, n, _mc_path(method, m, n, trials), trials, rng, shared.tables)
+    return _mc_estimate(int(draw["weights"][_mc_flags(shared, method, world, n, draw)].sum()), trials)
 
 
 # ---------------------------------------------------------------------------
@@ -695,19 +713,15 @@ def success_curve(
     """Success-probability estimates per (world, n), exact where affordable.
 
     The path is planned once per (measure, n), and the worlds on a measure
-    are judged together at n: exact_success_prob per world on one sums
-    dict, or mc_success_prob on the one draw they share, so each point
-    equals that call whatever the grid.  Only the (measure, n) planned mc-block go to
-    the worker pool, whose threads each hold one draw at a time, as numpy's
+    are judged together at n, each by exact_success_prob or mc_success_prob
+    on the curve's one context (_Shared), so each point equals that call
+    whatever the grid.  Only the (measure, n) planned mc-block go to the
+    worker pool, whose threads each hold one draw at a time, as numpy's
     binomials release the GIL; the rest are GIL-bound and judged in the
-    calling thread, exact points measure by measure and the other sampled
-    points stage by stage.  The sums dict and every draws dict hold one
-    dict of success tests, one per world for all its points, which the
-    pool's threads read too; a stage's draws dicts also share its count
-    tables, dropped when the stage is judged, and each measure's draw is
-    dropped once its worlds are.  Rows carry the analytic bound where one
-    applies.  Identical (arguments, seed) give identical curves at any
-    worker count.
+    calling thread stage by stage, holding one stage's binomial sums and
+    count tables at a time.  Each measure's draw is dropped once its worlds
+    are judged.  Rows carry the analytic bound where one applies.  Identical
+    (arguments, seed) give identical curves at any worker count.
     """
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
@@ -719,28 +733,28 @@ def success_curve(
         groups.setdefault(w.measure, []).append((wi, w))
     groups = list(groups.items())  # keyed by position below
     paths = {(g, n): _plan(method, ws[0][1], n, budget) for g, (_, ws) in enumerate(groups) for n in stage_list}
-    tests = {}
-    sums = {_TESTS: tests}  # its cursors are read only by exact points, which the calling thread judges
+    shared = _Shared(problem, crit)
 
-    def judge(key, tables=None):  # every world of group g at n, as ((world index, n), point) pairs
+    def judge(key):  # every world of group g at n, as ((world index, n), point) pairs
         g, n = key
+        m, ws = groups[g]
         path = paths[key]
-        draws = {_TESTS: tests, _TABLES: tables}  # the worlds at (g, n) share one draw, dropped on return
         out = []
-        for wi, w in groups[g][1]:
+        for wi, w in ws:
             if path in _EXACT_PATHS:
-                est = Estimate(exact_success_prob(problem, method, w, n, crit, budget, sums=sums), 0.0, True)
+                est = Estimate(exact_success_prob(problem, method, w, n, crit, budget, _shared=shared), 0.0, True)
             else:
-                est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, draws=draws)
+                est = mc_success_prob(problem, method, w, n, crit, budget.trials, seed, _shared=shared)
             bound = analytic_bound(problem, method, w, n, crit)
             out.append(((wi, n), CurvePoint(w.id, n, est.value, est.stderr, est.exact, bound)))
+        shared.draws.pop((m, n, budget.trials, seed), None)  # the worlds at (g, n) shared it
         return out
 
     results = _map_items(judge, [key for key, path in paths.items() if path == MC_BLOCK], workers)
-    results.update((key, judge(key)) for key, path in paths.items() if path in _EXACT_PATHS)  # measure by measure
     for n in stage_list:
-        tables = {}  # this stage's count tables, for every measure judged at it
-        results.update((key, judge(key, tables)) for g in range(len(groups)) if (key := (g, n)) not in results)
+        shared.values.clear()
+        shared.tables.clear()
+        results.update((key, judge(key)) for g in range(len(groups)) if (key := (g, n)) not in results)
     at = dict(pair for pairs in results.values() for pair in pairs)
     points = tuple(at[wi, n] for wi in range(len(worlds)) for n in stage_list)
     return SuccessCurve(problem.name, method.name, crit.label, points)
@@ -983,7 +997,7 @@ def success_set_prob(
     defaulting to max(n, 1): inputs are checked as the curve checks them,
     and a stage past the horizon is rejected on every path.
     """
-    T = horizon if horizon is not None else max(n, 1)
+    T = horizon if horizon is not None else max(n, 1) if _is_integer(n) else n  # the stage check rejects a bad n
     curve = success_set_curve(problem, method, [world], [n], horizon=T, trials=trials, seed=seed, strategy=strategy)
     (pt,) = curve.points
     return Estimate(pt.estimate, pt.stderr, pt.exact)

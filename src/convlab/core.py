@@ -47,7 +47,7 @@ class ResourceBudgetError(RuntimeError):
 
 def _is_integer(v) -> bool:
     """Whether v is an integer, a numpy one too, but not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))  # plain ints skip the ABC
 
 
 def _is_label(y) -> bool:
@@ -257,33 +257,6 @@ class Measure:
         for t in range(0, trials, rows):
             idx = cdf.searchsorted(rng.random((min(rows, trials - t), n)), side="right")
             yield from map(tuple, (idx if indices else tokens[idx]).tolist())
-
-    def sample_count_block(self, rng, trials: int, n: int):
-        """A (trials, tokens) int array: the multinomial token counts of ``trials`` IID length-n samples.
-
-        Column j, last to first, is a binomial of the draws left at p_j / (p_0 + ... + p_j),
-        undrawn at p_j = 0 (so never 0/0); column 0 takes the rest.  The first drawn column, if another
-        follows and n + 1 <= trials, is one rng.multinomial(trials, Binomial(n, p_j) pmf) over its counts
-        0..n, so rows come sorted by it: each is Multinomial(n, p) and their multiset is that of trials IID
-        rows, all a consumer reads (flags sum weights).  A binary measure's one draw is rng.binomial(n, theta).
-        """
-        import numpy as np
-
-        from .convergence import _count_table
-
-        counts = np.zeros((trials, len(self.token_probs)), dtype=np.int64)
-        rest, mass = n, Fraction(1)
-        drawn = [j for j in range(len(self.token_probs) - 1, 0, -1) if self.token_probs[j][1]]
-        for j in drawn:
-            p = self.token_probs[j][1]
-            if j == drawn[0] and len(drawn) > 1 and n + 1 <= trials:  # one histogram of Binomial(n, p_j)
-                _, pmf = _count_table(n, np.array([float(p), float(1 - p)]), {})
-                counts[:, j] = np.repeat(np.arange(n + 1), rng.multinomial(trials, pmf))
-            else:
-                counts[:, j] = rng.binomial(rest, float(p / mass), size=trials)
-            rest, mass = rest - counts[:, j], mass - p
-        counts[:, 0] = rest
-        return counts
 
     def sample_branch(self, master_seed: int, *key, branch_id: str) -> Branch:
         """Freeze one realized branch of this measure, derived from the seed key.

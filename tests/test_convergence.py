@@ -15,6 +15,7 @@ import convlab as cl
 from convlab import cli, convergence, seeding
 from convlab.convergence import (
     Budget,
+    _Shared,
     _binomial_exact,
     _lock_stage_samples,
     _mc_draw,
@@ -36,7 +37,7 @@ def _shared_flags(problem, method, worlds, n, crit, trials, rng):
     so the flags' mean is mc_success_prob's estimate.
     """
     draw = _mc_draw(method, worlds[0].measure, n, _mc_plan(method, worlds[0], n, trials), trials, rng)
-    return [np.repeat(_mc_flags(problem, method, w, n, crit, draw), draw["weights"]) for w in worlds]
+    return [np.repeat(_mc_flags(_Shared(problem, crit), method, w, n, draw), draw["weights"]) for w in worlds]
 
 
 def rationals(max_den=40):
@@ -181,13 +182,13 @@ class TestExactSuccessProb:
         cb = cl.coin_bias([theta])
         w = cb.world(f"theta={float(theta)}")
         inside = [k for k in range(n + 1) if abs(Fraction(k, n) - theta) < eps]
-        assert _binomial_exact(cb, cl.frequency_estimator, w, n, cl.within(eps)) == window_sum(inside)
+        assert _binomial_exact(_Shared(cb, cl.within(eps)), cl.frequency_estimator, w, n) == window_sum(inside)
 
         fc = cl.fair_coin([Fraction(7, 20), Fraction(1, 2)])
         w = fc.world(f"theta={float(theta)}")
         accept = [k for k in range(n + 1) if abs(2 * k - n) ** 4 < 16 * n**3]
         success = accept if theta == Fraction(1, 2) else sorted(set(range(n + 1)) - set(accept))
-        assert _binomial_exact(fc, cl.fair_coin_test, w, n, cl.EXACT) == window_sum(success)
+        assert _binomial_exact(_Shared(fc, cl.EXACT), cl.fair_coin_test, w, n) == window_sum(success)
 
     def test_point_mass_is_an_indicator(self):
         fg = cl.fine_grained_raven([0.5, 1])
@@ -261,7 +262,7 @@ class TestCumulativeCursors:
         # At 1/2 the odd counts carry exactly half the mass.
         assert all(pt.estimate == Fraction(1, 2) for pt in curve.points if pt.world_id == "p=0.5")
 
-    def test_a_shared_sums_changes_no_value(self):
+    def test_a_shared_context_changes_no_value(self):
         cb = cl.coin_bias([Fraction(7, 20), Fraction(1, 2)])
         laplace = cl.InferenceMethod("laplace", decide_counts=lambda n, k: Fraction(k + 1, n + 2))
         calls = [
@@ -270,14 +271,29 @@ class TestCumulativeCursors:
             for method in (cl.frequency_estimator, laplace)
             for w in cb.worlds
         ]
-        sums = {}
+        context = _Shared(cb, cl.within(0.1))
         for method, w, n in calls:
-            shared = cl.exact_success_prob(cb, method, w, n, cl.within(0.1), sums=sums)
+            shared = cl.exact_success_prob(cb, method, w, n, cl.within(0.1), _shared=context)
             assert shared == cl.exact_success_prob(cb, method, w, n, cl.within(0.1))
-        # One entry per bias: its capped cursors, and its values at the latest stage only.
-        assert sorted(sums) == [(1, 2), (7, 20)]
-        for cursors, at, values in sums.values():
-            assert len(cursors) <= convergence._CURSOR_CAP and at == 200 and 1 <= len(values) <= 2
+        # One list of capped cursors per bias.
+        assert sorted(context.cursors) == [(1, 2), (7, 20)]
+        assert all(len(cursors) <= convergence._CURSOR_CAP for cursors in context.cursors.values())
+
+    def test_a_long_exact_curve_holds_one_stage_of_binomial_values(self, monkeypatch):
+        # 13 biases on stages 1..300: every call leaves only its own stage's values in the curve's context.
+        stages = []
+        exact = convergence.exact_success_prob
+
+        def spy(problem, method, world, n, crit, budget=None, *, _shared=None):
+            value = exact(problem, method, world, n, crit, budget, _shared=_shared)
+            stages.append((n, {key[2] for key in _shared.values}))
+            return value
+
+        monkeypatch.setattr(convergence, "exact_success_prob", spy)
+        fc = cl.fair_coin()
+        curve = cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 300)
+        assert all(pt.exact for pt in curve.points) and len(stages) == len(curve.points)
+        assert all(held <= {n} for n, held in stages) and any(held == {n} for n, held in stages)
 
     def test_worlds_on_one_measure_with_different_truths_get_their_own_values(self):
         fc = cl.fair_coin([Fraction(1, 2), Fraction(7, 10)])
@@ -474,7 +490,7 @@ class TestSuccessMemo:
 
         monkeypatch.setattr(convergence, "loss_of", typed_loss)
         cb = cl.coin_bias([Fraction(1, 2)])
-        met = convergence._success_test(cb, cb.worlds[0], cl.EXACT)
+        met = _Shared(cb, cl.EXACT).test(cb.worlds[0])
         outs = [0.5, Fraction(1, 2), 0.5, Fraction(1, 2), 1, True, 1.0, True]
         assert [met(out) for out in outs] == [True, False, True, False, False, False, True, False]
         keys = [(float, 0.5), (Fraction, Fraction(1, 2)), (int, 1), (bool, True), (float, 1.0)]
@@ -587,12 +603,12 @@ class TestCountLaws:
                 row = terms[th, n]
                 for crit in LAW_CRITS:
                     if (world.truth, n, crit) not in scans:
-                        met = convergence._success_test(problem, world, crit)
+                        met = _Shared(problem, crit).test(world)
                         scans[world.truth, n, crit] = [k for k in range(n + 1) if met(method.decide_counts(n, k))]
                     scan = scans[world.truth, n, crit]
                     window = method.laws.window(problem, world, n, crit)
                     assert [k for rg in window for k in rg] == scan, (world.id, world.truth, n, crit)
-                    exact = _binomial_exact(problem, method, world, n, crit)
+                    exact = _binomial_exact(_Shared(problem, crit), method, world, n)
                     assert exact == Fraction(sum(row[k] for k in scan), th.denominator**n)
                     bound = cl.analytic_bound(problem, method, world, n, crit)
                     assert bound is None or bound <= exact, (world.id, world.truth, n, crit)
@@ -676,6 +692,15 @@ class TestCountLaws:
         fc = cl.fair_coin()
         impostor = cl.InferenceMethod("fair-coin-test", lambda seq: cl.UNFAIR)
         assert cl.analytic_bound(fc, impostor, fc.world("theta=0.5"), 40, cl.EXACT) is None
+
+    @pytest.mark.parametrize("n", NOT_INTEGERS + [None, -1])
+    def test_a_bound_rejects_a_sample_size_that_is_no_integer_at_least_0(self, n):
+        cb = cl.coin_bias([Fraction(7, 20)])
+        w, crit = cb.world("theta=0.35"), cl.within(Fraction(1, 10))
+        with pytest.raises(cl.InputDomainError, match="sample size must be"):
+            cl.analytic_bound(cb, cl.frequency_estimator, w, n, crit)
+        assert cl.analytic_bound(cb, cl.frequency_estimator, w, 0, crit) is None
+        assert cl.analytic_bound(cb, cl.frequency_estimator, w, np.int64(40), crit) == Fraction(3, 8)
 
 
 class TestSeedType:
@@ -804,12 +829,13 @@ class TestMcSuccessProb:
             path = _mc_plan(method, w, n, trials)
             paths.add(path)
             draw = _mc_draw(method, w.measure, n, path, trials, seeding.generator(2, w.id, n))
-            flags = _mc_flags(prob, method, w, n, crit, draw)
-            met = convergence._success_test(prob, w, crit)
+            shared = _Shared(prob, crit)
+            flags = _mc_flags(shared, method, w, n, draw)
+            met = shared.test(w)
             for row, flag in zip(draw["rows"].tolist(), flags.tolist()):
                 assert flag == met(method.decide([tok for tok, c in zip(tokens, row) for _ in range(c)])), (w.id, row)
             estimate = draw["weights"][flags].sum() / trials
-            exact = float(_multinomial_exact(prob, method, w, n, crit))
+            exact = float(_multinomial_exact(_Shared(prob, crit), method, w, n))
             assert abs(estimate - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials), (w.id, exact)
         assert paths == ({"mc-histogram", "mc-block"} if n == 17 else {"mc-histogram"})
 
@@ -876,7 +902,7 @@ class TestHistogramDraw:
         for w in cb.worlds:
             for n in (3, 40, 300, 4999):
                 self._draw(w.measure, n, 5000)
-                exact = float(_binomial_exact(cb, method, w, n, cl.within(0.1)))
+                exact = float(_binomial_exact(_Shared(cb, cl.within(0.1)), method, w, n))
                 est = cl.mc_success_prob(cb, method, w, n, cl.within(0.1), 5000, seed=13)
                 assert abs(est.value - exact) <= 5 * math.sqrt(exact * (1 - exact) / 5000), (w.id, n)
 
@@ -886,7 +912,7 @@ class TestHistogramDraw:
         for w in prob.worlds[1:]:  # the two four-token laws
             for n in (3, 8, 20):  # C(n + 3, 3) <= 4000 count vectors
                 self._draw(w.measure, n, 4000)
-                exact = float(_multinomial_exact(prob, erm, w, n, cl.within(0.05)))
+                exact = float(_multinomial_exact(_Shared(prob, cl.within(0.05)), erm, w, n))
                 est = cl.mc_success_prob(prob, erm, w, n, cl.within(0.05), 4000, seed=13)
                 assert abs(est.value - exact) <= 5 * math.sqrt(exact * (1 - exact) / 4000), (w.id, n)
 
@@ -1118,6 +1144,27 @@ class TestSuccessCurve:
         planned = [(wi, n) for wi, w in enumerate(prob.worlds) for n in stages if _plan(erm, w, n, budget) == "mc-block"]
         assert keys == planned and {n for _, n in planned} == {5, 9}
 
+    def test_each_point_reaches_the_public_functions_through_the_module(self, monkeypatch):
+        # Stage 5 sums the binomial law, 20 draws a histogram (21 count vectors <= 30 trials) and 40 draws rows in
+        # the pool's two threads: every point's world reaches the module's exact_success_prob or mc_success_prob once.
+        calls = []
+        for name in ("exact_success_prob", "mc_success_prob"):
+
+            def counted(problem, method, world, n, *args, _fn=getattr(convergence, name), _name=name, **kwargs):
+                calls.append((_name, world.id, n))
+                return _fn(problem, method, world, n, *args, **kwargs)
+
+            monkeypatch.setattr(convergence, name, counted)
+        fc = cl.fair_coin([0.5, 0.9])
+        budget = Budget(symmetric_exact_cap=10, exact_enum_cap=1, trials=30)
+        curve = cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 40, budget=budget, stages=(5, 20, 40),
+                                 workers=2)
+        plans = [_plan(cl.fair_coin_test, fc.world(pt.world_id), pt.n, budget) for pt in curve.points]
+        assert {"binomial-exact", "mc-histogram", "mc-block"} <= set(plans)
+        exact = [name in convergence._EXACT_PATHS for name in plans]
+        want = [("exact_success_prob" if e else "mc_success_prob", pt.world_id, pt.n) for e, pt in zip(exact, curve.points)]
+        assert sorted(calls) == sorted(want)
+
     def test_exact_strategy_refuses_to_fall_back(self, toy_task, toy_classifiers):
         prob = cl.binary_classification(**toy_task)
         with pytest.raises(cl.ResourceBudgetError):
@@ -1307,9 +1354,9 @@ class TestSuccessCurve:
         ests = [(pt.estimate, pt.stderr) for pt in curve.points]
         assert ests[0] != ests[1]
         assert ests == [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, seed=9))[:2] for w in (low, high)]
-        draws = {}  # one dict shared by both calls holds the one draw they are judged on
-        shared = [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, seed=9, draws=draws))[:2] for w in (low, high)]
-        assert shared == ests and len(draws) == 1
+        context = _Shared(cb, crit)  # one context shared by both calls holds the one draw they are judged on
+        shared = [tuple(cl.mc_success_prob(cb, method, w, n, crit, 2000, 9, _shared=context))[:2] for w in (low, high)]
+        assert shared == ests and len(context.draws) == 1
 
     @pytest.mark.parametrize(
         "horizon, stages, match",
@@ -1609,7 +1656,7 @@ class TestCountBlock:
         th = Fraction(2, 5)
         for n in (0, 1, 5, 12):
             want = sum(math.comb(n, k) * th**k * (1 - th) ** (n - k) for k in range(n + 1) if hits(n, k) == cl.YES)
-            assert _binomial_exact(fg, method, w, n, cl.EXACT) == want
+            assert _binomial_exact(_Shared(fg, cl.EXACT), method, w, n) == want
 
 
 class TestCheckMode:
@@ -1932,6 +1979,15 @@ class TestSuccessSets:
         with pytest.raises(cl.InputDomainError, match="unknown strategy"):
             cl.success_set_curve(fg, cl.raven_rule, [], [5], horizon=5, strategy="bogus")
         assert cl.success_set_curve(fg, cl.raven_rule, [], [5], horizon=5).points == ()
+
+    @pytest.mark.parametrize("n", NOT_INTEGERS + [None])
+    def test_a_point_at_a_stage_that_is_no_integer_is_rejected(self, n):
+        # With no horizon the stage also sets the default horizon, max(n, 1): a bad n is rejected, not compared.
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        for horizon in (None, 5):
+            with pytest.raises(cl.InputDomainError, match="must be integers"):
+                cl.success_set_prob(fg, cl.raven_rule, fg.worlds[0], n, horizon=horizon)
+        assert cl.success_set_prob(fg, cl.raven_rule, fg.worlds[0], np.int64(3)).value == Fraction(7, 8)
 
     # One world per success-set path: (method, world id, strategy, planned path).
     _PATHS = [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import convlab as cl
 from convlab import seeding
+from convlab.convergence import _sample_count_block
 from convlab.core import (
     _CHUNK_DRAWS,
     KIND_IID_BERNOULLI,
@@ -320,7 +321,7 @@ class TestIidSampler:
         # The one draw of a binary measure is rng.binomial's, byte for byte.
         th = Fraction(theta)
         ours, theirs = seeding.generator(4, theta, n), seeding.generator(4, theta, n)
-        counts = Measure.iid_bernoulli(th).sample_count_block(ours, 500, n)
+        counts = _sample_count_block(Measure.iid_bernoulli(th), ours, 500, n)
         want = theirs.binomial(n, float(th), size=500)
         assert counts.dtype == np.int64 and counts.shape == (500, 2)
         assert (counts[:, 1] == want).all() and (counts[:, 0] == n - want).all()
@@ -331,7 +332,7 @@ class TestIidSampler:
     def test_count_rows_sum_to_n_and_zero_columns_stay_0(self, law, shape):
         m = self.COUNT_LAWS[law]
         trials, n = shape
-        counts = m.sample_count_block(seeding.generator(7, law), trials, n)
+        counts = _sample_count_block(m, seeding.generator(7, law), trials, n)
         assert counts.dtype == np.int64 and counts.shape == (trials, len(m.token_probs))
         assert (counts >= 0).all() and (counts.sum(axis=1) == n).all()
         zero = np.array([p == 0 for _, p in m.token_probs])
@@ -343,12 +344,12 @@ class TestIidSampler:
         trials = 20_000
         # Each column's mean lies within 4 standard errors of n p_j.
         for n in (1, 3, 40, 500):
-            counts = m.sample_count_block(seeding.generator(8, n), trials, n)
+            counts = _sample_count_block(m, seeding.generator(8, n), trials, n)
             for j, p in enumerate(probs):
                 assert abs(counts[:, j].mean() - n * p) < 4 * math.sqrt(n * p * (1 - p) / trials), (n, j)
         # At n = 3 each of the 20 count vectors' frequencies lies within 4 standard
         # errors of its multinomial probability 3!/prod(c_j!) prod(p_j**c_j).
-        counts = m.sample_count_block(seeding.generator(8, "law"), trials, 3)
+        counts = _sample_count_block(m, seeding.generator(8, "law"), trials, 3)
         vectors, seen = np.unique(counts, axis=0, return_counts=True)
         freq = dict(zip(map(tuple, vectors.tolist()), (seen / trials).tolist()))
         for c in itertools.product(range(4), repeat=4):
@@ -412,7 +413,7 @@ class TestIidSampler:
     def test_count_block_draw_counts(self, law, trials, n, multinomials, binomials):
         m = self.LADDER_LAW if law == "ladder" else Measure.iid_bernoulli(Fraction(3, 10))
         spy = self._DrawSpy(seeding.generator(9, law, n))
-        counts = m.sample_count_block(spy, trials, n)
+        counts = _sample_count_block(m, spy, trials, n)
         assert counts.shape == (trials, len(m.token_probs)) and (counts >= 0).all() and (counts.sum(axis=1) == n).all()
         assert spy.multinomials == multinomials and spy.binomials == binomials
 
@@ -420,7 +421,7 @@ class TestIidSampler:
         m = self.COUNT_LAWS["zero-last"]  # (0.5, 0.3, 0.2, 0)
         trials, n = 20_000, 40
         spy = self._DrawSpy(seeding.generator(10, "zero-last"))
-        counts = m.sample_count_block(spy, trials, n)
+        counts = _sample_count_block(m, spy, trials, n)
         assert spy.multinomials == [n + 1] and spy.binomials == [trials]
         assert not counts[:, 3].any() and (counts.sum(axis=1) == n).all()
         assert (np.diff(counts[:, 2]) >= 0).all()  # rows come ordered by the histogram column
@@ -431,7 +432,7 @@ class TestIidSampler:
     def test_count_block_law_holds_on_both_sides_of_n_plus_1_equal_trials(self, n, multinomials):
         trials = 10_000
         spy = self._DrawSpy(seeding.generator(11, n))
-        counts = self.LADDER_LAW.sample_count_block(spy, trials, n)
+        counts = _sample_count_block(self.LADDER_LAW, spy, trials, n)
         assert spy.multinomials == multinomials
         assert counts.dtype == np.int64 and counts.shape == (trials, 4) and (counts.sum(axis=1) == n).all()
         for j, (_, p) in enumerate(self.LADDER_LAW.token_probs):
@@ -442,7 +443,7 @@ class TestIidSampler:
         rng = seeding.generator(6, "memory")
         tracemalloc.start()
         try:
-            counts = m.sample_count_block(rng, 10_000, 500)
+            counts = _sample_count_block(m, rng, 10_000, 500)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
