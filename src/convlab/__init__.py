@@ -87,7 +87,6 @@ from .convergence import (
     mc_success_prob,
     mode_params,
     required_sample_size,
-    resolve_workers,
     success_curve,
     success_set_curve,
     success_set_prob,

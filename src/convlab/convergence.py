@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import os
 import sys
 from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass, replace
@@ -38,7 +37,6 @@ from typing import NamedTuple, Optional, Sequence
 from . import seeding
 from .core import (
     FAIR,
-    KIND_IID_BERNOULLI,
     SUSPEND,
     EmpiricalProblem,
     InferenceMethod,
@@ -264,11 +262,11 @@ def required_sample_size(eps, delta) -> int:
 
 
 def analytic_bound(problem, method, world, n, crit):
-    """A certified lower bound on the success probability, where the method's laws declare one."""
+    """A certified lower bound on the success probability on a binary measure, where the method's laws declare one."""
     n = _integer(n, "sample size", 0)
     m = world.measure
     laws = method.laws
-    if m is None or m.kind != KIND_IID_BERNOULLI or n < 1 or laws is None or laws.bound is None:
+    if m is None or not m.binary or n < 1 or laws is None or laws.bound is None:
         return None
     return laws.bound(problem, world, n, crit)
 
@@ -294,7 +292,7 @@ def _plan(method, world, n, budget: Budget) -> str:
     A world with no measure is the point mass on its branch (point-mass).
     Otherwise, unless the strategy is "mc", an exact path wins where it fits
     its cap: symmetric_exact_cap on n for a count-block method's binomial sum
-    on IID-Bernoulli data, then exact_enum_cap on the tree level's leaves, which
+    on a binary measure (Measure.binary), then exact_enum_cap on the tree level's leaves, which
     also caps the multinomial sum that stands in for enumeration; past the
     caps "auto" samples and "exact" raises.  Sampling decides a count-block
     method on the trials' histogram over the C(n+t-1, t-1) count vectors of
@@ -309,7 +307,7 @@ def _plan(method, world, n, budget: Budget) -> str:
     block = method.decide_count_block is not None
     t = len(m.support[0])
     if budget.strategy != "mc":
-        if block and m.kind == KIND_IID_BERNOULLI and n <= budget.symmetric_exact_cap:
+        if block and m.binary and n <= budget.symmetric_exact_cap:
             return BINOMIAL_EXACT
         if t**n <= budget.exact_enum_cap:
             return MULTINOMIAL_EXACT if block else ENUM_EXACT
@@ -386,7 +384,7 @@ def _point_mass_exact(shared, method, world, n) -> Fraction:
 
 def _window(shared, method, world, n) -> Optional[list[range]]:
     """The success-count ranges at n of the declared CountLaws.window on an IID-Bernoulli world, or None."""
-    laws = method.laws if world.measure.kind == KIND_IID_BERNOULLI else None
+    laws = method.laws if world.measure.binary else None
     return None if laws is None else laws.window(shared.problem, world, n, shared.crit)
 
 
@@ -659,19 +657,6 @@ def mc_success_prob(problem, method, world, n, crit, trials: int, seed: int, *, 
 # Curves
 
 
-def resolve_workers(requested: Optional[int]) -> int:
-    """Worker count after applying the CONVLAB_THREADS environment cap; each must be an integer >= 1."""
-    w = 1 if requested is None else _integer(requested, "workers", 1)
-    env = os.environ.get("CONVLAB_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputDomainError(f"CONVLAB_THREADS must be an integer, got {env!r}") from None
-        w = min(w, _integer(cap, "CONVLAB_THREADS", 1))
-    return w
-
-
 def _map_items(fn, keys, workers: int) -> dict:
     # Results land in a dict keyed by work item, so assembly order never
     # depends on the execution schedule.  One item or none needs no pool.
@@ -726,7 +711,7 @@ def success_curve(
     budget = budget or Budget()
     horizon, stage_list = _stage_list(horizon, stages, 1)
     worlds = tuple(worlds)
-    workers = resolve_workers(workers)
+    workers = _integer(workers, "workers", 1)
     seeding.check_key(seed)  # checked even where every point is exact
     groups = {}  # measure -> the (index, world) pairs on it, in grid order
     for wi, w in enumerate(worlds):
@@ -855,7 +840,7 @@ def check_mode(
     neither passes nor fails.
     """
     budget = budget or Budget()
-    workers = resolve_workers(workers)
+    workers = _integer(workers, "workers", 1)
     seeding.check_key(seed)  # checked in every mode, though mode I draws nothing
     worlds = params.worlds_of(problem)
     horizon = params.horizon
@@ -916,7 +901,7 @@ def _set_plan(problem, method, world, strategy: str) -> str:
     A world with no measure has one branch, so its lock stage is exact under
     every strategy (point-mass).  Otherwise, unless the strategy is "mc", a
     closed form wins where one exists, or "exact" raises; lock stages are sampled, from
-    the geometric first-zero law where the method declares it, else by a prefix scan.
+    the geometric first-zero law where the laws declare it on a binary measure, else by a prefix scan.
     """
     m = world.measure
     if problem.truth_of_prefix is None:
@@ -925,7 +910,7 @@ def _set_plan(problem, method, world, strategy: str) -> str:
         )
     if m is None:
         return POINT_MASS
-    geometric = method.locks_at_first_zero and m.kind == KIND_IID_BERNOULLI
+    geometric = method.laws is not None and method.laws.locks_at_first_zero and m.binary
     if strategy != "mc":
         if geometric:
             return GEOMETRIC_EXACT

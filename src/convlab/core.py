@@ -176,35 +176,48 @@ def _cached_sampled_branch(branch_id, draw_block):
     return Branch(branch_id, token_at)
 
 
-KIND_IID_BERNOULLI = "iid-bernoulli"
-KIND_IID_EXAMPLES = "iid-examples"
-KIND_POINT_MASS = "point-mass"  # no Measure kind: bench/tracer.py imports it, and it goes with the tracer
+KIND_IID_BERNOULLI = "iid-bernoulli"  # Measure.kind's two values, and a kind no Measure has: bench/tracer.py
+KIND_IID_EXAMPLES = "iid-examples"  # imports the three, and they go with that tracer
+KIND_POINT_MASS = "point-mass"
 # Uniforms per chunk of IID token draws; a chunk holds whole rows.
 _CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
 class Measure:
-    """An IID tree measure over the evidence tree, of one of the two catalog kinds, with an exact per-token
-    distribution.  A deterministic world carries none (World.measure is None)."""
+    """An IID tree measure over the evidence tree: its exact table of distinct tokens and nonnegative Fractions
+    summing to 1, binary (IID-Bernoulli) over the ints 0 and 1 in that order.  A deterministic world has none."""
 
-    kind: str
     token_probs: tuple[tuple[Token, Fraction], ...]
+
+    def __post_init__(self):
+        tokens, probs = [tok for tok, _ in self.token_probs], [pr for _, pr in self.token_probs]
+        nonnegative = all(isinstance(pr, Fraction) and pr >= 0 for pr in probs)
+        if not (len(set(tokens)) == len(tokens) and nonnegative and sum(probs) == 1):  # an empty table sums to 0
+            raise InputDomainError(
+                f"a measure's table needs distinct tokens, nonnegative Fractions that sum to 1: {self.token_probs!r}"
+            )
 
     @staticmethod
     def iid_bernoulli(theta) -> "Measure":
         th = as_fraction(theta)
         if not 0 <= th <= 1:
             raise InputDomainError(f"bias must lie in [0, 1], got {theta}")
-        return Measure(KIND_IID_BERNOULLI, token_probs=((0, 1 - th), (1, th)))
+        return Measure(((0, 1 - th), (1, th)))
 
     @staticmethod
     def iid_examples(table: Mapping[Token, object]) -> "Measure":
-        items = tuple((tok, as_fraction(p)) for tok, p in table.items())
-        total = sum(p for _, p in items)
-        if any(p < 0 for _, p in items) or total != 1:
-            raise InputDomainError("example distribution must be nonnegative and sum to 1")
-        return Measure(KIND_IID_EXAMPLES, token_probs=items)
+        return Measure(tuple((tok, as_fraction(p)) for tok, p in table.items()))
+
+    @cached_property
+    def binary(self) -> bool:
+        """Whether the tokens are the ints 0 and 1, in that order (True and False are not)."""
+        return [(type(tok), tok) for tok, _ in self.token_probs] == [(int, 0), (int, 1)]
+
+    @property
+    def kind(self) -> str:
+        """The law's catalog name (KIND_*), by which bench/tracer.py reads it; it goes when that tracer does."""
+        return KIND_IID_BERNOULLI if self.binary else KIND_IID_EXAMPLES
 
     @cached_property
     def support(self) -> tuple[tuple, tuple[int, ...], int]:
@@ -216,11 +229,11 @@ class Measure:
 
     def __hash__(self):
         # Off the integer support, which equal measures share: hashing token_probs hashes its Fractions, slowly.
-        return hash((self.kind, self.support))
+        return hash(self.support)
 
     @property
     def theta(self) -> Fraction:
-        if self.kind != KIND_IID_BERNOULLI:
+        if not self.binary:
             raise PreconditionError("theta is only defined for IID-Bernoulli measures")
         return self.token_probs[1][1]  # the table is ((0, 1 - theta), (1, theta))
 
@@ -393,15 +406,18 @@ class EmpiricalProblem:
 
 @dataclass(frozen=True)
 class CountLaws:
-    """A counts method's laws under IID-Bernoulli worlds, each a function of (problem, world, n, crit).
+    """A counts method's laws under IID-Bernoulli worlds.
 
     ``window``: ranges holding exactly the k in 0..n whose output meets crit, or
     None where it cannot vouch.  ``bound``: a lower bound on the success
-    probability at n >= 1, or None.
+    probability at n >= 1, or None; both are functions of (problem, world, n,
+    crit).  ``locks_at_first_zero``: the output settles for good at the first 0
+    token, so the lock stage is geometric.
     """
 
     window: Callable[..., Optional[list[range]]]
     bound: Optional[Callable] = None
+    locks_at_first_zero: bool = False
 
 
 @dataclass(frozen=True)
@@ -420,14 +436,12 @@ class InferenceMethod:
     both, replacing any passed alongside, so ``replace(m, decide_counts=g)``
     re-derives both and they always agree; ``InferenceMethod(m.name,
     m.decide)`` is the same rule with no block.  ``laws`` declares a counts
-    method's success windows and bound; ``locks_at_first_zero`` marks methods
-    whose output settles permanently at the first 0 token.
+    method's success windows, bound and lock law (CountLaws).
     """
 
     name: str
     decide: Optional[Callable[[Sequence], MethodOutput]] = None
     decide_counts: Optional[Callable[[int, int], MethodOutput]] = None
-    locks_at_first_zero: bool = False
     laws: Optional[CountLaws] = None
     decide_count_block: Optional[Callable] = None  # (tokens, counts array) -> (outputs, index array)
 
@@ -470,6 +484,11 @@ class InferenceMethod:
     def success_block(self):
         """``decide_count_block``, by the name bench/tracer.py reads it; it goes when that tracer does."""
         return self.decide_count_block
+
+    @property
+    def locks_at_first_zero(self) -> bool:
+        """``laws.locks_at_first_zero``, by the name bench/tracer.py reads it; it goes when that tracer does."""
+        return self.laws is not None and self.laws.locks_at_first_zero
 
     def __call__(self, seq) -> MethodOutput:
         return self.decide(seq)

@@ -54,7 +54,7 @@ def _raven_window(problem, world, n, crit):
 
 
 raven_rule = InferenceMethod(
-    "raven-rule", decide_counts=_raven_counts, locks_at_first_zero=True, laws=CountLaws(_raven_window)
+    "raven-rule", decide_counts=_raven_counts, laws=CountLaws(_raven_window, locks_at_first_zero=True)
 )
 
 

@@ -147,7 +147,7 @@ def test_c07_success_set_law():
     t0 = time.perf_counter()
     ps = [Fraction(3, 10), Fraction(1, 2), Fraction(9, 10)]
     fg = cl.fine_grained_raven(ps)
-    scanned = replace(cl.raven_rule, locks_at_first_zero=False)
+    scanned = replace(cl.raven_rule, laws=replace(cl.raven_rule.laws, locks_at_first_zero=False))
     for p in ps:
         w = fg.world(f"p={float(p)}")
         for n in range(0, 31):

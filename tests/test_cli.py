@@ -932,28 +932,14 @@ class TestOtherSubcommands:
 
 
 class TestWorkerCap:
-    def test_env_variable_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("CONVLAB_THREADS", "2")
-        assert cl.resolve_workers(8) == 2
-        monkeypatch.setenv("CONVLAB_THREADS", "junk")
-        with pytest.raises(cl.InputDomainError):
-            cl.resolve_workers(8)
-        monkeypatch.delenv("CONVLAB_THREADS")
-        assert cl.resolve_workers(8) == 8
-        assert cl.resolve_workers(None) == 1
-
-    @pytest.mark.parametrize("requested", ["x", "2", 2.7, 2.0, True, False])
-    def test_a_bool_or_non_integral_request_is_rejected(self, monkeypatch, requested):
-        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
-        with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
-            cl.resolve_workers(requested)
+    @pytest.mark.parametrize("requested", ["x", "2", 2.7, 2.0, True, False, None])
+    def test_a_bool_or_non_integral_request_is_rejected(self, requested):
         fc = cl.fair_coin()
         with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
             cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=requested)
 
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_a_count_below_1_is_rejected_wherever_it_enters(self, monkeypatch, workers):
-        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
+    def test_a_count_below_1_is_rejected_wherever_it_enters(self, workers):
         fc = cl.fair_coin()
         with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
             cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=workers)
@@ -963,16 +949,13 @@ class TestWorkerCap:
             cl.check_mode(cl.easy_raven(3), cl.raven_rule, cl.mode_params("I", 5), workers=workers)
         with pytest.raises(cl.ConfigurationError, match="workers must be >= 1"):
             cli.parse_config(dict(RAVEN_CONFIG, workers=workers))
-        monkeypatch.setenv("CONVLAB_THREADS", str(workers))
-        with pytest.raises(cl.InputDomainError, match="CONVLAB_THREADS must be >= 1"):
-            cl.resolve_workers(4)
 
-    def test_integral_requests_keep_their_meaning(self, monkeypatch):
-        monkeypatch.delenv("CONVLAB_THREADS", raising=False)
-        assert [cl.resolve_workers(w) for w in (None, 1, np.int64(3))] == [1, 1, 3]
-        for w in (0, -3):
-            with pytest.raises(cl.InputDomainError, match="workers must be >= 1"):
-                cl.resolve_workers(w)
+    def test_integral_requests_keep_their_meaning(self):
+        fc = cl.fair_coin()
+        curves = [cl.success_curve(fc, cl.fair_coin_test, fc.worlds, cl.EXACT, 3, workers=w) for w in (1, np.int64(3))]
+        assert curves[0] == curves[1]
+        with pytest.raises(cl.InputDomainError, match="workers must be an integer"):
+            cl.check_mode(fc, cl.fair_coin_test, cl.mode_params("II", 3, delta=0.1), workers=None)
 
 
 # Runs in a fresh interpreter, since pytest has numpy loaded: a meta-path finder notes the thread that
@@ -1018,7 +1001,7 @@ ERM_MC_CONFIG = dict(
 class TestNumpyLoadsOnFirstUse:
     @staticmethod
     def _fresh(*argv) -> dict:
-        env = {k: v for k, v in os.environ.items() if k != "CONVLAB_THREADS"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(Path(cl.__file__).parents[1]), env.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-c", _FRESH_PROCESS, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120

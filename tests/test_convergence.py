@@ -477,7 +477,7 @@ class TestSuccessMemo:
         # The generic success-set sampler scans each of its 50 branches once: at most YES and NO per scan.
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         del loss_calls[:]
-        _lock_stage_samples(fg, replace(method, locks_at_first_zero=False), fg.worlds[0], 40, 50, 2, "mc")
+        _lock_stage_samples(fg, replace(method, laws=None), fg.worlds[0], 40, 50, 2, "mc")
         assert 50 <= len(loss_calls) <= 2 * 50
 
     def test_equal_values_of_two_types_are_two_keys(self, monkeypatch):
@@ -1530,6 +1530,51 @@ class TestPlan:
         assert isinstance(p, Fraction) and cl.bernoulli_bound(n, crit.eps) <= p < 1
 
 
+class TestOneLawOnePath:
+    """A table over the ints 0 and 1, in that order, is the IID-Bernoulli law however it was built, and takes
+    the binary paths; any other table takes the general ones."""
+
+    def test_the_twins_are_one_measure(self):
+        examples, coin = cl.Measure.iid_examples({0: "7/10", 1: "3/10"}), cl.Measure.iid_bernoulli(Fraction(3, 10))
+        assert examples == coin and hash(examples) == hash(coin)
+        assert examples.binary and examples.theta == Fraction(3, 10)
+
+    def test_the_twins_get_one_exact_value_and_one_bound(self):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.worlds[0]
+        twin = replace(w, measure=cl.Measure.iid_examples({0: Fraction(7, 10), 1: Fraction(3, 10)}))
+        crit, fe = cl.within(Fraction(1, 10)), cl.frequency_estimator
+        assert _plan(fe, twin, 30, Budget()) == _plan(fe, w, 30, Budget()) == "binomial-exact"
+        assert cl.exact_success_prob(cb, fe, twin, 30, crit) == cl.exact_success_prob(cb, fe, w, 30, crit)
+        assert cl.analytic_bound(cb, fe, twin, 30, crit) == cl.analytic_bound(cb, fe, w, 30, crit) == Fraction(1, 6)
+
+    def test_the_raven_success_set_is_the_closed_form_on_the_twin(self):
+        fg = cl.fine_grained_raven([Fraction(1, 2)])
+        twin = replace(fg.worlds[0], measure=cl.Measure.iid_examples({0: "1/2", 1: "1/2"}))
+        assert cl.success_set_prob(fg, cl.raven_rule, twin, 3) == (Fraction(7, 8), 0.0, True)
+
+    def test_a_table_of_other_tokens_is_decided_as_decide_decides(self):
+        cb = cl.coin_bias([Fraction(1, 2)])
+        w = replace(cb.worlds[0], measure=cl.Measure((("a", Fraction(1, 2)), ("b", Fraction(1, 2)))))
+        crit = cl.within(Fraction(1, 10))
+        with pytest.raises(cl.InputDomainError, match="non-binary token 'a'"):
+            cl.frequency_estimator.decide(("a", "b", "a", "b"))
+        with pytest.raises(cl.InputDomainError, match="non-binary token 'a'"):
+            cl.exact_success_prob(cb, cl.frequency_estimator, w, 4, crit)
+
+    @pytest.mark.parametrize("tokens", [(1, 0), (False, True)], ids=["reversed", "bools"])
+    def test_a_table_off_the_binary_order_takes_the_multinomial_sum_to_the_same_value(self, tokens):
+        cb = cl.coin_bias([Fraction(3, 10)])
+        w = cb.worlds[0]
+        probs = dict(w.measure.token_probs)
+        off = replace(w, measure=cl.Measure(tuple((tok, probs[int(tok)]) for tok in tokens)))
+        crit = cl.within(Fraction(1, 10))
+        assert not off.measure.binary and _plan(cl.frequency_estimator, off, 8, Budget()) == "multinomial-exact"
+        value = cl.exact_success_prob(cb, cl.frequency_estimator, off, 8, crit)
+        assert value == cl.exact_success_prob(cb, cl.frequency_estimator, w, 8, crit)
+        assert cl.analytic_bound(cb, cl.frequency_estimator, off, 8, crit) is None
+
+
 class TestCountBlock:
     """The engine reads every exchangeable method through one count block, derived for a counts method."""
 
@@ -1630,7 +1675,7 @@ class TestCountBlock:
                 assert cl.lock_time(problem, method, w, 40) == cl.lock_time(problem, plodding, w, 40)
         fg = cl.fine_grained_raven([Fraction(3, 10)])
         w = fg.world("p=0.3")
-        first_zero_free = replace(cl.raven_rule, locks_at_first_zero=False)
+        first_zero_free = replace(cl.raven_rule, laws=replace(cl.raven_rule.laws, locks_at_first_zero=False))
         locks = _lock_stage_samples(fg, first_zero_free, w, 30, 200, 9, "mc")
         slow = _lock_stage_samples(fg, cl.InferenceMethod("plodding", cl.raven_rule.decide), w, 30, 200, 9, "mc")
         assert locks.tolist() == slow.tolist()
@@ -1878,7 +1923,7 @@ class TestSuccessSets:
         # A user-built IID world at p = 1: the branch is all 1s, truth Yes, locked from stage 0.
         fg = cl.fine_grained_raven([Fraction(1, 2)])
         w = replace(fg.worlds[0], measure=cl.Measure.iid_bernoulli(1))
-        scan = replace(cl.raven_rule, locks_at_first_zero=False)
+        scan = replace(cl.raven_rule, laws=replace(cl.raven_rule.laws, locks_at_first_zero=False))
         for n in (0, 1, 5):
             assert cl.success_set_prob(fg, cl.raven_rule, w, n) == (1, 0.0, True)
             assert cl.success_set_prob(fg, cl.raven_rule, w, n, trials=200, strategy="mc").value == 1.0
@@ -1887,7 +1932,7 @@ class TestSuccessSets:
     def test_a_zero_bias_locks_every_branch_at_stage_1_on_both_sampled_paths(self):
         fg = cl.fine_grained_raven([0])
         w = fg.world("p=0")
-        scan = replace(cl.raven_rule, locks_at_first_zero=False)
+        scan = replace(cl.raven_rule, laws=replace(cl.raven_rule.laws, locks_at_first_zero=False))
         for method in (cl.raven_rule, scan):
             curve = cl.success_set_curve(fg, method, [w], [0, 1, 5], horizon=5, trials=200, strategy="mc")
             assert [pt.estimate for pt in curve.points] == [0.0, 1.0, 1.0]
@@ -1925,7 +1970,7 @@ class TestSuccessSets:
         fg = cl.fine_grained_raven([p])
         w = fg.worlds[0]
         scan = cl.success_set_curve(
-            fg, replace(method, locks_at_first_zero=False), [w], stages,
+            fg, replace(method, laws=replace(method.laws, locks_at_first_zero=False)), [w], stages,
             horizon=horizon, trials=trials, seed=seed, strategy="mc",
         )
         out = []
@@ -1950,7 +1995,7 @@ class TestSuccessSets:
         second_zero = cl.InferenceMethod(
             "second-zero-rule",
             decide_counts=lambda n, k: cl.YES if n - k < 2 else cl.NO,
-            locks_at_first_zero=True,
+            laws=cl.CountLaws(lambda *args: None, locks_at_first_zero=True),
         )
         gaps = self._lock_law_deviations(second_zero, Fraction(3, 5), (1, 4, 12))
         assert any(gap > 10 * se for gap, se in gaps)

@@ -18,6 +18,7 @@ from convlab.convergence import _sample_count_block
 from convlab.core import (
     _CHUNK_DRAWS,
     KIND_IID_BERNOULLI,
+    KIND_IID_EXAMPLES,
     SUSPEND,
     Branch,
     Measure,
@@ -202,12 +203,46 @@ class TestFiniteHypothesisSpaceMembership:
 
 
 def test_a_measure_is_one_of_the_iid_kinds_with_a_token_table():
-    # A deterministic world carries no measure, so no point-mass kind or branch field remains.
-    assert [f.name for f in fields(Measure)] == ["kind", "token_probs"]
+    # A deterministic world carries no measure, so no point-mass kind or branch field remains; nor does a kind,
+    # which the table already shows.
+    assert [f.name for f in fields(Measure)] == ["token_probs"]
     assert not hasattr(Measure, "point_mass")
     with pytest.raises(TypeError):
-        Measure(KIND_IID_BERNOULLI)
+        Measure(KIND_IID_BERNOULLI, ((0, Fraction(1, 2)), (1, Fraction(1, 2))))
     assert cl.easy_raven().world("all-ones").measure is None
+
+
+class TestMeasureTable:
+    HALF = Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            (),
+            ((0, Fraction(3, 2)), (1, Fraction(-1, 2))),  # total mass 1, one negative
+            ((0, HALF), (0, HALF)),  # a repeated token
+            ((0, 0.5), (1, 0.5)),  # floats
+            ((0, 1),),  # an int
+            ((0, HALF), (1, Fraction(1, 3))),  # total mass 5/6
+        ],
+        ids=["empty", "negative", "repeated", "floats", "int", "short"],
+    )
+    def test_a_table_that_is_no_law_is_rejected(self, table):
+        with pytest.raises(cl.InputDomainError, match="a measure's"):
+            Measure(table)
+
+    @pytest.mark.parametrize(
+        "tokens, binary",
+        [((0, 1), True), ((1, 0), False), ((False, True), False), ((0.0, 1.0), False), ((np.int64(0), 1), False)],
+    )
+    def test_binary_means_the_ints_0_and_1_in_that_order(self, tokens, binary):
+        m = Measure(tuple(zip(tokens, (self.HALF, self.HALF))))
+        assert m.binary is binary
+        if binary:
+            assert m.theta == self.HALF
+        else:
+            with pytest.raises(cl.PreconditionError):
+                m.theta
 
 
 class TestIsLabel:
@@ -470,12 +505,22 @@ def test_method_needs_decide_or_counts_and_derives_decide_from_counts():
 
 
 def test_success_block_is_a_read_only_name_for_the_count_block(toy_classifiers):
+    # success_block, locks_at_first_zero and Measure.kind read what the fields hold; none is a field.
     erm = cl.erm_method(toy_classifiers)
     assert erm.success_block is erm.decide_count_block is not None
+    assert cl.raven_rule.locks_at_first_zero is True and cl.raven_rule.laws.locks_at_first_zero
+    assert cl.fair_coin_test.locks_at_first_zero is False and erm.locks_at_first_zero is False
+    for name, value in (("success_block", lambda *a: None), ("locks_at_first_zero", True)):
+        with pytest.raises(TypeError):
+            cl.InferenceMethod("x", lambda seq: 0, **{name: value})
+        with pytest.raises(TypeError):
+            replace(erm, **{name: value})
+    coin, examples = Measure.iid_bernoulli(Fraction(3, 10)), Measure.iid_examples({"a": "1/2", "b": "1/2"})
+    assert (coin.kind, examples.kind) == ("iid-bernoulli", "iid-examples") == (KIND_IID_BERNOULLI, KIND_IID_EXAMPLES)
     with pytest.raises(TypeError):
-        cl.InferenceMethod("x", lambda seq: 0, success_block=lambda *a: None)
+        Measure(examples.token_probs, kind="iid-examples")
     with pytest.raises(TypeError):
-        replace(erm, success_block=lambda *a: None)
+        replace(coin, kind="iid-examples")
 
 
 def test_output_at_tracks_the_branch_prefix():
